@@ -1,13 +1,13 @@
 GO ?= go
 
 # Concurrency-heavy packages CI runs under the race detector.
-RACE_PKGS = ./internal/parallel/... ./internal/tournament/... ./internal/cost/... ./internal/obs/... ./internal/dispatch/... ./internal/chaos/... ./internal/checkpoint/... ./internal/degrade/... ./internal/sched/... ./internal/service/... ./internal/faults/... ./internal/trust/...
+RACE_PKGS = ./internal/parallel/... ./internal/tournament/... ./internal/cost/... ./internal/obs/... ./internal/dispatch/... ./internal/chaos/... ./internal/checkpoint/... ./internal/degrade/... ./internal/service/... ./internal/faults/... ./internal/trust/...
 
 # Total-coverage floor for the cover target, pinned a few points under the
 # measured total so genuine regressions fail without flaking on noise.
 COVER_FLOOR = 76.0
 
-.PHONY: build test race bench bench-matrix vet lint ci bench-smoke chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
+.PHONY: build test race bench vet lint ci bench-smoke golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
 
 all: build vet test
 
@@ -17,31 +17,31 @@ build:
 test:
 	$(GO) test ./...
 
-# Same package list as the CI race job: once at GOMAXPROCS=1 (interleaving
-# forced through a single P) and once at 4 (real parallelism), matching the
-# two scheduler regimes the DAG dispatcher runs under.
+# Same package lists as the CI race steps: the memo, breaker and trust
+# packages once at GOMAXPROCS=1 (every goroutine interleaved on a single P,
+# as on a 1-core host), then every concurrency-heavy package at 4 (real
+# parallelism).
 race:
-	GOMAXPROCS=1 $(GO) test -race ./internal/sched/... ./internal/tournament/... ./internal/dispatch/... ./internal/trust/...
+	GOMAXPROCS=1 $(GO) test -race ./internal/tournament/... ./internal/dispatch/... ./internal/trust/...
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
 
 # Mirror of .github/workflows/ci.yml: the test job's steps plus the
 # benchmark-smoke job. Green here means green there (modulo Go version).
-ci: vet lint build test race cover bench-smoke chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke
+ci: vet lint build test race cover bench-smoke golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig3Parallel -benchtime=1x ./internal/experiment
 	$(GO) run ./cmd/benchrun -quick -parallel=2 -benchout /tmp/bench-smoke.json fig3
 	$(GO) run ./cmd/benchcheck /tmp/bench-smoke.json
-	$(GO) run ./cmd/benchsched -smoke -out /tmp/bench-sched-smoke.json
-	$(GO) run ./cmd/benchcheck /tmp/bench-sched-smoke.json results/BENCH_sched.json
 	$(GO) run ./cmd/benchrun -quick -trust-out /tmp/bench-trust-smoke.json trust >/dev/null
 	$(GO) run ./cmd/benchcheck /tmp/bench-trust-smoke.json results/BENCH_trust.json
 
-# Regenerate the full scheduler matrix checked in under results/ (slow; the
-# committed file was produced by exactly this invocation).
-bench-matrix:
-	$(GO) run ./cmd/benchsched -spin 500ns -runs 15 -out results/BENCH_sched.json
-	$(GO) run ./cmd/benchcheck results/BENCH_sched.json
+# The paper-scale tables and figures: a fresh `benchrun all` must reproduce
+# the committed snapshot byte for byte (about a minute). After an intended
+# change, regenerate with `go run ./cmd/benchrun all > results/benchrun-all.txt`.
+golden:
+	$(GO) run ./cmd/benchrun all >/tmp/benchrun-all.txt
+	diff results/benchrun-all.txt /tmp/benchrun-all.txt
 
 # Crash-and-resume bit-identical check plus a poisoned-pool run: the same
 # steps as the CI chaos-smoke job.

@@ -1,18 +1,8 @@
-// Command benchcheck validates the repository's benchmark artifacts. Five
+// Command benchcheck validates the repository's benchmark artifacts. Four
 // schemas are recognized, dispatched on the optional top-level "kind" field:
 //
 //   - legacy timing reports written by benchrun -benchout (no kind field):
 //     machine fields plus one complete timing entry per experiment;
-//   - "sched-matrix" reports written by benchsched (BENCH_sched.json): a
-//     GOMAXPROCS × {lockstep, dag} cell matrix that must cover the 1-core
-//     baseline, pair both schedulers at every width, agree on paid
-//     comparison counts within a pair, never measure MORE logical rounds
-//     for the DAG scheduler than for lockstep, and carry a paired
-//     per-repetition wall-clock median. The paired 1-core median may not
-//     show the DAG scheduler more than 2% slower than lockstep (full runs;
-//     smoke runs get a loose sanity window because their workloads are
-//     tiny) — that is the one performance claim the artifact exists to
-//     make, so its absence is a schema error.
 //   - "service" loadtest reports written by cmd/loadgen
 //     (BENCH_service.json): client-observed throughput and latency for a
 //     seeded job stream against maxcrowdd. Every submitted job must have
@@ -30,9 +20,8 @@
 //     colluder-clique mix the gold arm's retention collapses (≤ 90%) while
 //     the graph or hybrid arm sustains ≥ 95%.
 //
-// It is CI's schema gate for the benchmark-smoke and loadtest-smoke jobs —
-// beyond the paired 1-core bound it checks shape, not speed, so it cannot
-// flake on loaded runners.
+// It is CI's schema gate for the benchmark-smoke and loadtest-smoke jobs. It
+// checks shape, not speed, so it cannot flake on loaded runners.
 //
 // Usage:
 //
@@ -101,8 +90,6 @@ func check(data []byte) []error {
 	switch probe.Kind {
 	case "":
 		return checkLegacy(data)
-	case "sched-matrix":
-		return checkSchedMatrix(data)
 	case "service":
 		return checkService(data)
 	case "workloads":
@@ -150,148 +137,6 @@ func checkLegacy(data []byte) []error {
 			} else if *f.val < 0 {
 				fail("experiment %d (%s): %s = %g, want >= 0", i, e.Name, f.key, *f.val)
 			}
-		}
-	}
-	return errs
-}
-
-// schedReport mirrors cmd/benchsched's output schema.
-type schedReport struct {
-	Cores  int         `json:"cores"`
-	Smoke  bool        `json:"smoke"`
-	N      int         `json:"n"`
-	Runs   int         `json:"runs"`
-	Cells  []schedCell `json:"cells"`
-	Paired []schedPair `json:"paired"`
-}
-
-type schedCell struct {
-	Gomaxprocs      int       `json:"gomaxprocs"`
-	Scheduler       string    `json:"scheduler"`
-	MedianSeconds   float64   `json:"median_seconds"`
-	RunsSeconds     []float64 `json:"runs_seconds"`
-	LogicalRounds   int64     `json:"logical_rounds"`
-	PaidComparisons int64     `json:"paid_comparisons"`
-}
-
-type schedPair struct {
-	Gomaxprocs     int     `json:"gomaxprocs"`
-	RatioMedian    float64 `json:"dag_over_lockstep_median"`
-	RoundsLockstep int64   `json:"rounds_lockstep"`
-	RoundsDAG      int64   `json:"rounds_dag"`
-}
-
-// oneCoreSlowdownCap bounds the paired 1-core wall-clock median: the DAG
-// scheduler asks the identical comparison sequence, so any slowdown is pure
-// dispatch overhead — more than 2% of it fails the artifact. Smoke runs
-// measure millisecond workloads where scheduling noise alone exceeds that,
-// so they only get a gross sanity window.
-const (
-	oneCoreSlowdownCap      = 1.02
-	oneCoreSmokeSlowdownCap = 2.0
-)
-
-func checkSchedMatrix(data []byte) []error {
-	var r schedReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return []error{fmt.Errorf("not valid JSON: %w", err)}
-	}
-	var errs []error
-	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
-	if r.Cores < 1 {
-		fail("cores = %d, want >= 1", r.Cores)
-	}
-	if r.N < 2 {
-		fail("n = %d, want >= 2", r.N)
-	}
-	if r.Runs < 1 {
-		fail("runs = %d, want >= 1", r.Runs)
-	}
-	if len(r.Cells) == 0 {
-		fail("no cells")
-	}
-	// byGMP[gomaxprocs][scheduler] — every width must carry exactly one
-	// cell per scheduler, and the pair must agree on the paid count.
-	byGMP := map[int]map[string]schedCell{}
-	for i, c := range r.Cells {
-		if c.Gomaxprocs < 1 {
-			fail("cell %d: gomaxprocs = %d, want >= 1", i, c.Gomaxprocs)
-		}
-		if c.Scheduler != "lockstep" && c.Scheduler != "dag" {
-			fail("cell %d: unknown scheduler %q", i, c.Scheduler)
-			continue
-		}
-		if c.MedianSeconds <= 0 {
-			fail("cell %d (%s@%d): median_seconds = %g, want > 0", i, c.Scheduler, c.Gomaxprocs, c.MedianSeconds)
-		}
-		if len(c.RunsSeconds) != r.Runs {
-			fail("cell %d (%s@%d): %d runs_seconds, want %d", i, c.Scheduler, c.Gomaxprocs, len(c.RunsSeconds), r.Runs)
-		}
-		if c.LogicalRounds < 1 {
-			fail("cell %d (%s@%d): logical_rounds = %d, want >= 1", i, c.Scheduler, c.Gomaxprocs, c.LogicalRounds)
-		}
-		if c.PaidComparisons < 1 {
-			fail("cell %d (%s@%d): paid_comparisons = %d, want >= 1", i, c.Scheduler, c.Gomaxprocs, c.PaidComparisons)
-		}
-		if byGMP[c.Gomaxprocs] == nil {
-			byGMP[c.Gomaxprocs] = map[string]schedCell{}
-		}
-		if _, dup := byGMP[c.Gomaxprocs][c.Scheduler]; dup {
-			fail("cell %d: duplicate %s cell for gomaxprocs %d", i, c.Scheduler, c.Gomaxprocs)
-		}
-		byGMP[c.Gomaxprocs][c.Scheduler] = c
-	}
-	if _, ok := byGMP[1]; len(r.Cells) > 0 && !ok {
-		fail("matrix lacks the gomaxprocs=1 baseline")
-	}
-	for gmp, pair := range byGMP {
-		lock, hasLock := pair["lockstep"]
-		dag, hasDAG := pair["dag"]
-		if !hasLock || !hasDAG {
-			fail("gomaxprocs %d: missing %s cell", gmp, missingOf(hasLock, hasDAG))
-			continue
-		}
-		if lock.PaidComparisons != dag.PaidComparisons {
-			fail("gomaxprocs %d: paid comparisons diverge (lockstep %d, dag %d)", gmp, lock.PaidComparisons, dag.PaidComparisons)
-		}
-		if dag.LogicalRounds > lock.LogicalRounds {
-			fail("gomaxprocs %d: dag measured MORE rounds than lockstep (%d > %d)", gmp, dag.LogicalRounds, lock.LogicalRounds)
-		}
-	}
-	seenPair := map[int]bool{}
-	for i, p := range r.Paired {
-		if seenPair[p.Gomaxprocs] {
-			fail("paired %d: duplicate entry for gomaxprocs %d", i, p.Gomaxprocs)
-		}
-		seenPair[p.Gomaxprocs] = true
-		cells, ok := byGMP[p.Gomaxprocs]
-		if !ok {
-			fail("paired %d: gomaxprocs %d has no cells", i, p.Gomaxprocs)
-			continue
-		}
-		if p.RatioMedian <= 0 {
-			fail("paired %d (gomaxprocs %d): dag_over_lockstep_median = %g, want > 0", i, p.Gomaxprocs, p.RatioMedian)
-		}
-		if lock, ok := cells["lockstep"]; ok && p.RoundsLockstep != lock.LogicalRounds {
-			fail("paired %d (gomaxprocs %d): rounds_lockstep %d != cell %d", i, p.Gomaxprocs, p.RoundsLockstep, lock.LogicalRounds)
-		}
-		if dag, ok := cells["dag"]; ok && p.RoundsDAG != dag.LogicalRounds {
-			fail("paired %d (gomaxprocs %d): rounds_dag %d != cell %d", i, p.Gomaxprocs, p.RoundsDAG, dag.LogicalRounds)
-		}
-		if p.Gomaxprocs == 1 {
-			bound := oneCoreSlowdownCap
-			if r.Smoke {
-				bound = oneCoreSmokeSlowdownCap
-			}
-			if p.RatioMedian > bound {
-				fail("paired 1-core median shows dag %.1f%% slower than lockstep, cap is %.0f%%",
-					100*(p.RatioMedian-1), 100*(bound-1))
-			}
-		}
-	}
-	for gmp := range byGMP {
-		if !seenPair[gmp] {
-			fail("gomaxprocs %d: missing paired summary", gmp)
 		}
 	}
 	return errs
@@ -477,17 +322,6 @@ func checkWorkloads(data []byte) []error {
 		fail("per_mode failed sum to %d, report has %d", sumFailed, *r.Failed)
 	}
 	return errs
-}
-
-func missingOf(hasLock, hasDAG bool) string {
-	switch {
-	case !hasLock && !hasDAG:
-		return "lockstep and dag"
-	case !hasLock:
-		return "lockstep"
-	default:
-		return "dag"
-	}
 }
 
 // trustReport mirrors experiment.TrustReport. Required numerics are pointers

@@ -68,6 +68,12 @@ func dst() io.Writer {
 	return os.Stdout
 }
 
+// allExperiments is what the name "all" expands to, in output order.
+var allExperiments = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
+	"fig9", "fig10", "retention", "table1", "table2", "search",
+	"majority", "epsilon", "cascade", "steps", "bracket", "adversary",
+	"trust"}
+
 // workers is the effective -parallel value; the -benchout mode flips it
 // between 1 and the requested width for the timed runs.
 var workers int
@@ -82,10 +88,7 @@ func main() {
 	workers = *par
 	names := flag.Args()
 	if len(names) == 1 && names[0] == "all" {
-		names = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-			"fig9", "fig10", "retention", "table1", "table2", "search",
-			"majority", "epsilon", "cascade", "steps", "bracket", "adversary",
-			"trust"}
+		names = allExperiments
 	}
 	obsCleanup, err := setupObs()
 	if err != nil {

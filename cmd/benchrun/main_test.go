@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"io"
 	"os"
 	"strings"
@@ -117,5 +118,55 @@ func TestJSONMode(t *testing.T) {
 	out := capture(t, func() error { return run(context.Background(), "fig3") })
 	if !strings.Contains(out, `"title"`) || !strings.Contains(out, `"curves"`) {
 		t.Fatalf("JSON output malformed:\n%.200s", out)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current output")
+
+// TestQuickGolden pins the values of every paper table and figure at -quick
+// scale: the output of `benchrun -quick all` must match testdata/quick.golden
+// byte for byte. After an intended change to the numbers, regenerate with
+// `go test ./cmd/benchrun -run TestQuickGolden -update` and review the diff.
+func TestQuickGolden(t *testing.T) {
+	oldQuick := *quick
+	*quick = true
+	t.Cleanup(func() { *quick = oldQuick })
+	got := capture(t, func() error {
+		for _, name := range allExperiments {
+			if err := run(context.Background(), name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	const golden = "testdata/quick.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("-quick output differs from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, w)
+		}
 	}
 }

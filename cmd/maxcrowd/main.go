@@ -46,23 +46,10 @@ var (
 	resumeCk = flag.String("resume", "", "resume a truncated alg1 run from this checkpoint file; flags must match the original run")
 	chaosArg = flag.String("chaos", "", "inject faults (alg1 only): comma-separated spec with optional expert- prefix, fraction ramps, and @from-to comparison windows, e.g. crash:500, spammer:0.2, expert-outage:1.0@1000+, spammer:0.1-0.5@0-2000, adversary, colluder:7, clique:0.3:7 (coordinated ring controlling 30% of the crowd, promoting item 7), degrader:0.1:0.01")
 	degraded = flag.Bool("degrade", true, "session runs (-checkpoint/-resume/-chaos): walk down the quality ladder instead of failing when experts, budget, or deadline disappear; -degrade=false restores hard failures")
-	schedArg = flag.String("sched", "lockstep", "comparison schedule: lockstep (one batch per tournament group, the paper's execution) or dag (drain all data-independent groups per logical step); identical answers and cost, fewer rounds")
 	mode     = flag.String("mode", "max", "session workload: max (two-phase max-finding), topk (ranked top -k extraction), score (crowd scoring with -votes cardinal votes per element). topk and score always run through the session engine, so -checkpoint/-resume/-chaos compose with them")
 	kRanks   = flag.Int("k", 0, "with -mode topk: number of ranks to extract (required, ≥ 1)")
 	votes    = flag.Int("votes", 0, "with -mode score: cardinal votes per element (0 = engine default of 3)")
 )
-
-// parseSched maps the -sched flag onto a scheduler kind.
-func parseSched() (crowdmax.SchedulerKind, error) {
-	switch *schedArg {
-	case "lockstep":
-		return crowdmax.LockstepScheduler, nil
-	case "dag":
-		return crowdmax.DAGScheduler, nil
-	default:
-		return crowdmax.LockstepScheduler, fmt.Errorf("unknown scheduler %q (want lockstep or dag)", *schedArg)
-	}
-}
 
 func main() {
 	flag.Parse()
@@ -129,10 +116,6 @@ func setupObs() (cleanup func(), err error) {
 func run(ctx context.Context) error {
 	r := crowdmax.NewRand(*seed)
 
-	schedKind, err := parseSched()
-	if err != nil {
-		return err
-	}
 	set, err := buildDataset(r.Child("data"))
 	if err != nil {
 		return err
@@ -217,7 +200,7 @@ func run(ctx context.Context) error {
 	switch *algo {
 	case "alg1":
 		if *topk > 1 {
-			top, err := crowdmax.TopK(ctx, set.Items(), no, eo, crowdmax.TopKOptions{K: *topk, U: unEst, Scheduler: schedKind})
+			top, err := crowdmax.TopK(ctx, set.Items(), no, eo, crowdmax.TopKOptions{K: *topk, U: unEst})
 			if err != nil {
 				return err
 			}
@@ -228,7 +211,7 @@ func run(ctx context.Context) error {
 			best = top[0]
 			break
 		}
-		res, err := crowdmax.FindMax(ctx, set.Items(), no, eo, crowdmax.FindMaxOptions{Un: unEst, Scheduler: schedKind})
+		res, err := crowdmax.FindMax(ctx, set.Items(), no, eo, crowdmax.FindMaxOptions{Un: unEst})
 		if err != nil {
 			if terr := truncated(err, res.Best, ledger, prices); terr != nil {
 				return terr
@@ -238,11 +221,11 @@ func run(ctx context.Context) error {
 		best = res.Best
 		fmt.Printf("phase 1 kept %d candidates\n", len(res.Candidates))
 	case "2mf-naive":
-		best, err = crowdmax.TwoMaxFindWith(ctx, set.Items(), no, schedKind)
+		best, err = crowdmax.TwoMaxFind(ctx, set.Items(), no)
 	case "2mf-expert":
-		best, err = crowdmax.TwoMaxFindWith(ctx, set.Items(), eo, schedKind)
+		best, err = crowdmax.TwoMaxFind(ctx, set.Items(), eo)
 	case "randomized":
-		best, err = crowdmax.RandomizedMaxFind(ctx, set.Items(), eo, crowdmax.RandomizedOptions{R: r.Child("p2"), Scheduler: schedKind})
+		best, err = crowdmax.RandomizedMaxFind(ctx, set.Items(), eo, crowdmax.RandomizedOptions{R: r.Child("p2")})
 	case "bracket":
 		// Repetition needs fresh answers: use a non-memoized oracle.
 		plain := crowdmax.NewOracle(naive, crowdmax.Naive, ledger, nil)
@@ -307,17 +290,12 @@ func buildWorkload() (crowdmax.Workload, error) {
 // stderr, keeping stdout diffable between an uninterrupted run and a
 // crash + resume.
 func runSession(ctx context.Context, w crowdmax.Workload, set *crowdmax.Set, deltaN, deltaE float64, unEst int, prices crowdmax.Prices) error {
-	schedKind, err := parseSched()
-	if err != nil {
-		return err
-	}
 	cfg := crowdmax.Config{
-		Naive:     &crowdmax.ThresholdWorker{Delta: deltaN, Tie: crowdmax.HashTie{Seed: *seed}},
-		Expert:    &crowdmax.ThresholdWorker{Delta: deltaE, Tie: crowdmax.HashTie{Seed: *seed + 1}},
-		Un:        unEst,
-		Prices:    prices,
-		Rand:      crowdmax.NewRand(*seed),
-		Scheduler: schedKind,
+		Naive:  &crowdmax.ThresholdWorker{Delta: deltaN, Tie: crowdmax.HashTie{Seed: *seed}},
+		Expert: &crowdmax.ThresholdWorker{Delta: deltaE, Tie: crowdmax.HashTie{Seed: *seed + 1}},
+		Un:     unEst,
+		Prices: prices,
+		Rand:   crowdmax.NewRand(*seed),
 	}
 	if *budget > 0 {
 		cfg.Budget = crowdmax.BudgetLimits{MaxCost: *budget, Prices: prices}

@@ -50,7 +50,6 @@ import (
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/item"
 	"crowdmax/internal/rng"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 	"crowdmax/internal/worker"
 )
@@ -174,20 +173,6 @@ const (
 	AllPlayAllPhase2 = core.Phase2AllPlayAll
 )
 
-// SchedulerKind selects the comparison schedule: LockstepScheduler (the
-// default) submits one platform batch per tournament group, exactly as the
-// paper's pseudo-code executes; DAGScheduler schedules comparisons as a
-// dependency DAG and drains all data-ready groups per logical step,
-// reducing round latency without changing answers, paid comparison counts,
-// or monetary cost.
-type SchedulerKind = sched.Kind
-
-// Scheduler choices.
-const (
-	LockstepScheduler = sched.Lockstep
-	DAGScheduler      = sched.DAG
-)
-
 // FindMaxResult reports the outcome of a two-phase run.
 type FindMaxResult = core.FindMaxResult
 
@@ -233,11 +218,6 @@ type FilterOptions = core.FilterOptions
 // O(s^{3/2}) comparisons, result within 2δ of the maximum under T(δ, 0).
 func TwoMaxFind(ctx context.Context, items []Item, o *Oracle) (Item, error) {
 	return core.TwoMaxFind(ctx, items, o)
-}
-
-// TwoMaxFindWith is TwoMaxFind under an explicit comparison schedule.
-func TwoMaxFindWith(ctx context.Context, items []Item, o *Oracle, kind SchedulerKind) (Item, error) {
-	return core.TwoMaxFindWith(ctx, items, o, kind)
 }
 
 // RandomizedMaxFind runs the randomized Algorithm 5 of Ajtai et al.: Θ(s)

@@ -14,7 +14,6 @@ import (
 	"crowdmax/internal/cost"
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
 
@@ -31,12 +30,6 @@ type FilterOptions struct {
 	// accumulating un distinct-opponent losses across iterations are
 	// discarded at the end of each iteration, shrinking later rounds.
 	TrackLosses bool
-	// Scheduler selects the comparison schedule: the zero value plays one
-	// batch per tournament group (the lockstep reference); sched.DAG
-	// drains every group of an iteration — they are data-independent — in
-	// one logical step through the work-frontier dispatcher. Answers, paid
-	// counts, and cost are identical; only the step count changes.
-	Scheduler sched.Kind
 }
 
 // filterState carries one filter run's per-iteration working set. The
@@ -57,8 +50,7 @@ type filterState struct {
 
 // applyGroup folds one group's tournament result into the iteration state:
 // threshold survivors, the group top, loss recording, and the per-group
-// trace event. Shared verbatim by the lockstep and DAG schedules so their
-// survivor computation cannot drift.
+// trace event.
 func (st *filterState) applyGroup(group []item.Item, res tournament.Result) {
 	st.tops = append(st.tops, res.TopByWins())
 	need := len(group) - st.un
@@ -129,17 +121,6 @@ func (st *filterState) finishIteration() error {
 	return nil
 }
 
-// groupBounds returns the [start, end) bounds of group gi over n elements.
-func (st *filterState) groupBounds(start int) (end int, advanceWholesale bool) {
-	end = start + st.g
-	if end > len(st.li) {
-		end = len(st.li)
-	}
-	// The final group is too small for its tournament to eliminate
-	// anyone: everyone advances.
-	return end, end == len(st.li) && end-start <= st.un
-}
-
 // Filter is Algorithm 2: using only the naïve oracle, it reduces items to a
 // candidate set of size at most 2·un − 1 that — under the threshold model
 // with ε = 0 — is guaranteed to contain the maximum (Lemma 3), performing at
@@ -151,10 +132,8 @@ func (st *filterState) groupBounds(start int) (end int, advanceWholesale bool) {
 // If the input is already smaller than 2·un, it is returned unchanged (no
 // comparisons are needed).
 //
-// Under the lockstep schedule each group's tournament is one logical step;
-// under sched.DAG all groups of an iteration — which share no data — are
-// drained in a single step, so an iteration costs one round instead of
-// ⌈n/g⌉ rounds while asking the identical comparison sequence.
+// Each group's tournament is one logical step, as in the paper's execution
+// model.
 //
 // On cancellation or budget exhaustion Filter returns the survivor set of
 // the last fully completed iteration alongside the error — a usable (if
@@ -189,13 +168,7 @@ func Filter(ctx context.Context, items []item.Item, naive *tournament.Oracle, op
 			obs.Fi("n", int64(len(items))), obs.Fi("un", int64(st.un)))
 	}
 
-	var err error
-	if opt.Scheduler == sched.DAG {
-		err = filterDAG(ctx, naive, st)
-	} else {
-		err = filterLockstep(ctx, naive, st)
-	}
-	if err != nil {
+	if err := filterGroups(ctx, naive, st); err != nil {
 		return st.li, err
 	}
 	if st.sc != nil {
@@ -208,15 +181,17 @@ func Filter(ctx context.Context, items []item.Item, naive *tournament.Oracle, op
 	return st.li, nil
 }
 
-// filterLockstep is the reference schedule: groups play their tournaments
-// one batch at a time, in partition order.
-func filterLockstep(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
+// filterGroups runs the iterations: groups play their tournaments one batch
+// at a time, in partition order.
+func filterGroups(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
 	opts := tournament.RoundRobinOpts{RecordLosers: st.tracker != nil}
 	for len(st.li) >= 2*st.un {
 		for start := 0; start < len(st.li); start += st.g {
-			end, wholesale := st.groupBounds(start)
+			end := min(start+st.g, len(st.li))
 			group := st.li[start:end]
-			if wholesale {
+			if end == len(st.li) && len(group) <= st.un {
+				// The final group is too small for its tournament to
+				// eliminate anyone: everyone advances.
 				st.next = append(st.next, group...)
 				continue
 			}
@@ -234,86 +209,4 @@ func filterLockstep(ctx context.Context, naive *tournament.Oracle, st *filterSta
 		}
 	}
 	return nil
-}
-
-// filterDAG runs the same iterations on the work-frontier dispatcher: every
-// group of an iteration is enqueued as one ready node — the groups are
-// data-independent — and the iteration join, fired by its last group,
-// computes the survivors and enqueues the next iteration's groups. One
-// iteration, one wave, one logical step.
-func filterDAG(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
-	f := sched.NewFrontier(naive)
-	opts := tournament.RoundRobinOpts{RecordLosers: st.tracker != nil}
-	var enqueue func() error
-	enqueue = func() error {
-		if len(st.li) < 2*st.un {
-			return nil
-		}
-		type pendingGroup struct {
-			group     []item.Item
-			res       tournament.Result
-			wholesale bool
-		}
-		var groups []pendingGroup
-		pending := 0
-		// The whole iteration's pair count is known now; one exact
-		// reservation instead of a growth chain across the group loop.
-		totalPairs := 0
-		for start := 0; start < len(st.li); start += st.g {
-			end, wholesale := st.groupBounds(start)
-			if !wholesale {
-				n := end - start
-				totalPairs += n * (n - 1) / 2
-			}
-		}
-		f.Reserve(totalPairs)
-		join := func() error {
-			// Fold results in partition order — identical to lockstep,
-			// including the position of a wholesale-advanced tail group —
-			// then start the next iteration.
-			for _, pg := range groups {
-				if pg.wholesale {
-					st.next = append(st.next, pg.group...)
-				} else {
-					st.applyGroup(pg.group, pg.res)
-				}
-			}
-			if err := st.finishIteration(); err != nil {
-				return err
-			}
-			return enqueue()
-		}
-		for start := 0; start < len(st.li); start += st.g {
-			end, wholesale := st.groupBounds(start)
-			group := st.li[start:end]
-			if wholesale {
-				groups = append(groups, pendingGroup{group: group, wholesale: true})
-				continue
-			}
-			idx := len(groups)
-			groups = append(groups, pendingGroup{group: group})
-			pending++
-			// Capture the index, not a pointer: later appends may move the
-			// slice's backing array. By the time the hook fires, enqueueing
-			// is finished and groups is final.
-			f.AddRoundRobin(group, opts, func(res tournament.Result) error {
-				groups[idx].res = res
-				pending--
-				if pending == 0 {
-					return join()
-				}
-				return nil
-			})
-		}
-		if pending == 0 {
-			// Every group advanced wholesale: close the iteration without
-			// a wave (lockstep reaches the same state without a batch).
-			return join()
-		}
-		return nil
-	}
-	if err := enqueue(); err != nil {
-		return err
-	}
-	return f.Run(ctx)
 }

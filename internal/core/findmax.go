@@ -8,7 +8,6 @@ import (
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
 	"crowdmax/internal/rng"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
 
@@ -61,10 +60,6 @@ type FindMaxOptions struct {
 	TrackLosses bool
 	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
 	Randomized RandomizedOptions
-	// Scheduler selects the comparison schedule for both phases; see
-	// FilterOptions.Scheduler. The choice never changes answers, paid
-	// comparison counts, or monetary cost — only the logical-step count.
-	Scheduler sched.Kind
 	// OnPhase, when set, is called at phase boundaries with the boundary
 	// label ("phase1" after the filter, "done" after phase 2) and the
 	// survivor set at that point. The session layer hooks checkpoint
@@ -107,7 +102,7 @@ func FindMax(ctx context.Context, items []item.Item, naive, expert *tournament.O
 	if sc != nil {
 		n0 = naive.LedgerSnapshot()
 	}
-	candidates, err := Filter(ctx, items, naive, FilterOptions{Un: opt.Un, TrackLosses: opt.TrackLosses, Scheduler: opt.Scheduler})
+	candidates, err := Filter(ctx, items, naive, FilterOptions{Un: opt.Un, TrackLosses: opt.TrackLosses})
 	if err != nil {
 		return FindMaxResult{Candidates: candidates}, fmt.Errorf("phase 1: %w", err)
 	}
@@ -127,7 +122,7 @@ func FindMax(ctx context.Context, items []item.Item, naive, expert *tournament.O
 	if sc != nil {
 		e0 = expert.LedgerSnapshot()
 	}
-	best, err := RunPhase2With(ctx, candidates, expert, opt.Phase2, opt.Randomized, opt.Scheduler)
+	best, err := RunPhase2(ctx, candidates, expert, opt.Phase2, opt.Randomized)
 	if err != nil {
 		return FindMaxResult{Best: best, Candidates: candidates}, fmt.Errorf("phase 2: %w", err)
 	}
@@ -144,23 +139,16 @@ func FindMax(ctx context.Context, items []item.Item, naive, expert *tournament.O
 }
 
 // RunPhase2 applies the selected second-phase algorithm to the candidate
-// set using the expert oracle, on the lockstep reference schedule. On error
-// the returned item is the algorithm's best-so-far partial leader (zero when
-// none was established).
+// set using the expert oracle. On error the returned item is the algorithm's
+// best-so-far partial leader (zero when none was established).
 func RunPhase2(ctx context.Context, candidates []item.Item, expert *tournament.Oracle, algo Phase2Algorithm, ropt RandomizedOptions) (item.Item, error) {
-	return RunPhase2With(ctx, candidates, expert, algo, ropt, sched.Lockstep)
-}
-
-// RunPhase2With is RunPhase2 under an explicit comparison schedule.
-func RunPhase2With(ctx context.Context, candidates []item.Item, expert *tournament.Oracle, algo Phase2Algorithm, ropt RandomizedOptions, kind sched.Kind) (item.Item, error) {
 	switch algo {
 	case Phase2TwoMaxFind:
-		return TwoMaxFindWith(ctx, candidates, expert, kind)
+		return TwoMaxFind(ctx, candidates, expert)
 	case Phase2Randomized:
 		if ropt.R == nil {
 			ropt.R = rng.New(0)
 		}
-		ropt.Scheduler = kind
 		return RandomizedMaxFind(ctx, candidates, expert, ropt)
 	case Phase2AllPlayAll:
 		if len(candidates) == 0 {

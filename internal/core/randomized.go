@@ -10,7 +10,6 @@ import (
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
 	"crowdmax/internal/rng"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
 
@@ -23,10 +22,6 @@ type RandomizedOptions struct {
 	C int
 	// R drives the random sampling and partitioning. Required.
 	R *rng.Source
-	// Scheduler selects the comparison schedule; see FilterOptions.Scheduler.
-	// Under sched.DAG the independent group tournaments of one round are
-	// drained in a single logical step.
-	Scheduler sched.Kind
 }
 
 // RandomizedMaxFind is Algorithm 5 (from Ajtai et al. Section 3.2): a
@@ -43,11 +38,6 @@ type RandomizedOptions struct {
 // each group, and removes each group's minimal element (fewest wins). When
 // fewer than s^{0.3} survivors remain they join W, and a final all-play-all
 // tournament over W picks the winner.
-//
-// The groups of one round share no data, so under sched.DAG a round is one
-// logical step instead of one per group; the comparison sequence, answers,
-// and billing are identical to the lockstep reference either way, and in
-// particular the same RNG draws produce the same partitions.
 //
 // On cancellation or budget exhaustion the first surviving candidate is
 // returned alongside the error as a best-effort partial answer.
@@ -95,14 +85,16 @@ func RandomizedMaxFind(ctx context.Context, items []item.Item, o *tournament.Ora
 		// group's minimal element.
 		opt.R.Shuffle(len(ni), func(i, j int) { ni[i], ni[j] = ni[j], ni[i] })
 		drop := make(map[int]bool)
-		var err error
-		if opt.Scheduler == sched.DAG {
-			err = randomizedRoundDAG(ctx, o, ni, groupSize, drop)
-		} else {
-			err = randomizedRoundLockstep(ctx, o, ni, groupSize, drop)
-		}
-		if err != nil {
-			return ni[0], err
+		for start := 0; start < len(ni); start += groupSize {
+			group := ni[start:min(start+groupSize, len(ni))]
+			if len(group) < 2 {
+				continue
+			}
+			res, err := tournament.RoundRobin(ctx, group, o)
+			if err != nil {
+				return ni[0], err
+			}
+			drop[res.MinByWins().ID] = true
 		}
 		if len(drop) == 0 {
 			break // single survivor group of size 1
@@ -144,49 +136,4 @@ func RandomizedMaxFind(ctx context.Context, items []item.Item, o *tournament.Ora
 			obs.Fi("comparisons", d.TotalComparisons()), obs.Fi("memo_hits", d.TotalMemoHits()))
 	}
 	return final.TopByWins(), nil
-}
-
-// randomizedRoundLockstep plays one round's group tournaments one batch at a
-// time, recording each group's minimal element into drop.
-func randomizedRoundLockstep(ctx context.Context, o *tournament.Oracle, ni []item.Item, groupSize int, drop map[int]bool) error {
-	for start := 0; start < len(ni); start += groupSize {
-		end := min(start+groupSize, len(ni))
-		group := ni[start:end]
-		if len(group) < 2 {
-			continue
-		}
-		res, err := tournament.RoundRobin(ctx, group, o)
-		if err != nil {
-			return err
-		}
-		drop[res.MinByWins().ID] = true
-	}
-	return nil
-}
-
-// randomizedRoundDAG drains all of one round's independent group
-// tournaments in a single frontier wave — one logical step — with each
-// group's minimal element recorded in partition order, exactly like the
-// lockstep pass.
-func randomizedRoundDAG(ctx context.Context, o *tournament.Oracle, ni []item.Item, groupSize int, drop map[int]bool) error {
-	f := sched.NewFrontier(o)
-	mins := make([]int, 0, (len(ni)+groupSize-1)/groupSize)
-	for start := 0; start < len(ni); start += groupSize {
-		end := min(start+groupSize, len(ni))
-		group := ni[start:end]
-		if len(group) < 2 {
-			continue
-		}
-		f.AddRoundRobin(group, tournament.RoundRobinOpts{}, func(res tournament.Result) error {
-			mins = append(mins, res.MinByWins().ID)
-			return nil
-		})
-	}
-	if err := f.Run(ctx); err != nil {
-		return err
-	}
-	for _, id := range mins {
-		drop[id] = true
-	}
-	return nil
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"testing"
 
 	"crowdmax/internal/cost"
@@ -11,30 +14,30 @@ import (
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/item"
 	"crowdmax/internal/rng"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 	"crowdmax/internal/worker"
 )
 
-// The scheduler-equivalence property: for every algorithm, every seed, and
-// every termination mode (completion, budget exhaustion, mid-phase
-// cancellation), the DAG schedule must produce bit-identical answers, paid
-// comparison counts, memo hits, and monetary cost to the lockstep reference
-// — because on the element-wise dispatch path both schedules ask the
-// underlying comparator the exact same comparison sequence. Only the
-// logical-step count may differ, and only downward.
+// The schedule-equivalence fixture pins the comparison schedule itself: for
+// every algorithm and termination mode (completion, budget exhaustion,
+// mid-phase cancellation) at fixed seeds, a recording comparator folds each
+// ask — the ordered (a.ID, b.ID, class) triple — into one FNV-1a hash, and the
+// fixture pins that hash together with the answer fingerprint, the paid and
+// memoized comparison counts, the monetary cost and the ledger's logical
+// steps. A refactor that reorders, drops or duplicates a single comparison
+// moves the sequence hash even when the answer happens to survive.
 //
-// The workers here are deliberately STATEFUL (stream-driven random
-// tie-breaking): if the DAG schedule reordered, dropped, or duplicated even
-// one comparison, the tie stream would desynchronize and the fingerprints
-// would diverge. That makes this a much sharper test than one with
-// order-independent workers.
+// The workers are deliberately STATEFUL (stream-driven random tie-breaking):
+// a changed comparison sequence also desynchronizes the tie stream, so the
+// answer and counts diverge too instead of agreeing by accident.
+//
+// To regenerate after an intended change to the sequence, run the tests and
+// paste the printed literals into schedPins.
 
-// schedOutcome fingerprints one run for cross-scheduler comparison. Steps is
-// kept separately: it is the one quantity the schedules are allowed (and
-// expected) to disagree on.
-type schedOutcome struct {
-	answer string // algorithm-specific answer fingerprint, incl. error text
+// schedPin is one run's pinned outcome.
+type schedPin struct {
+	seq    uint64 // FNV-1a over the ordered (a.ID, b.ID, class) asks
+	answer uint64 // FNV-1a of the answer fingerprint, incl. error text
 	naive  int64
 	expert int64
 	memo   int64
@@ -42,19 +45,35 @@ type schedOutcome struct {
 	steps  int64
 }
 
-// equal ignores steps; see above.
-func (a schedOutcome) equal(b schedOutcome) bool {
-	return a.answer == b.answer && a.naive == b.naive && a.expert == b.expert &&
-		a.memo == b.memo && a.cost == b.cost
+func (p schedPin) literal() string {
+	return fmt.Sprintf("{%#x, %#x, %d, %d, %d, %g, %d}",
+		p.seq, p.answer, p.naive, p.expert, p.memo, p.cost, p.steps)
 }
 
-func (a schedOutcome) String() string {
-	return fmt.Sprintf("{answer=%s naive=%d expert=%d memo=%d cost=%g steps=%d}",
-		a.answer, a.naive, a.expert, a.memo, a.cost, a.steps)
+// seqLog is the hash shared by a run's recording comparators, so naive and
+// expert asks land in one ordered sequence.
+type seqLog struct {
+	h   hash.Hash64
+	buf []byte
+}
+
+// recorder wraps a comparator and logs every ask into a seqLog.
+type recorder struct {
+	inner worker.Comparator
+	class worker.Class
+	log   *seqLog
+}
+
+func (r *recorder) Compare(a, b item.Item) item.Item {
+	buf := binary.LittleEndian.AppendUint64(r.log.buf[:0], uint64(a.ID))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.ID))
+	r.log.buf = binary.LittleEndian.AppendUint64(buf, uint64(r.class))
+	r.log.h.Write(r.log.buf)
+	return r.inner.Compare(a, b)
 }
 
 // schedRig is one run's fixture: fresh ledger, memoized oracles, and
-// stateful seeded workers, built identically for both schedules.
+// stateful seeded workers behind recording comparators.
 type schedRig struct {
 	ledger *cost.Ledger
 	naive  *tournament.Oracle
@@ -62,11 +81,12 @@ type schedRig struct {
 	prices cost.Prices
 	items  []item.Item
 	r      *rng.Source
+	log    *seqLog
 }
 
-// newSchedRig builds the fixture for one (seed, scheduler) run. The naive
-// comparator is wrapped by wrapNaive when non-nil (the cancellation tests
-// hook call counting there).
+// newSchedRig builds the fixture for one seeded run. The naive comparator is
+// wrapped by wrapNaive when non-nil (the cancellation case hooks call
+// counting there), inside the recorder.
 func newSchedRig(seed uint64, n, un int, wrapNaive func(worker.Comparator) worker.Comparator) *schedRig {
 	r := rng.New(seed)
 	cal, err := dataset.UniformCalibrated(n, un, 1, r.Child("data"))
@@ -78,6 +98,7 @@ func newSchedRig(seed uint64, n, un int, wrapNaive func(worker.Comparator) worke
 		panic(err)
 	}
 	ledger := cost.NewLedger()
+	log := &seqLog{h: fnv.New64a()}
 	var nw worker.Comparator = &worker.Threshold{Delta: cal.DeltaN, Tie: worker.RandomTie{R: r.Child("naive")}, R: r.Child("nw")}
 	if wrapNaive != nil {
 		nw = wrapNaive(nw)
@@ -85,18 +106,22 @@ func newSchedRig(seed uint64, n, un int, wrapNaive func(worker.Comparator) worke
 	ew := &worker.Threshold{Delta: deltaE, Tie: worker.RandomTie{R: r.Child("expert")}, R: r.Child("ew")}
 	return &schedRig{
 		ledger: ledger,
-		naive:  tournament.NewOracle(nw, worker.Naive, ledger, tournament.NewMemo()),
-		expert: tournament.NewOracle(ew, worker.Expert, ledger, tournament.NewMemo()),
+		naive:  tournament.NewOracle(&recorder{inner: nw, class: worker.Naive, log: log}, worker.Naive, ledger, tournament.NewMemo()),
+		expert: tournament.NewOracle(&recorder{inner: ew, class: worker.Expert, log: log}, worker.Expert, ledger, tournament.NewMemo()),
 		prices: cost.Prices{Naive: 1, Expert: 25},
 		items:  cal.Set.Items(),
 		r:      r,
+		log:    log,
 	}
 }
 
-// outcome closes the run: answer fingerprint plus the ledger readings.
-func (rig *schedRig) outcome(answer string) schedOutcome {
-	return schedOutcome{
-		answer: answer,
+// pin closes the run: sequence hash, answer fingerprint, ledger readings.
+func (rig *schedRig) pin(answer string) schedPin {
+	h := fnv.New64a()
+	h.Write([]byte(answer))
+	return schedPin{
+		seq:    rig.log.h.Sum64(),
+		answer: h.Sum64(),
 		naive:  rig.ledger.Naive(),
 		expert: rig.ledger.Expert(),
 		memo:   rig.ledger.MemoHits(worker.Naive) + rig.ledger.MemoHits(worker.Expert),
@@ -114,7 +139,7 @@ func fpItems(items []item.Item) string {
 	return s + "]"
 }
 
-// fpErr appends an error to a fingerprint so error paths must match too.
+// fpErr appends an error to a fingerprint so error paths are pinned too.
 func fpErr(s string, err error) string {
 	if err != nil {
 		return s + "|err:" + err.Error()
@@ -122,102 +147,9 @@ func fpErr(s string, err error) string {
 	return s
 }
 
-// assertSchedEquivalent runs fn under both schedules across seeds and
-// requires identical outcomes and no step regression.
-func assertSchedEquivalent(t *testing.T, seeds int, fn func(kind sched.Kind, seed uint64) schedOutcome) {
-	t.Helper()
-	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		lock := fn(sched.Lockstep, seed)
-		dag := fn(sched.DAG, seed)
-		if !lock.equal(dag) {
-			t.Fatalf("seed %d: schedules diverged\n  lockstep %s\n  dag      %s", seed, lock, dag)
-		}
-		if dag.steps > lock.steps {
-			t.Fatalf("seed %d: DAG took more steps than lockstep (%d > %d)", seed, dag.steps, lock.steps)
-		}
-	}
-}
-
-func TestSchedEquivFilter(t *testing.T) {
-	for _, track := range []bool{false, true} {
-		t.Run(fmt.Sprintf("trackLosses=%v", track), func(t *testing.T) {
-			assertSchedEquivalent(t, 8, func(kind sched.Kind, seed uint64) schedOutcome {
-				rig := newSchedRig(seed, 150+int(seed)*31, 4, nil)
-				out, err := Filter(context.Background(), rig.items, rig.naive, FilterOptions{Un: 4, TrackLosses: track, Scheduler: kind})
-				return rig.outcome(fpErr(fpItems(out), err))
-			})
-		})
-	}
-}
-
-func TestSchedEquivTwoMaxFind(t *testing.T) {
-	assertSchedEquivalent(t, 8, func(kind sched.Kind, seed uint64) schedOutcome {
-		rig := newSchedRig(seed, 60+int(seed)*17, 4, nil)
-		best, err := TwoMaxFindWith(context.Background(), rig.items, rig.expert, kind)
-		return rig.outcome(fpErr(fmt.Sprintf("best=%d", best.ID), err))
-	})
-}
-
-func TestSchedEquivRandomized(t *testing.T) {
-	assertSchedEquivalent(t, 6, func(kind sched.Kind, seed uint64) schedOutcome {
-		rig := newSchedRig(seed, 120+int(seed)*23, 4, nil)
-		best, err := RandomizedMaxFind(context.Background(), rig.items, rig.expert,
-			RandomizedOptions{R: rig.r.Child("p2"), Scheduler: kind})
-		return rig.outcome(fpErr(fmt.Sprintf("best=%d", best.ID), err))
-	})
-}
-
-func TestSchedEquivFindMaxAllPhase2s(t *testing.T) {
-	for _, p2 := range []Phase2Algorithm{Phase2TwoMaxFind, Phase2Randomized, Phase2AllPlayAll} {
-		t.Run(p2.String(), func(t *testing.T) {
-			assertSchedEquivalent(t, 6, func(kind sched.Kind, seed uint64) schedOutcome {
-				rig := newSchedRig(seed, 140+int(seed)*29, 4, nil)
-				res, err := FindMax(context.Background(), rig.items, rig.naive, rig.expert, FindMaxOptions{
-					Un:         4,
-					Phase2:     p2,
-					Randomized: RandomizedOptions{R: rig.r.Child("p2")},
-					Scheduler:  kind,
-				})
-				return rig.outcome(fpErr(fmt.Sprintf("best=%d cand=%s", res.Best.ID, fpItems(res.Candidates)), err))
-			})
-		})
-	}
-}
-
-func TestSchedEquivTopK(t *testing.T) {
-	assertSchedEquivalent(t, 4, func(kind sched.Kind, seed uint64) schedOutcome {
-		rig := newSchedRig(seed, 90+int(seed)*13, 3, nil)
-		top, err := TopK(context.Background(), rig.items, rig.naive, rig.expert, TopKOptions{
-			K: 3, U: 3, TrackLosses: true, Scheduler: kind,
-		})
-		return rig.outcome(fpErr(fpItems(top), err))
-	})
-}
-
-func TestSchedEquivBudgetExhaustion(t *testing.T) {
-	// A hard comparison budget truncates the run mid-flight. On the
-	// element-wise path both schedules charge pair by pair in the same
-	// order, so they must exhaust at the identical comparison and return
-	// identical partial results and paid counts.
-	assertSchedEquivalent(t, 6, func(kind sched.Kind, seed uint64) schedOutcome {
-		rig := newSchedRig(seed, 150+int(seed)*31, 4, nil)
-		budget := dispatch.NewBudget(dispatch.Limits{
-			MaxNaive:  900 + int64(seed)*137,
-			MaxExpert: 40,
-		})
-		rig.naive.WithBudget(budget)
-		rig.expert.WithBudget(budget)
-		res, err := FindMax(context.Background(), rig.items, rig.naive, rig.expert, FindMaxOptions{
-			Un: 4, Scheduler: kind,
-		})
-		if err == nil {
-			t.Fatalf("seed %d: budget never exhausted — raise the instance size", seed)
-		}
-		if !errors.Is(err, dispatch.ErrBudgetExhausted) {
-			t.Fatalf("seed %d: want ErrBudgetExhausted, got %v", seed, err)
-		}
-		return rig.outcome(fpErr(fmt.Sprintf("best=%d cand=%s", res.Best.ID, fpItems(res.Candidates)), err))
-	})
+// fpFindMax fingerprints a two-phase result.
+func fpFindMax(res FindMaxResult, err error) string {
+	return fpErr(fmt.Sprintf("best=%d cand=%s", res.Best.ID, fpItems(res.Candidates)), err)
 }
 
 // cancelAfter cancels a context after exactly limit comparator calls,
@@ -237,46 +169,196 @@ func (c *cancelAfter) Compare(a, b item.Item) item.Item {
 	return c.inner.Compare(a, b)
 }
 
-func TestSchedEquivMidPhaseCancellation(t *testing.T) {
+// schedCase is one fixture row: test is the top-level test it runs under,
+// sub its subtest name ("" for none), and run performs one seeded run and
+// returns its pinned outcome.
+type schedCase struct {
+	test, sub string
+	seeds     int
+	run       func(t *testing.T, seed uint64) schedPin
+}
+
+func filterCase(track bool) schedCase {
+	return schedCase{"Filter", fmt.Sprintf("trackLosses=%v", track), 8, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 150+int(seed)*31, 4, nil)
+		out, err := Filter(context.Background(), rig.items, rig.naive, FilterOptions{Un: 4, TrackLosses: track})
+		return rig.pin(fpErr(fpItems(out), err))
+	}}
+}
+
+func findMaxCase(p2 Phase2Algorithm) schedCase {
+	return schedCase{"FindMaxAllPhase2s", p2.String(), 6, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 140+int(seed)*29, 4, nil)
+		res, err := FindMax(context.Background(), rig.items, rig.naive, rig.expert, FindMaxOptions{
+			Un:         4,
+			Phase2:     p2,
+			Randomized: RandomizedOptions{R: rig.r.Child("p2")},
+		})
+		return rig.pin(fpFindMax(res, err))
+	}}
+}
+
+var schedCases = []schedCase{
+	filterCase(false),
+	filterCase(true),
+	{"TwoMaxFind", "", 8, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 60+int(seed)*17, 4, nil)
+		best, err := TwoMaxFind(context.Background(), rig.items, rig.expert)
+		return rig.pin(fpErr(fmt.Sprintf("best=%d", best.ID), err))
+	}},
+	{"Randomized", "", 6, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 120+int(seed)*23, 4, nil)
+		best, err := RandomizedMaxFind(context.Background(), rig.items, rig.expert,
+			RandomizedOptions{R: rig.r.Child("p2")})
+		return rig.pin(fpErr(fmt.Sprintf("best=%d", best.ID), err))
+	}},
+	findMaxCase(Phase2TwoMaxFind),
+	findMaxCase(Phase2Randomized),
+	findMaxCase(Phase2AllPlayAll),
+	{"TopK", "", 4, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 90+int(seed)*13, 3, nil)
+		top, err := TopK(context.Background(), rig.items, rig.naive, rig.expert, TopKOptions{
+			K: 3, U: 3, TrackLosses: true,
+		})
+		return rig.pin(fpErr(fpItems(top), err))
+	}},
+	// A hard comparison budget truncates the run mid-flight; the pin fixes
+	// the exact comparison it exhausts at and the partial result.
+	{"BudgetExhaustion", "", 6, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 150+int(seed)*31, 4, nil)
+		budget := dispatch.NewBudget(dispatch.Limits{
+			MaxNaive:  900 + int64(seed)*137,
+			MaxExpert: 40,
+		})
+		rig.naive.WithBudget(budget)
+		rig.expert.WithBudget(budget)
+		res, err := FindMax(context.Background(), rig.items, rig.naive, rig.expert, FindMaxOptions{Un: 4})
+		if !errors.Is(err, dispatch.ErrBudgetExhausted) {
+			t.Fatalf("want ErrBudgetExhausted, got %v", err)
+		}
+		return rig.pin(fpFindMax(res, err))
+	}},
 	// Cancellation fires after a fixed number of naive comparisons — mid
-	// filter iteration. Every subsequent ask fails its ctx check, so both
-	// schedules truncate at the same comparison index and must return the
-	// same partial survivor state and billing.
-	assertSchedEquivalent(t, 6, func(kind sched.Kind, seed uint64) schedOutcome {
+	// filter iteration — so every later ask fails its ctx check and the run
+	// returns the last completed iteration's survivors.
+	{"MidPhaseCancellation", "", 6, func(t *testing.T, seed uint64) schedPin {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		rig := newSchedRig(seed, 150+int(seed)*31, 4, func(inner worker.Comparator) worker.Comparator {
 			return &cancelAfter{inner: inner, limit: 700 + int(seed)*101, cancel: cancel}
 		})
-		res, err := FindMax(ctx, rig.items, rig.naive, rig.expert, FindMaxOptions{
-			Un: 4, Scheduler: kind,
-		})
+		res, err := FindMax(ctx, rig.items, rig.naive, rig.expert, FindMaxOptions{Un: 4})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("seed %d: want context.Canceled, got %v", seed, err)
+			t.Fatalf("want context.Canceled, got %v", err)
 		}
-		return rig.outcome(fpErr(fmt.Sprintf("best=%d cand=%s", res.Best.ID, fpItems(res.Candidates)), err))
-	})
+		return rig.pin(fpFindMax(res, err))
+	}},
 }
 
-// TestSchedDAGReducesFilterSteps pins the tentpole's point: on a multi-group
-// filter instance the DAG schedule must finish in strictly fewer logical
-// steps than lockstep (one per iteration instead of one per group), while
-// TestSchedEquiv* above pin that nothing else changes.
-func TestSchedDAGReducesFilterSteps(t *testing.T) {
-	run := func(kind sched.Kind) int64 {
-		rig := newSchedRig(42, 600, 4, nil)
-		if _, err := Filter(context.Background(), rig.items, rig.naive, FilterOptions{Un: 4, Scheduler: kind}); err != nil {
-			t.Fatal(err)
+// runSchedCases runs every fixture row of one top-level test, one subtest
+// per seed, against schedPins.
+func runSchedCases(t *testing.T, test string) {
+	ran := false
+	for _, c := range schedCases {
+		if c.test != test {
+			continue
 		}
-		return rig.ledger.Steps()
+		ran = true
+		run := func(t *testing.T) {
+			for seed := uint64(1); seed <= uint64(c.seeds); seed++ {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					got := c.run(t, seed)
+					want, ok := schedPins[t.Name()]
+					if !ok || got != want {
+						t.Errorf("comparison schedule moved; got\n\t%q: %s,", t.Name(), got.literal())
+					}
+				})
+			}
+		}
+		if c.sub == "" {
+			run(t)
+		} else {
+			t.Run(c.sub, run)
+		}
 	}
-	lock, dag := run(sched.Lockstep), run(sched.DAG)
-	if dag >= lock {
-		t.Fatalf("DAG steps %d not below lockstep steps %d", dag, lock)
+	if !ran {
+		t.Fatalf("no fixture rows for %s", test)
 	}
-	// 600 elements in groups of 16 is ~38 groups in iteration one alone;
-	// the gap should be massive, not marginal.
-	if lock < 3*dag {
-		t.Fatalf("expected ≥3× step reduction, got lockstep=%d dag=%d", lock, dag)
-	}
+}
+
+func TestSchedEquivFilter(t *testing.T)               { runSchedCases(t, "Filter") }
+func TestSchedEquivTwoMaxFind(t *testing.T)           { runSchedCases(t, "TwoMaxFind") }
+func TestSchedEquivRandomized(t *testing.T)           { runSchedCases(t, "Randomized") }
+func TestSchedEquivFindMaxAllPhase2s(t *testing.T)    { runSchedCases(t, "FindMaxAllPhase2s") }
+func TestSchedEquivTopK(t *testing.T)                 { runSchedCases(t, "TopK") }
+func TestSchedEquivBudgetExhaustion(t *testing.T)     { runSchedCases(t, "BudgetExhaustion") }
+func TestSchedEquivMidPhaseCancellation(t *testing.T) { runSchedCases(t, "MidPhaseCancellation") }
+
+// schedPins holds the pinned outcome of every fixture run, keyed by the
+// seed subtest's full name.
+var schedPins = map[string]schedPin{
+	"TestSchedEquivFilter/trackLosses=false/seed=1":       {0x2953204301654dc3, 0xca38bea50137e7f6, 1667, 0, 89, 1667, 16},
+	"TestSchedEquivFilter/trackLosses=false/seed=2":       {0xbe36bd95a1d9bc04, 0xaabdd5bee19acbb6, 1963, 0, 105, 1963, 18},
+	"TestSchedEquivFilter/trackLosses=false/seed=3":       {0x3c2647344999c187, 0x19656a34835b8408, 2271, 0, 114, 2271, 20},
+	"TestSchedEquivFilter/trackLosses=false/seed=4":       {0x7333906f4706ef7b, 0xb55d0f36db7f29f2, 2547, 0, 146, 2547, 25},
+	"TestSchedEquivFilter/trackLosses=false/seed=5":       {0xac001b942552f36b, 0x8d3a29ce81f077a9, 2840, 0, 144, 2840, 27},
+	"TestSchedEquivFilter/trackLosses=false/seed=6":       {0x983c1a5bac4f60f5, 0x1b04d9d18e2b2e3, 3125, 0, 158, 3125, 29},
+	"TestSchedEquivFilter/trackLosses=false/seed=7":       {0x26bd3ca78eb7aacd, 0x80951f43706d1d1a, 3385, 0, 174, 3385, 31},
+	"TestSchedEquivFilter/trackLosses=false/seed=8":       {0x453ec4d5d338917d, 0x4fd2d35fb3f62f04, 3694, 0, 183, 3694, 33},
+	"TestSchedEquivFilter/trackLosses=true/seed=1":        {0x8936262908554c8e, 0xacb3a950045bddb8, 1661, 0, 84, 1661, 16},
+	"TestSchedEquivFilter/trackLosses=true/seed=2":        {0xbe36bd95a1d9bc04, 0xaabdd5bee19acbb6, 1963, 0, 105, 1963, 18},
+	"TestSchedEquivFilter/trackLosses=true/seed=3":        {0x3c2647344999c187, 0x19656a34835b8408, 2271, 0, 114, 2271, 20},
+	"TestSchedEquivFilter/trackLosses=true/seed=4":        {0x7333906f4706ef7b, 0xb55d0f36db7f29f2, 2547, 0, 146, 2547, 25},
+	"TestSchedEquivFilter/trackLosses=true/seed=5":        {0xac001b942552f36b, 0x8d3a29ce81f077a9, 2840, 0, 144, 2840, 27},
+	"TestSchedEquivFilter/trackLosses=true/seed=6":        {0x983c1a5bac4f60f5, 0x1b04d9d18e2b2e3, 3125, 0, 158, 3125, 29},
+	"TestSchedEquivFilter/trackLosses=true/seed=7":        {0x26bd3ca78eb7aacd, 0x80951f43706d1d1a, 3385, 0, 174, 3385, 31},
+	"TestSchedEquivFilter/trackLosses=true/seed=8":        {0x453ec4d5d338917d, 0x4fd2d35fb3f62f04, 3694, 0, 183, 3694, 33},
+	"TestSchedEquivTwoMaxFind/seed=1":                     {0xde6f09c179f2b721, 0x1daffacd9a12a9c2, 0, 104, 0, 2600, 2},
+	"TestSchedEquivTwoMaxFind/seed=2":                     {0xb207640c29deec34, 0x84c51f5ccdc772a6, 0, 157, 8, 3925, 3},
+	"TestSchedEquivTwoMaxFind/seed=3":                     {0xcddeafb641627780, 0x84b4225ccdb9048c, 0, 155, 1, 3875, 2},
+	"TestSchedEquivTwoMaxFind/seed=4":                     {0x71cf1eeaf92245e0, 0x84b4255ccdb909a5, 0, 227, 10, 5675, 3},
+	"TestSchedEquivTwoMaxFind/seed=5":                     {0xdf85fde4b8ba28a7, 0x84beb35ccdc24f74, 0, 238, 8, 5950, 3},
+	"TestSchedEquivTwoMaxFind/seed=6":                     {0x9e191c949e7778e5, 0x84cfb05ccdd0bd8e, 0, 237, 5, 5925, 3},
+	"TestSchedEquivTwoMaxFind/seed=7":                     {0x83c71c3774def4f0, 0x7da666b1b9b2615b, 0, 337, 14, 8425, 4},
+	"TestSchedEquivTwoMaxFind/seed=8":                     {0x3c584b2e7b66aba4, 0x7db3e3b1b9bdc01e, 0, 273, 1, 6825, 2},
+	"TestSchedEquivRandomized/seed=1":                     {0xe998e009d7290fc4, 0x7db057b1b9ba9c63, 0, 10153, 484084, 253825, 1},
+	"TestSchedEquivRandomized/seed=2":                     {0x1b9fdaae9ab67e45, 0x84c51f5ccdc772a6, 0, 13695, 757561, 342375, 1},
+	"TestSchedEquivRandomized/seed=3":                     {0x5ea755ebbbef50c5, 0x1db000cd9a12b3f4, 0, 17766, 1119339, 444150, 1},
+	"TestSchedEquivRandomized/seed=4":                     {0x2a5ea4d34d0b88e5, 0x7da2e3b1b9af4ceb, 0, 22366, 1581900, 559150, 1},
+	"TestSchedEquivRandomized/seed=5":                     {0xb1a8144486184664, 0x84beb35ccdc24f74, 0, 27495, 2156335, 687375, 1},
+	"TestSchedEquivRandomized/seed=6":                     {0x5d7131a9debda223, 0x7d956bb1b9a3f6a7, 0, 32875, 2552715, 821875, 7},
+	"TestSchedEquivFindMaxAllPhase2s/2-MaxFind/seed=1":    {0xb0171352703ae387, 0x50d5f3494827bc0, 1533, 2, 87, 1583, 17},
+	"TestSchedEquivFindMaxAllPhase2s/2-MaxFind/seed=2":    {0x7f82839575b33116, 0xdc73521e9135763e, 1833, 3, 103, 1908, 20},
+	"TestSchedEquivFindMaxAllPhase2s/2-MaxFind/seed=3":    {0xee618674f8fad5b3, 0x4b0728c0b0c894eb, 2107, 3, 108, 2182, 21},
+	"TestSchedEquivFindMaxAllPhase2s/2-MaxFind/seed=4":    {0xeb8ca363dad9fc68, 0x3ce5611baa2cbe61, 2388, 5, 117, 2513, 23},
+	"TestSchedEquivFindMaxAllPhase2s/2-MaxFind/seed=5":    {0xac4266219529d794, 0x74035ffb6d7ebf6e, 2617, 7, 129, 2792, 26},
+	"TestSchedEquivFindMaxAllPhase2s/2-MaxFind/seed=6":    {0x5bb1d70b180af8d3, 0x8333bade41ba580e, 2914, 7, 131, 3089, 28},
+	"TestSchedEquivFindMaxAllPhase2s/randomized/seed=1":   {0xbffa9b2c3c5bc00f, 0x45e4e6bc24385d0e, 1533, 3, 91, 1608, 16},
+	"TestSchedEquivFindMaxAllPhase2s/randomized/seed=2":   {0xfe2ac9780f94b897, 0x159914eca2a8ff66, 1833, 6, 109, 1983, 19},
+	"TestSchedEquivFindMaxAllPhase2s/randomized/seed=3":   {0x6e1196a3409b0492, 0x4b0728c0b0c894eb, 2107, 6, 118, 2257, 20},
+	"TestSchedEquivFindMaxAllPhase2s/randomized/seed=4":   {0x794f981d05e98001, 0x757f8fdf5fe6d71a, 2388, 10, 137, 2638, 22},
+	"TestSchedEquivFindMaxAllPhase2s/randomized/seed=5":   {0x36bd3829b386f2f6, 0xef6c6f732085d9ff, 2617, 21, 174, 3142, 25},
+	"TestSchedEquivFindMaxAllPhase2s/randomized/seed=6":   {0xd41762af47d4882a, 0xdf1488bb11d5a7b, 2914, 21, 181, 3439, 27},
+	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=1": {0xd2dc3d4ea926e9cf, 0x50d5f3494827bc0, 1533, 3, 87, 1608, 16},
+	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=2": {0x69364c322ffd0197, 0xdc73521e9135763e, 1833, 6, 102, 1983, 19},
+	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=3": {0x30d090e48fc97452, 0x4b0728c0b0c894eb, 2107, 6, 108, 2257, 20},
+	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=4": {0x45b98b237ae24581, 0x3ce5611baa2cbe61, 2388, 10, 117, 2638, 22},
+	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=5": {0x84f816dbfef0999e, 0x74035ffb6d7ebf6e, 2617, 21, 129, 3142, 25},
+	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=6": {0x8429ef7f1a6336c2, 0xdf1488bb11d5a7b, 2914, 21, 131, 3439, 27},
+	"TestSchedEquivTopK/seed=1":                           {0xb9286025fe2c5fea, 0x78099cb9d240455a, 820, 5, 1317, 945, 30},
+	"TestSchedEquivTopK/seed=2":                           {0xac3f47fd720faffe, 0x7a13e51d4b8cd32, 886, 4, 1450, 986, 30},
+	"TestSchedEquivTopK/seed=3":                           {0x9a201b85f3a4ac89, 0x42a87a61731e4438, 1006, 5, 1673, 1131, 35},
+	"TestSchedEquivTopK/seed=4":                           {0xec34a326a273199a, 0xd30aa7a804e2f57f, 1135, 4, 1832, 1235, 39},
+	"TestSchedEquivBudgetExhaustion/seed=1":               {0x5e9bba9baec80f4b, 0x616f34f38f12df94, 1037, 0, 0, 1037, 9},
+	"TestSchedEquivBudgetExhaustion/seed=2":               {0xfb3da8cefa2ad6c6, 0x35680047fb0b40b9, 1174, 0, 0, 1174, 10},
+	"TestSchedEquivBudgetExhaustion/seed=3":               {0x22357eaae0c238e2, 0xc72063da2d7388fd, 1311, 0, 0, 1311, 11},
+	"TestSchedEquivBudgetExhaustion/seed=4":               {0xecc2fa459565832d, 0x9b393b3b1de78056, 1448, 0, 0, 1448, 13},
+	"TestSchedEquivBudgetExhaustion/seed=5":               {0xa828f4c8ff81e5a4, 0x90f32f261876953c, 1585, 0, 0, 1585, 14},
+	"TestSchedEquivBudgetExhaustion/seed=6":               {0x7c1f34d07f80bda5, 0x4b08a83c94d515d8, 1722, 0, 0, 1722, 15},
+	"TestSchedEquivMidPhaseCancellation/seed=1":           {0x5803832b2ee78f, 0x8356906089d8e88b, 801, 0, 0, 801, 7},
+	"TestSchedEquivMidPhaseCancellation/seed=2":           {0x3930296234d261ad, 0x95cffb86d807c67c, 902, 0, 0, 902, 8},
+	"TestSchedEquivMidPhaseCancellation/seed=3":           {0x9d1d26fe21a669e2, 0x69994c0adfbfa79b, 1003, 0, 0, 1003, 9},
+	"TestSchedEquivMidPhaseCancellation/seed=4":           {0x1269bc326fd984e, 0xf26640b073355573, 1104, 0, 0, 1104, 10},
+	"TestSchedEquivMidPhaseCancellation/seed=5":           {0x2a549311924e8e84, 0x3f6aa6b4fd35ca7d, 1205, 0, 0, 1205, 11},
+	"TestSchedEquivMidPhaseCancellation/seed=6":           {0xaed683e0f37137a5, 0x6c0ed61ab0555d00, 1306, 0, 0, 1306, 11},
 }

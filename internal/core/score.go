@@ -8,7 +8,6 @@ import (
 	"crowdmax/internal/cost"
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
 
@@ -59,8 +58,6 @@ type ScoreOptions struct {
 	Phase2 Phase2Algorithm
 	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
 	Randomized RandomizedOptions
-	// Scheduler selects the comparison schedule of the expert phase.
-	Scheduler sched.Kind
 	// OnPhase, when set, is called at phase boundaries with the label
 	// ("phase1" after scoring, "done" after extraction) and the shortlist.
 	OnPhase func(phase string, survivors []item.Item)
@@ -186,7 +183,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 	if sc != nil {
 		e0 = expert.LedgerSnapshot()
 	}
-	best, err := RunPhase2With(ctx, res.Shortlist, expert, opt.Phase2, opt.Randomized, opt.Scheduler)
+	best, err := RunPhase2(ctx, res.Shortlist, expert, opt.Phase2, opt.Randomized)
 	if err != nil {
 		if best.ID != 0 || best.Value != 0 {
 			res.Best = best

@@ -7,7 +7,6 @@ import (
 
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
 
@@ -28,9 +27,6 @@ type TopKOptions struct {
 	TrackLosses bool
 	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
 	Randomized RandomizedOptions
-	// Scheduler selects the comparison schedule of every round's two-phase
-	// run; see FilterOptions.Scheduler.
-	Scheduler sched.Kind
 	// OnRound, when set, is called after every completed round with the
 	// 0-based round index and its winner — the hook checkpointing callers
 	// use to snapshot at rank boundaries.
@@ -104,7 +100,6 @@ func TopK(ctx context.Context, items []item.Item, naive, expert *tournament.Orac
 			Phase2:      opt.Phase2,
 			TrackLosses: opt.TrackLosses,
 			Randomized:  opt.Randomized,
-			Scheduler:   opt.Scheduler,
 		})
 		if err != nil {
 			if sc := topkScope(naive, expert); sc != nil {

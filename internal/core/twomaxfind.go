@@ -7,67 +7,13 @@ import (
 	"crowdmax/internal/cost"
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
-
-// twoMaxState carries one 2-MaxFind run's loop state, shared by both
-// schedules so the sample/eliminate round cannot drift between them.
-type twoMaxState struct {
-	k          int
-	sc         *obs.Scope
-	candidates []item.Item
-	leader     item.Item
-	round      int
-	beaten     map[int]bool // reused across rounds
-}
-
-// crownPivot scores a sample tournament: the top-by-wins element becomes the
-// round's pivot/leader, and x's tournament victims are removed from the
-// candidate set directly — those comparisons were already performed and must
-// not be re-asked (their answers could flip below the threshold). Returns
-// the remaining candidates the pivot pass runs over.
-func (st *twoMaxState) crownPivot(sample []item.Item, res tournament.Result) (item.Item, []item.Item) {
-	x := res.TopByWins()
-	st.leader = x
-	if st.beaten == nil {
-		st.beaten = make(map[int]bool, len(sample))
-	} else {
-		clear(st.beaten)
-	}
-	for i := range sample {
-		for _, w := range res.Losers[i] {
-			if w == x.ID {
-				st.beaten[sample[i].ID] = true
-			}
-		}
-	}
-	remaining := st.candidates[:0]
-	for _, c := range st.candidates {
-		if !st.beaten[c.ID] {
-			remaining = append(remaining, c)
-		}
-	}
-	return x, remaining
-}
-
-// finishRound folds a pivot pass's survivors back into the loop state.
-func (st *twoMaxState) finishRound(before int, survivors []item.Item) {
-	st.candidates = survivors
-	if st.sc != nil {
-		st.sc.Round()
-		st.sc.Event("2maxfind.round",
-			obs.Fi("round", int64(st.round)), obs.Fi("candidates", int64(before)),
-			obs.Fi("survivors", int64(len(survivors))))
-	}
-	st.round++
-}
 
 // TwoMaxFind is Algorithm 3 (2-MaxFind, from Ajtai et al. Section 3.1): a
 // deterministic max-finding algorithm that, under the threshold model
 // T(δ, 0), returns an element within 2δ of the maximum using O(s^{3/2})
-// comparisons on s elements. It runs the lockstep reference schedule; see
-// TwoMaxFindWith for the scheduler knob.
+// comparisons on s elements.
 //
 // While more than ⌈√s⌉ candidates remain, an arbitrary set of ⌈√s⌉
 // candidates plays an all-play-all tournament; the element x with the most
@@ -83,19 +29,10 @@ func (st *twoMaxState) finishRound(before int, survivors []item.Item) {
 // On cancellation or budget exhaustion the current leader — the most recent
 // round's pivot, i.e. the best element identified so far — is returned
 // alongside the error, so a truncated run still yields a usable answer.
-func TwoMaxFind(ctx context.Context, items []item.Item, o *tournament.Oracle) (item.Item, error) {
-	return TwoMaxFindWith(ctx, items, o, sched.Lockstep)
-}
-
-// TwoMaxFindWith is TwoMaxFind under an explicit comparison schedule.
 //
-// 2-MaxFind is a true dependency chain — the pivot pass needs the sample
-// tournament's winner, and the next round's sample needs the pivot pass's
-// survivors — so unlike Filter there is no round-merging win: the DAG
-// schedule dispatches the same two steps per round (its dependency edges
-// simply express the chain). Both schedules ask the identical comparison
-// sequence and bill identically.
-func TwoMaxFindWith(ctx context.Context, items []item.Item, o *tournament.Oracle, kind sched.Kind) (item.Item, error) {
+// Each round is two sequential batches — the sample tournament, then the
+// pivot pass — because each needs the previous one's result.
+func TwoMaxFind(ctx context.Context, items []item.Item, o *tournament.Oracle) (item.Item, error) {
 	s := len(items)
 	if s == 0 {
 		return item.Item{}, ErrNoItems
@@ -113,84 +50,60 @@ func TwoMaxFindWith(ctx context.Context, items []item.Item, o *tournament.Oracle
 		startLedger = o.LedgerSnapshot()
 		sc.Event("2maxfind.start", obs.Fi("s", int64(s)), obs.Fi("k", int64(k)))
 	}
-	st := &twoMaxState{k: k, sc: sc, candidates: make([]item.Item, s)}
-	copy(st.candidates, items)
-	st.leader = st.candidates[0]
-
-	var (
-		final tournament.Result
-		err   error
-	)
-	if kind == sched.DAG {
-		final, err = twoMaxDAG(ctx, o, st)
-	} else {
-		final, err = twoMaxLockstep(ctx, o, st)
+	candidates := make([]item.Item, s)
+	copy(candidates, items)
+	leader := candidates[0]
+	beaten := make(map[int]bool, k) // the pivot's sample victims, reused across rounds
+	round := 0
+	for len(candidates) > k {
+		before := len(candidates)
+		sample := candidates[:k]
+		res, err := tournament.RoundRobinWith(ctx, sample, o, tournament.RoundRobinOpts{RecordLosers: true})
+		if err != nil {
+			return leader, err
+		}
+		// The top-by-wins element becomes the round's pivot and leader. Its
+		// tournament victims are removed from the candidate set directly:
+		// those comparisons were already performed and must not be re-asked
+		// (their answers could flip below the threshold).
+		x := res.TopByWins()
+		leader = x
+		clear(beaten)
+		for i := range sample {
+			for _, w := range res.Losers[i] {
+				if w == x.ID {
+					beaten[sample[i].ID] = true
+				}
+			}
+		}
+		remaining := candidates[:0]
+		for _, c := range candidates {
+			if !beaten[c.ID] {
+				remaining = append(remaining, c)
+			}
+		}
+		candidates, _, err = tournament.PivotPass(ctx, x, remaining, o)
+		if err != nil {
+			return leader, err
+		}
+		if sc != nil {
+			sc.Round()
+			sc.Event("2maxfind.round",
+				obs.Fi("round", int64(round)), obs.Fi("candidates", int64(before)),
+				obs.Fi("survivors", int64(len(candidates))))
+		}
+		round++
 	}
+	final, err := tournament.RoundRobin(ctx, candidates, o)
 	if err != nil {
-		return st.leader, err
+		return leader, err
 	}
 	if sc != nil {
 		d := o.LedgerSnapshot().Sub(startLedger)
 		sc.PhaseComparisons(d.Comparisons)
 		sc.Event("2maxfind.done",
-			obs.Fi("rounds", int64(st.round)), obs.Fi("finalists", int64(len(st.candidates))),
+			obs.Fi("rounds", int64(round)), obs.Fi("finalists", int64(len(candidates))),
 			obs.Fi("comparisons", d.TotalComparisons()), obs.Fi("memo_hits", d.TotalMemoHits()))
 	}
 	return final.TopByWins(), nil
-}
-
-// twoMaxLockstep is the reference schedule: each round is two sequential
-// batches (sample tournament, then pivot pass).
-func twoMaxLockstep(ctx context.Context, o *tournament.Oracle, st *twoMaxState) (tournament.Result, error) {
-	for len(st.candidates) > st.k {
-		before := len(st.candidates)
-		sample := st.candidates[:st.k]
-		res, err := tournament.RoundRobinWith(ctx, sample, o, tournament.RoundRobinOpts{RecordLosers: true})
-		if err != nil {
-			return tournament.Result{}, err
-		}
-		x, remaining := st.crownPivot(sample, res)
-		survivors, _, err := tournament.PivotPass(ctx, x, remaining, o)
-		if err != nil {
-			return tournament.Result{}, err
-		}
-		st.finishRound(before, survivors)
-	}
-	return tournament.RoundRobin(ctx, st.candidates, o)
-}
-
-// twoMaxDAG runs the same chain on the work-frontier dispatcher: each
-// completion hook enqueues the one successor its results unlock, so every
-// wave holds exactly one node and the step count matches lockstep — the
-// chain is the DAG's critical path.
-func twoMaxDAG(ctx context.Context, o *tournament.Oracle, st *twoMaxState) (tournament.Result, error) {
-	f := sched.NewFrontier(o)
-	var final tournament.Result
-	var enqueue func()
-	enqueue = func() {
-		if len(st.candidates) <= st.k {
-			// The final tournament; its result is the answer.
-			f.AddRoundRobin(st.candidates, tournament.RoundRobinOpts{}, func(res tournament.Result) error {
-				final = res
-				return nil
-			})
-			return
-		}
-		before := len(st.candidates)
-		sample := st.candidates[:st.k]
-		f.AddRoundRobin(sample, tournament.RoundRobinOpts{RecordLosers: true}, func(res tournament.Result) error {
-			x, remaining := st.crownPivot(sample, res)
-			f.AddPivot(x, remaining, func(survivors []item.Item, _ []int) error {
-				st.finishRound(before, survivors)
-				enqueue()
-				return nil
-			})
-			return nil
-		})
-	}
-	enqueue()
-	if err := f.Run(ctx); err != nil {
-		return tournament.Result{}, err
-	}
-	return final, nil
 }

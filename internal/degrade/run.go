@@ -6,7 +6,6 @@ import (
 
 	"crowdmax/internal/core"
 	"crowdmax/internal/item"
-	"crowdmax/internal/sched"
 	"crowdmax/internal/tournament"
 )
 
@@ -17,9 +16,6 @@ type Options struct {
 	TrackLosses bool
 	// Randomized configures the randomized rung; see core.RandomizedOptions.
 	Randomized core.RandomizedOptions
-	// Scheduler selects the comparison schedule of the filter and every
-	// expert rung; see core.FilterOptions.Scheduler.
-	Scheduler sched.Kind
 	// Signals, when set, samples the live decision inputs before each
 	// ladder decision. nil decides on Unconstrained() samples.
 	Signals func() Signals
@@ -83,7 +79,7 @@ func Run(ctx context.Context, items []item.Item, naive, expert *tournament.Oracl
 		return out, err
 	}
 
-	candidates, err := core.Filter(ctx, items, naive, core.FilterOptions{Un: opt.Un, TrackLosses: opt.TrackLosses, Scheduler: opt.Scheduler})
+	candidates, err := core.Filter(ctx, items, naive, core.FilterOptions{Un: opt.Un, TrackLosses: opt.TrackLosses})
 	if err == nil && len(candidates) == 0 {
 		err = fmt.Errorf("degrade: empty candidate set (un=%d underestimated?)", opt.Un)
 	}
@@ -142,14 +138,12 @@ func Run(ctx context.Context, items []item.Item, naive, expert *tournament.Oracl
 func runRung(ctx context.Context, r Rung, candidates []item.Item, naive, expert *tournament.Oracle, ctl *Controller, sample func() Signals, opt Options) (item.Item, error) {
 	switch r.Kind {
 	case RungExpert2MaxFind:
-		return core.TwoMaxFindWith(ctx, candidates, expert, opt.Scheduler)
+		return core.TwoMaxFind(ctx, candidates, expert)
 	case RungExpertRandomized:
-		ropt := opt.Randomized
-		ropt.Scheduler = opt.Scheduler
-		return core.RandomizedMaxFind(ctx, candidates, expert, ropt)
+		return core.RandomizedMaxFind(ctx, candidates, expert, opt.Randomized)
 	case RungExpertShrunk:
 		sub := ctl.Shrink(candidates, sample().ExpertRemaining)
-		return core.TwoMaxFindWith(ctx, sub, expert, opt.Scheduler)
+		return core.TwoMaxFind(ctx, sub, expert)
 	case RungNaiveMajority:
 		res, err := tournament.RoundRobin(ctx, candidates, naive)
 		if err != nil {

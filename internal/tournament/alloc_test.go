@@ -12,8 +12,8 @@ import (
 // The zero-alloc contract of the hot path, asserted hard (not just
 // reported): memo lookups and steady-state stores are allocation-free, and
 // a fully-memoized CompareBatchInto with retained scratch is allocation-free
-// end to end. These assertions are what keep the DAG scheduler's dispatch
-// overhead from eating the rounds it wins.
+// end to end. These assertions keep the memo and batch dispatch overhead
+// out of the comparison hot path.
 
 func allocPairs(n int) [][2]item.Item {
 	pairs := make([][2]item.Item, n)

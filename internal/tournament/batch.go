@@ -20,8 +20,8 @@ type BatchComparator interface {
 }
 
 // BatchScratch holds the reusable working buffers of CompareBatchInto. The
-// zero value is ready to use; a scratch retained across calls (the DAG
-// scheduler keeps one per frontier) makes the fully-memoized batch path
+// zero value is ready to use; a scratch retained across calls (the bracket
+// loop keeps one per run) makes the fully-memoized batch path
 // allocation-free. A BatchScratch must not be shared by concurrent calls.
 type BatchScratch struct {
 	todo   []int
@@ -48,8 +48,8 @@ func (s *BatchScratch) markSeen(k uint64) bool {
 // for free, the remainder is forwarded to the underlying comparator — in
 // one call when it implements BatchComparator, element-wise otherwise —
 // and exactly one logical step is billed when anything is actually sent.
-// It allocates the winners slice and working buffers per call; the
-// scheduler hot path uses CompareBatchInto with retained buffers instead.
+// It allocates the winners slice and working buffers per call; loops that
+// batch every round use CompareBatchInto with retained buffers instead.
 func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item.Item, error) {
 	winners := make([]item.Item, len(pairs))
 	var s BatchScratch
@@ -62,9 +62,8 @@ func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item
 // CompareBatchInto is CompareBatch writing into caller-owned storage:
 // winners must have len(pairs) slots, and scratch provides the working
 // buffers, reused across calls. With every pair memoized — the steady state
-// of repeated tournaments — the call performs no allocation at all, which
-// is what lets the DAG scheduler's dispatch overhead stay out of the hot
-// path (asserted by the allocs/op benchmarks).
+// of repeated tournaments — the call performs no allocation at all
+// (asserted by the allocs/op benchmarks).
 //
 // A batch submitted to a BatchComparator is pre-charged against the budget
 // all-or-nothing, so a hard cap is never exceeded even by a platform batch;

@@ -447,29 +447,33 @@ type RoundRobinOpts struct {
 	RecordLosers bool
 }
 
-// AppendAllPairs appends every unordered pair of items to buf in the
-// canonical (i, j), i < j order — the exact pair sequence RoundRobinWith
-// submits — and returns the extended buffer. Shared with the DAG scheduler
-// (internal/sched) so both schedulers ask identical comparison sequences.
-// The buffer is grown to its exact final size up front: a wave-sized buffer
-// must not be built through a doubling chain of large zeroed reallocations.
-func AppendAllPairs(buf [][2]item.Item, items []item.Item) [][2]item.Item {
-	n := len(items)
-	buf = slices.Grow(buf, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			buf = append(buf, [2]item.Item{items[i], items[j]})
-		}
-	}
-	return buf
+// RoundRobin plays an all-play-all tournament among items using the oracle:
+// every unordered pair is compared exactly once. The whole tournament is
+// submitted as one batch of independent comparisons — a single logical step
+// in the Section 3 execution model. Result.Losers is not recorded; use
+// RoundRobinWith to opt in. On cancellation or budget exhaustion the error
+// is returned and the Result is unusable.
+func RoundRobin(ctx context.Context, items []item.Item, o *Oracle) (Result, error) {
+	return RoundRobinWith(ctx, items, o, RoundRobinOpts{})
 }
 
-// ScoreRoundRobin builds a tournament Result from the winners of the pair
-// sequence produced by AppendAllPairs(nil, items). winners must be parallel
-// to that sequence. Shared by RoundRobinWith and the DAG scheduler so the
-// two schedulers demultiplex identically.
-func ScoreRoundRobin(items []item.Item, winners []item.Item, opts RoundRobinOpts) Result {
+// RoundRobinWith is RoundRobin with options.
+func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
 	n := len(items)
+	if m := obs.Active(); m != nil {
+		m.ObserveGroup(n)
+	}
+	// Every unordered pair, in the canonical (i, j), i < j order.
+	pairs := make([][2]item.Item, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			pairs = append(pairs, [2]item.Item{items[i], items[j]})
+		}
+	}
+	winners, err := o.CompareBatch(ctx, pairs)
+	if err != nil {
+		return Result{}, err
+	}
 	r := Result{
 		Items: items,
 		Wins:  make([]int, n),
@@ -494,52 +498,30 @@ func ScoreRoundRobin(items []item.Item, winners []item.Item, opts RoundRobinOpts
 			p++
 		}
 	}
-	return r
+	return r, nil
 }
 
-// RoundRobin plays an all-play-all tournament among items using the oracle:
-// every unordered pair is compared exactly once. The whole tournament is
-// submitted as one batch of independent comparisons — a single logical step
-// in the Section 3 execution model. Result.Losers is not recorded; use
-// RoundRobinWith to opt in. On cancellation or budget exhaustion the error
-// is returned and the Result is unusable.
-func RoundRobin(ctx context.Context, items []item.Item, o *Oracle) (Result, error) {
-	return RoundRobinWith(ctx, items, o, RoundRobinOpts{})
-}
-
-// RoundRobinWith is RoundRobin with options.
-func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
-	n := len(items)
-	if m := obs.Active(); m != nil {
-		m.ObserveGroup(n)
+// PivotPass compares pivot x against every element of candidates (skipping x
+// itself) in one logical step and returns the survivors — the elements that
+// did NOT lose to x — and the IDs of the eliminated elements. This is
+// step 4 of 2-MaxFind: "Compare x against all candidate elements and
+// eliminate all elements that lose to x." The pivot itself always survives.
+// On cancellation or budget exhaustion the error is returned with nil
+// survivors.
+func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Oracle) (survivors []item.Item, eliminated []int, err error) {
+	if len(candidates) == 0 {
+		return nil, nil, nil
 	}
-	pairs := AppendAllPairs(make([][2]item.Item, 0, n*(n-1)/2), items)
-	winners, err := o.CompareBatch(ctx, pairs)
-	if err != nil {
-		return Result{}, err
-	}
-	return ScoreRoundRobin(items, winners, opts), nil
-}
-
-// AppendPivotPairs appends the (pivot, candidate) pairs of a pivot
-// elimination pass to buf — every candidate except the pivot itself, in
-// candidate order — and returns the extended buffer. Shared with the DAG
-// scheduler; see AppendAllPairs.
-func AppendPivotPairs(buf [][2]item.Item, x item.Item, candidates []item.Item) [][2]item.Item {
-	buf = slices.Grow(buf, len(candidates))
+	pairs := make([][2]item.Item, 0, len(candidates))
 	for _, c := range candidates {
 		if c.ID != x.ID {
-			buf = append(buf, [2]item.Item{x, c})
+			pairs = append(pairs, [2]item.Item{x, c})
 		}
 	}
-	return buf
-}
-
-// ScorePivot splits candidates into survivors and eliminated IDs from the
-// winners of the pair sequence produced by AppendPivotPairs(nil, x,
-// candidates). The pivot itself always survives. Shared by PivotPass and
-// the DAG scheduler.
-func ScorePivot(x item.Item, candidates []item.Item, winners []item.Item) (survivors []item.Item, eliminated []int) {
+	winners, err := o.CompareBatch(ctx, pairs)
+	if err != nil {
+		return nil, nil, err
+	}
 	survivors = make([]item.Item, 0, len(candidates))
 	p := 0
 	for _, c := range candidates {
@@ -554,26 +536,6 @@ func ScorePivot(x item.Item, candidates []item.Item, winners []item.Item) (survi
 		}
 		p++
 	}
-	return survivors, eliminated
-}
-
-// PivotPass compares pivot x against every element of candidates (skipping x
-// itself) in one logical step and returns the survivors — the elements that
-// did NOT lose to x — and the IDs of the eliminated elements. This is
-// step 4 of 2-MaxFind: "Compare x against all candidate elements and
-// eliminate all elements that lose to x." The pivot itself always survives.
-// On cancellation or budget exhaustion the error is returned with nil
-// survivors.
-func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Oracle) (survivors []item.Item, eliminated []int, err error) {
-	if len(candidates) == 0 {
-		return nil, nil, nil
-	}
-	pairs := AppendPivotPairs(make([][2]item.Item, 0, len(candidates)), x, candidates)
-	winners, err := o.CompareBatch(ctx, pairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	survivors, eliminated = ScorePivot(x, candidates, winners)
 	return survivors, eliminated, nil
 }
 

@@ -88,13 +88,6 @@ type Config struct {
 	// quality ladder instead of failing it, and Result.Guarantee reports the
 	// quality actually achieved; see DegradeConfig.
 	Degrade *DegradeConfig
-	// Scheduler selects the comparison schedule. The zero value (Lockstep)
-	// plays one platform batch per tournament group, exactly as the paper's
-	// pseudo-code executes; DAGScheduler drains all data-independent groups
-	// per logical step through the dependency-DAG dispatcher, reducing the
-	// run's round latency without changing its answers, paid comparison
-	// counts, or monetary cost.
-	Scheduler SchedulerKind
 	// OnPhase, when set, observes algorithm phase boundaries: it is called
 	// with "start" (empty survivor set) as the run begins, "phase1" with the
 	// filter's candidate set, and "done" with the final survivors. Services
@@ -392,7 +385,6 @@ func (s *Session) degradeOptions(ctx context.Context, env *runEnv, ropt core.Ran
 		Un:          s.cfg.Un,
 		TrackLosses: s.cfg.TrackLosses,
 		Randomized:  ropt,
-		Scheduler:   s.cfg.Scheduler,
 		Signals: func() degrade.Signals {
 			sig := degrade.Unconstrained()
 			if env.budget != nil {

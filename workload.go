@@ -146,7 +146,6 @@ func (maxFindWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 		Phase2:      s.cfg.Phase2,
 		TrackLosses: s.cfg.TrackLosses,
 		Randomized:  core.RandomizedOptions{R: env.r.Child("phase2")},
-		Scheduler:   s.cfg.Scheduler,
 	}
 	opt.OnPhase = s.phaseHook(env.ck)
 	res, err := core.FindMax(ctx, env.items, env.no, env.eo, opt)
@@ -382,7 +381,6 @@ rounds:
 			Phase2:      s.cfg.Phase2,
 			TrackLosses: s.cfg.TrackLosses,
 			Randomized:  core.RandomizedOptions{R: env.r.ChildN("topk-phase2", round)},
-			Scheduler:   s.cfg.Scheduler,
 		})
 		if err != nil {
 			// Re-wrap with the global round number (core.TopK saw round 1 of
@@ -548,7 +546,6 @@ func (w *scoreWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 		Shortlist:   w.cfg.Shortlist,
 		Phase2:      s.cfg.Phase2,
 		Randomized:  core.RandomizedOptions{R: env.r.Child("score-phase2")},
-		Scheduler:   s.cfg.Scheduler,
 	}
 	opt.OnPhase = s.phaseHook(env.ck)
 	res, serr := core.Score(ctx, env.items, env.no, env.eo, opt)

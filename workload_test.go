@@ -58,8 +58,8 @@ func resultsEqual(t *testing.T, got, want Result) {
 
 // TestRunMaxFindEquivalent is the tentpole's core promise: Session.Run with
 // the MaxFind workload is the same computation as FindMaxContext — same
-// answer, same paid counts, same cost, same labels — across seeds,
-// schedulers, phase-2 algorithms, budgets, and mid-run crashes.
+// answer, same paid counts, same cost, same labels — across seeds, phase-2
+// algorithms, budgets, and mid-run crashes.
 func TestRunMaxFindEquivalent(t *testing.T) {
 	cal, err := dataset.UniformCalibrated(150, 5, 2, NewRand(21))
 	if err != nil {
@@ -67,31 +67,28 @@ func TestRunMaxFindEquivalent(t *testing.T) {
 	}
 	items := cal.Set.Items()
 	for _, seed := range []uint64{3, 77} {
-		for _, sched := range []SchedulerKind{LockstepScheduler, DAGScheduler} {
-			for _, algo := range []Phase2Algorithm{TwoMaxFindPhase2, RandomizedPhase2, AllPlayAllPhase2} {
-				for _, variant := range []string{"plain", "budget", "crash"} {
-					name := fmt.Sprintf("seed=%d/sched=%d/algo=%d/%s", seed, sched, algo, variant)
-					t.Run(name, func(t *testing.T) {
-						mutate := func(c *Config) {
-							c.Scheduler = sched
-							c.Phase2 = algo
-							switch variant {
-							case "budget":
-								c.Budget = BudgetLimits{MaxNaive: 600, MaxExpert: 10_000}
-							case "crash":
-								c.Chaos = &ChaosPlan{CrashAfter: 120}
-							}
+		for _, algo := range []Phase2Algorithm{TwoMaxFindPhase2, RandomizedPhase2, AllPlayAllPhase2} {
+			for _, variant := range []string{"plain", "budget", "crash"} {
+				name := fmt.Sprintf("seed=%d/algo=%d/%s", seed, algo, variant)
+				t.Run(name, func(t *testing.T) {
+					mutate := func(c *Config) {
+						c.Phase2 = algo
+						switch variant {
+						case "budget":
+							c.Budget = BudgetLimits{MaxNaive: 600, MaxExpert: 10_000}
+						case "crash":
+							c.Chaos = &ChaosPlan{CrashAfter: 120}
 						}
-						a := statelessSession(t, cal, seed, mutate)
-						b := statelessSession(t, cal, seed, mutate)
-						want, errA := a.FindMaxContext(context.Background(), items)
-						got, errB := b.Run(context.Background(), MaxFind(), items)
-						if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
-							t.Fatalf("FindMax err %v, Run err %v", errA, errB)
-						}
-						resultsEqual(t, got, want)
-					})
-				}
+					}
+					a := statelessSession(t, cal, seed, mutate)
+					b := statelessSession(t, cal, seed, mutate)
+					want, errA := a.FindMaxContext(context.Background(), items)
+					got, errB := b.Run(context.Background(), MaxFind(), items)
+					if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
+						t.Fatalf("FindMax err %v, Run err %v", errA, errB)
+					}
+					resultsEqual(t, got, want)
+				})
 			}
 		}
 	}
