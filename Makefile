@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/parallel/... ./internal/tournament/... ./internal/cost/..
 # measured total so genuine regressions fail without flaking on noise.
 COVER_FLOOR = 76.0
 
-.PHONY: build test race bench vet lint ci bench-smoke golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
+.PHONY: build test race bench vet lint ci bench-smoke bench-test golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
 
 all: build vet test
 
@@ -27,7 +27,7 @@ race:
 
 # Mirror of .github/workflows/ci.yml: the test job's steps plus the
 # benchmark-smoke job. Green here means green there (modulo Go version).
-ci: vet lint build test race cover bench-smoke golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke
+ci: vet lint build test race cover bench-smoke bench-test golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig3Parallel -benchtime=1x ./internal/experiment
@@ -35,6 +35,13 @@ bench-smoke:
 	$(GO) run ./cmd/benchcheck /tmp/bench-smoke.json
 	$(GO) run ./cmd/benchrun -quick -trust-out /tmp/bench-trust-smoke.json trust >/dev/null
 	$(GO) run ./cmd/benchcheck /tmp/bench-trust-smoke.json results/BENCH_trust.json
+
+# crowdbench's own tests: every workload once, end to end, with its pinned
+# digests. bench/ is a module of its own, so `go test ./...` at the root
+# never reaches it; its checkpoint.save_final_ms metric loads the service's
+# snapshots back, so a snapshot codec break fails here.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The paper-scale tables and figures: a fresh `benchrun all` must reproduce
 # the committed snapshot byte for byte (about a minute). After an intended

@@ -21,20 +21,28 @@
 //
 // The on-disk format is a fixed header — magic "CMCK", a version, the
 // payload length, and a CRC-32C checksum — followed by a little-endian
-// fixed-width payload. Decoding is strictly bounds-checked and fails closed:
-// a truncated, bit-flipped, or version-skewed file yields an error wrapping
+// payload. Decoding is strictly bounds-checked and fails closed: a
+// truncated, bit-flipped, or version-skewed file yields an error wrapping
 // ErrCorrupt, never a panic and never a silently wrong resume. Save writes
 // via a temp file in the target directory followed by an atomic rename, so
 // readers observe either the previous complete snapshot or the new one.
+//
+// Version 4 stores each pair-memo table as varint deltas over its (A, B)
+// order: per pair, the step in A (the first pair's A is absolute), then B
+// relative to the new A — or to the previous B when A repeats — shifted
+// left one bit, with the low bit set when the winner is B. A typical pair
+// takes about 2 bytes instead of the 24 of the fixed-width version 3
+// layout. Versions 2 and 3 still decode.
 package checkpoint
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 
 	"crowdmax/internal/cost"
 	"crowdmax/internal/faults"
@@ -49,15 +57,17 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated checkpoint")
 // magic identifies a checkpoint file; version is the codec revision.
 // Version 2 added the degrade-controller state (Rung, DecisionHash); version
 // 3 added the workload envelope (Kind, the opaque per-workload state blob,
-// and the value-query memo table). Decode reads v3 and — because a v2 file
-// can only have been written by a max-find run — v2, which loads with
-// Kind = KindMaxFind and empty extras. Anything else fails closed: a v1 file
-// predates the quality ladder and silently resuming it could report a
-// guarantee the original run never established.
+// and the value-query memo table); version 4 delta-encodes the pair-memo
+// tables. Decode reads v4, v3 and — because a v2 file can only have been
+// written by a max-find run — v2, which loads with Kind = KindMaxFind and
+// empty extras. Anything else fails closed: a v1 file predates the quality
+// ladder and silently resuming it could report a guarantee the original run
+// never established.
 const (
-	magic           = "CMCK"
-	version         = 3
-	versionPreKinds = 2 // last revision before workload kinds; max-find only
+	magic             = "CMCK"
+	version           = 4
+	versionFixedPairs = 3 // last revision with 24-byte fixed-width pair entries
+	versionPreKinds   = 2 // last revision before workload kinds; max-find only
 
 	// headerSize = magic + u32 version + u32 crc + u64 payload length.
 	headerSize = 4 + 4 + 4 + 8
@@ -67,6 +77,10 @@ const (
 	// anything past this is a forged length, not a real run).
 	maxStringLen = 256
 	maxPairs     = 1 << 28
+	// maxPairID bounds the magnitude of a memo pair's item IDs, so every v4
+	// delta fits a uvarint with the winner bit beside it. Memo IDs are
+	// below 2^31; anything near this bound is forged.
+	maxPairID = 1 << 62
 )
 
 // castagnoli is the CRC-32C table (the polynomial with hardware support).
@@ -150,29 +164,69 @@ type State struct {
 	ValueMemo []ValueAnswer
 }
 
-// SortPairs orders both pair-memo tables by (A, B) and the value-memo table
-// by (ID, Rep); Encode requires sorted tables for byte-identical output
-// across runs.
+// SortPairs puts the state's tables in the canonical order Encode writes:
+// each pair-memo entry with A ≤ B (the pair is unordered), sorted by
+// (A, B) with later duplicates of a pair dropped (the first answer wins,
+// as in Memo.Prime), and the value-memo table sorted by (ID, Rep). Encode
+// canonicalizes a copy itself; sorting in place lets callers compare states.
 func (s *State) SortPairs() {
-	for _, t := range [][]PairAnswer{s.NaiveMemo, s.ExpertMemo} {
-		sort.Slice(t, func(i, j int) bool {
-			if t[i].A != t[j].A {
-				return t[i].A < t[j].A
-			}
-			return t[i].B < t[j].B
-		})
-	}
-	sort.Slice(s.ValueMemo, func(i, j int) bool {
-		if s.ValueMemo[i].ID != s.ValueMemo[j].ID {
-			return s.ValueMemo[i].ID < s.ValueMemo[j].ID
-		}
-		return s.ValueMemo[i].Rep < s.ValueMemo[j].Rep
+	s.NaiveMemo = canonicalPairs(s.NaiveMemo)
+	s.ExpertMemo = canonicalPairs(s.ExpertMemo)
+	slices.SortFunc(s.ValueMemo, func(a, b ValueAnswer) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Rep, b.Rep))
 	})
 }
 
+// ComparePairs orders pair answers by (A, B), the order of encoded tables.
+func ComparePairs(a, b PairAnswer) int {
+	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
+}
+
+// canonicalPairs orders t in place into the canonical table form and
+// returns it (shortened when duplicates were dropped). An already
+// canonical table is returned untouched after one linear check.
+func canonicalPairs(t []PairAnswer) []PairAnswer {
+	if pairsCanonical(t) {
+		return t
+	}
+	for i := range t {
+		if t[i].A > t[i].B {
+			t[i].A, t[i].B = t[i].B, t[i].A
+		}
+	}
+	slices.SortStableFunc(t, ComparePairs)
+	return slices.CompactFunc(t, func(a, b PairAnswer) bool { return a.A == b.A && a.B == b.B })
+}
+
+// pairsCanonical reports whether every entry has A ≤ B and the entries are
+// strictly increasing in (A, B).
+func pairsCanonical(t []PairAnswer) bool {
+	for i, e := range t {
+		if e.A > e.B || (i > 0 && ComparePairs(t[i-1], e) >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Encode renders the state in the versioned, checksummed binary format.
+// The state is not modified: tables out of canonical order (see SortPairs)
+// are encoded from a canonicalized copy.
 func Encode(s *State) []byte {
-	var p payload
+	var e Encoder
+	return e.Encode(s)
+}
+
+// Encoder renders snapshots into one reused buffer, header included, so a
+// writer that snapshots the same run over and over allocates nothing once
+// the buffer has grown to the snapshot's size. The zero value is ready to
+// use; an Encoder must not be shared by concurrent calls.
+type Encoder struct{ buf []byte }
+
+// Encode renders s like the package-level Encode. The returned bytes alias
+// the encoder's buffer and are valid until its next call.
+func (e *Encoder) Encode(s *State) []byte {
+	p := payload{b: append(e.buf[:0], make([]byte, headerSize)...)}
 	p.u64(s.Seed)
 	p.i64(int64(s.Un))
 	p.i64(int64(s.Phase2))
@@ -197,14 +251,8 @@ func Encode(s *State) []byte {
 		p.i64(s.BudgetSpent[i])
 	}
 	p.u64(math.Float64bits(s.BudgetCost))
-	for _, table := range [][]PairAnswer{s.NaiveMemo, s.ExpertMemo} {
-		p.i64(int64(len(table)))
-		for _, e := range table {
-			p.i64(e.A)
-			p.i64(e.B)
-			p.i64(e.Winner)
-		}
-	}
+	p.pairs(s.NaiveMemo)
+	p.pairs(s.ExpertMemo)
 	kind := s.Kind
 	if kind == "" {
 		kind = KindMaxFind
@@ -218,21 +266,90 @@ func Encode(s *State) []byte {
 		p.i64(e.Rep)
 		p.u64(math.Float64bits(e.Value))
 	}
-	return SealEnvelope(magic, version, p.b)
+	e.buf = p.b
+	sealHeader(magic, version, p.b)
+	return p.b
+}
+
+// pairs appends one pair-memo table in the v4 delta layout. A table out of
+// canonical order is encoded from a canonicalized copy.
+func (p *payload) pairs(t []PairAnswer) {
+	start := len(p.b)
+	if !p.deltaPairs(t) {
+		p.b = p.b[:start]
+		p.deltaPairs(canonicalPairs(slices.Clone(t)))
+	}
+}
+
+// deltaPairs appends t in the v4 layout, or reports false at the first
+// entry out of canonical order (leaving a partial table behind). It panics
+// on a pair whose winner is neither A nor B or whose IDs exceed maxPairID:
+// no run produces one, and writing it would either lose it or be
+// unreadable. The buffer is grown once for the worst case and written by
+// index, since this loop is most of a snapshot's encode time.
+func (p *payload) deltaPairs(t []PairAnswer) bool {
+	p.i64(int64(len(t)))
+	b := slices.Grow(p.b, len(t)*2*binary.MaxVarintLen64)
+	n := len(b)
+	b = b[:cap(b)]
+	var prev PairAnswer
+	for i, e := range t {
+		// x|-x is negative exactly when x != 0: one predictable branch for
+		// "the winner is neither A nor B", where && would mispredict on
+		// every other pair.
+		wa, wb := e.Winner^e.A, e.Winner^e.B
+		if (wa|-wa)&(wb|-wb) < 0 || e.A <= -maxPairID || e.B >= maxPairID {
+			panic(fmt.Sprintf("checkpoint: pair (%d, %d) with winner %d cannot be encoded", e.A, e.B, e.Winner))
+		}
+		d := uint64(e.B - e.A)
+		switch {
+		case e.A > e.B:
+			p.b = b[:n]
+			return false
+		case i == 0:
+			n += binary.PutVarint(b[n:], e.A)
+		case e.A > prev.A:
+			n = putUvarint(b, n, uint64(e.A-prev.A))
+		case e.A == prev.A && e.B > prev.B:
+			b[n] = 0
+			n++
+			d = uint64(e.B - prev.B)
+		default:
+			p.b = b[:n]
+			return false
+		}
+		// The winner bit, branch-free: 1 when the winner is not A.
+		n = putUvarint(b, n, d<<1|uint64(wa|-wa)>>63)
+		prev = e
+	}
+	p.b = b[:n]
+	return true
+}
+
+// putUvarint writes x as a uvarint at b[n:] and returns the new offset,
+// with the one-byte case inline.
+func putUvarint(b []byte, n int, x uint64) int {
+	if x < 0x80 {
+		b[n] = byte(x)
+		return n + 1
+	}
+	return n + binary.PutUvarint(b[n:], x)
 }
 
 // Decode parses an encoded state, failing closed (ErrCorrupt, wrapped) on
 // any inconsistency. It never panics on hostile input: every read is
 // bounds-checked and every count validated against the remaining bytes
-// before allocation.
+// before allocation. A pair-memo entry whose winner is neither of its two
+// IDs is corrupt in every version, as is a v4 table that is not strictly
+// increasing in (A, B).
 func Decode(data []byte) (*State, error) {
 	body, v, err := OpenEnvelopeAny(magic, data)
 	if err != nil {
 		return nil, err
 	}
-	if v != version && v != versionPreKinds {
-		return nil, fmt.Errorf("%w: unsupported version %d (want %d or %d)",
-			ErrCorrupt, v, versionPreKinds, version)
+	if v != version && v != versionFixedPairs && v != versionPreKinds {
+		return nil, fmt.Errorf("%w: unsupported version %d (want %d, %d or %d)",
+			ErrCorrupt, v, versionPreKinds, versionFixedPairs, version)
 	}
 
 	r := reader{b: body}
@@ -264,11 +381,10 @@ func Decode(data []byte) (*State, error) {
 	}
 	s.BudgetCost = math.Float64frombits(r.u64())
 	for _, table := range []*[]PairAnswer{&s.NaiveMemo, &s.ExpertMemo} {
-		if n := r.count(24); n > 0 {
-			*table = make([]PairAnswer, n)
-			for i := range *table {
-				(*table)[i] = PairAnswer{A: r.i64(), B: r.i64(), Winner: r.i64()}
-			}
+		if v == version {
+			*table = r.deltaPairs()
+		} else {
+			*table = r.fixedPairs()
 		}
 	}
 	if v == versionPreKinds {
@@ -300,6 +416,77 @@ func Decode(data []byte) (*State, error) {
 	return s, nil
 }
 
+// fixedPairs reads one v2/v3 pair-memo table: a count, then 24 bytes of
+// (A, B, Winner) per entry.
+func (r *reader) fixedPairs() []PairAnswer {
+	n := r.count(24)
+	if n <= 0 {
+		return nil
+	}
+	t := make([]PairAnswer, n)
+	for i := range t {
+		t[i] = PairAnswer{A: r.i64(), B: r.i64(), Winner: r.i64()}
+		r.checkPair(t[i])
+	}
+	return t
+}
+
+// deltaPairs reads one v4 pair-memo table (see the package comment for the
+// layout), failing on any entry that does not strictly follow its
+// predecessor in (A, B) order.
+func (r *reader) deltaPairs() []PairAnswer {
+	n := r.count(2) // at least one byte for the A step and one for B
+	if n <= 0 {
+		return nil
+	}
+	t := make([]PairAnswer, n)
+	var prev PairAnswer
+	for i := range t {
+		var e PairAnswer
+		if i == 0 {
+			e.A = r.varint()
+		} else {
+			e.A = prev.A + int64(r.uvarint())
+			if e.A < prev.A {
+				r.fail("pair %d: A step overflows", i)
+			}
+		}
+		d := r.uvarint()
+		base := e.A
+		if i > 0 && e.A == prev.A {
+			if d>>1 == 0 {
+				r.fail("pair %d: (%d, %d) repeats its predecessor", i, e.A, prev.B)
+			}
+			base = prev.B
+		}
+		e.B = base + int64(d>>1)
+		if e.B < base {
+			r.fail("pair %d: B step overflows", i)
+		}
+		e.Winner = e.A
+		if d&1 != 0 {
+			e.Winner = e.B
+		}
+		if r.err != nil {
+			return nil
+		}
+		r.checkPair(e)
+		t[i], prev = e, e
+	}
+	return t
+}
+
+// checkPair fails the decode on an entry no memo could have produced: a
+// winner that is neither of the pair's IDs, or an ID beyond maxPairID.
+func (r *reader) checkPair(e PairAnswer) {
+	switch {
+	case e.Winner != e.A && e.Winner != e.B:
+		r.fail("pair (%d, %d) names winner %d", e.A, e.B, e.Winner)
+	case e.A <= -maxPairID || e.A >= maxPairID || e.B <= -maxPairID || e.B >= maxPairID:
+		r.fail("pair (%d, %d) exceeds the ID bound", e.A, e.B)
+	}
+}
+
 // Save atomically writes the state to path: encode, write to a temp file in
 // the same directory, fsync, rename. An interrupted save leaves the previous
 // snapshot (or no file) behind, never a truncated one.
@@ -311,7 +498,18 @@ func Save(path string, s *State) error {
 // snapshot durability is testable under injected disk faults.
 func SaveFS(fsys faults.FS, path string, s *State) error {
 	s.SortPairs()
-	if err := WriteFileAtomicFS(fsys, path, Encode(s), 0o644); err != nil {
+	return writeSnapshot(fsys, path, Encode(s))
+}
+
+// Save is SaveFS encoding through e's reused buffer. It does not reorder
+// s: callers keeping their tables in canonical order (see SortPairs) skip
+// both the sort and the copy.
+func (e *Encoder) Save(fsys faults.FS, path string, s *State) error {
+	return writeSnapshot(fsys, path, e.Encode(s))
+}
+
+func writeSnapshot(fsys faults.FS, path string, data []byte) error {
+	if err := WriteFileAtomicFS(fsys, path, data, 0o644); err != nil {
 		return fmt.Errorf("checkpoint: save %s: %w", path, err)
 	}
 	return nil
@@ -396,6 +594,32 @@ func (r *reader) u64() uint64 {
 }
 
 func (r *reader) i64() int64 { return int64(r.u64()) }
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("bad uvarint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+func (r *reader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("bad varint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
 
 func (r *reader) bool() bool {
 	s := r.take(1)

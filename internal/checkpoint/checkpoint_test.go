@@ -224,6 +224,105 @@ func encodeV2(s *State) []byte {
 	return SealEnvelope(magic, versionPreKinds, b.Bytes())
 }
 
+// encodeV3 renders s in the historical version-3 layout: the v2 fields,
+// then the workload envelope, with every pair-memo entry as three
+// fixed-width integers.
+func encodeV3(s *State) []byte {
+	body, _, err := OpenEnvelopeAny(magic, encodeV2(s))
+	if err != nil {
+		panic(err)
+	}
+	b := Builder{p: payload{b: body}}
+	kind := s.Kind
+	if kind == "" {
+		kind = KindMaxFind
+	}
+	b.Str(kind)
+	b.Blob(s.Workload)
+	b.I64(int64(len(s.ValueMemo)))
+	for _, e := range s.ValueMemo {
+		b.I64(e.ID)
+		b.I64(e.Rep)
+		b.F64(e.Value)
+	}
+	return SealEnvelope(magic, versionFixedPairs, b.Bytes())
+}
+
+// TestV4AndV3DecodeToTheSameState encodes the same states in both layouts
+// — the sample, a filter-phase memo, and one with equal-ID and extreme
+// pairs — and requires identical decoded states, with v4 far smaller.
+func TestV4AndV3DecodeToTheSameState(t *testing.T) {
+	edge := sampleState()
+	edge.NaiveMemo = append(edge.NaiveMemo,
+		PairAnswer{A: 6, B: 6, Winner: 6},
+		PairAnswer{A: -maxPairID + 1, B: maxPairID - 1, Winner: maxPairID - 1},
+		PairAnswer{A: 1, B: 1 << 40, Winner: 1 << 40})
+	for name, s := range map[string]*State{"sample": sampleState(), "memo": memoState(500, 7000), "edge": edge} {
+		s.SortPairs()
+		v4, v3 := Encode(s), encodeV3(s)
+		got4, err := Decode(v4)
+		if err != nil {
+			t.Fatalf("%s: decode v4: %v", name, err)
+		}
+		got3, err := Decode(v3)
+		if err != nil {
+			t.Fatalf("%s: decode v3: %v", name, err)
+		}
+		if !reflect.DeepEqual(got4, got3) || !reflect.DeepEqual(got4, s) {
+			t.Fatalf("%s: v4 and v3 decode differently:\nv4 %+v\nv3 %+v", name, got4, got3)
+		}
+		if name == "memo" && len(v4)*4 > len(v3) {
+			t.Fatalf("v4 snapshot is %d bytes against v3's %d, want under a quarter", len(v4), len(v3))
+		}
+	}
+}
+
+// TestDecodeRejectsForeignWinner: a pair whose winner is neither of its
+// IDs is corrupt in every version, not rewritten to one of them.
+func TestDecodeRejectsForeignWinner(t *testing.T) {
+	s := sampleState()
+	s.SortPairs()
+	s.ExpertMemo[0].Winner = 99
+	for v, data := range map[int][]byte{2: encodeV2(s), 3: encodeV3(s)} {
+		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "winner") {
+			t.Fatalf("v%d: err = %v, want ErrCorrupt naming the winner", v, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Encode accepted a pair it cannot represent")
+		}
+	}()
+	Encode(s)
+}
+
+// TestDecodeRejectsNonIncreasingV4Table forges v4 tables that repeat a
+// pair or overflow an ID step: both must fail closed.
+func TestDecodeRejectsNonIncreasingV4Table(t *testing.T) {
+	for name, table := range map[string][]byte{
+		// (1, 2) then a zero A step and a zero B step: (1, 2) again.
+		"repeat": {2, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0},
+		// (5, 5) then an A step of 2^64 − 1, which wraps A to 4.
+		"overflow": {2, 0, 0, 0, 0, 0, 0, 0, 10, 0,
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0},
+	} {
+		empty := Encode(&State{})
+		body, _, err := OpenEnvelopeAny(magic, empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The empty state's payload ends with the naive and expert table
+		// counts, the kind (length and bytes), the workload length and the
+		// value-memo count; splice the forged table over the naive count.
+		at := len(body) - 5*8 - len(KindMaxFind)
+		forged := append(append(append([]byte(nil), body[:at]...), table...), body[at+8:]...)
+		_, err = Decode(SealEnvelope(magic, version, forged))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "pair 1") {
+			t.Fatalf("%s: err = %v, want ErrCorrupt at pair 1", name, err)
+		}
+	}
+}
+
 func TestDecodeMigratesV2AsMaxFind(t *testing.T) {
 	want := sampleState()
 	want.Kind = ""

@@ -28,12 +28,20 @@ func SealEnvelope(magic string, version uint32, payload []byte) []byte {
 		panic(fmt.Sprintf("checkpoint: envelope magic %q is not 4 bytes", magic))
 	}
 	out := make([]byte, headerSize+len(payload))
-	copy(out, magic)
-	binary.LittleEndian.PutUint32(out[4:], version)
-	binary.LittleEndian.PutUint32(out[8:], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(out[12:], uint64(len(payload)))
 	copy(out[headerSize:], payload)
+	sealHeader(magic, version, out)
 	return out
+}
+
+// sealHeader fills the header reserved at the front of b (headerSize
+// bytes) for the payload that follows it, so an encoder can build header
+// and payload in one buffer without a copy.
+func sealHeader(magic string, version uint32, b []byte) {
+	payload := b[headerSize:]
+	copy(b, magic)
+	binary.LittleEndian.PutUint32(b[4:], version)
+	binary.LittleEndian.PutUint32(b[8:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(b[12:], uint64(len(payload)))
 }
 
 // OpenEnvelope validates data against the expected magic and version and
@@ -65,7 +73,7 @@ func OpenEnvelope(magic string, version uint32, data []byte) ([]byte, error) {
 // OpenEnvelopeAny validates data against the expected magic — but not a
 // particular version — and returns the payload together with the version the
 // file declares. Callers that support several codec revisions (the session
-// snapshot reads v2 and v3) probe with this and dispatch on the version;
+// snapshot reads v2 through v4) probe with this and dispatch on the version;
 // every other failure mode still wraps ErrCorrupt.
 func OpenEnvelopeAny(magic string, data []byte) ([]byte, uint32, error) {
 	if len(data) < headerSize {
@@ -111,6 +119,12 @@ func (b *Builder) Str(s string) { b.p.str(s) }
 // F64 appends a float64 as its IEEE-754 bits.
 func (b *Builder) F64(v float64) { b.p.u64(math.Float64bits(v)) }
 
+// Blob appends a length-prefixed byte string (no length cap, unlike Str).
+func (b *Builder) Blob(p []byte) {
+	b.p.i64(int64(len(p)))
+	b.p.b = append(b.p.b, p...)
+}
+
 // Reader is the bounds-checked decode side of the payload codec. The first
 // inconsistency latches an error wrapping ErrCorrupt and every subsequent
 // read returns zero, so decode loops need a single error check at the end.
@@ -133,6 +147,16 @@ func (r *Reader) Str() string { return r.r.str() }
 
 // F64 reads a float64 from its IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.r.u64()) }
+
+// Blob reads a length-prefixed byte string into a fresh slice (nil when
+// empty).
+func (r *Reader) Blob() []byte {
+	n := r.r.count(1)
+	if n <= 0 {
+		return nil
+	}
+	return append([]byte(nil), r.r.take(int(n))...)
+}
 
 // Count reads a length prefix and validates it against the remaining bytes
 // at elemSize bytes per element, so a forged length can never trigger a huge

@@ -34,6 +34,13 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	topk.ValueMemo = nil
 	f.Add(Encode(topk))
 	f.Add(encodeV2(sampleState()))
+	f.Add(encodeV3(sampleState()))
+	// v4 tables: a filter-phase memo, and pairs with equal IDs, repeated
+	// A and large steps.
+	f.Add(Encode(memoState(60, 300)))
+	edge := sampleState()
+	edge.ExpertMemo = []PairAnswer{{A: 0, B: 0, Winner: 0}, {A: 0, B: 1 << 40, Winner: 1 << 40}, {A: 1 << 41, B: 1 << 42, Winner: 1 << 41}}
+	f.Add(Encode(edge))
 	// Fault-injected partial writes: what a torn write actually leaves on
 	// disk after the rename published it — a prefix of a valid snapshot at
 	// several truncation fractions. All must be rejected, never half-parsed.

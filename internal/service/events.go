@@ -36,12 +36,23 @@ func (l *eventLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// close marks the log complete and wakes every waiting reader. Idempotent.
+// closedLog returns a complete log holding buf — a terminal job's history
+// read back from its record.
+func closedLog(buf []byte) *eventLog {
+	l := &eventLog{buf: buf, changed: make(chan struct{}), done: true}
+	close(l.changed)
+	return l
+}
+
+// close marks the log complete and wakes every waiting reader. The buffer
+// is clipped to its length, since a complete log never grows again and a
+// settled job keeps it for a while. Idempotent.
 func (l *eventLog) close() {
 	l.mu.Lock()
 	if !l.done {
 		l.done = true
 		close(l.changed)
+		l.buf = append([]byte(nil), l.buf...)
 	}
 	l.mu.Unlock()
 }

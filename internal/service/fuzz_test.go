@@ -20,6 +20,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	j.Spec.IdempotencyKey = "key-1"
 	full := encodeRecord(j)
 	f.Add(full)
+	j.events.Write([]byte(`{"seq":1,"ev":"job","state":"done"}` + "\n"))
+	f.Add(encodeRecord(j))
 	f.Add([]byte{})
 	// ModeTorn persists a fraction of the buffer but reports success; these
 	// prefixes are byte-for-byte what lands on disk after a torn write.

@@ -159,12 +159,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents serves the job's JSONL trace. Without ?follow=1 it returns
 // the events so far; with it, it streams — flushing each chunk — until the
-// job's log closes (terminal state or drain) or the client disconnects.
+// job's log closes (terminal state or drain) or the client disconnects. A
+// terminal job outside the settled window is served from its record.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.Job(r.PathValue("id"))
 	if j == nil {
 		writeErr(w, http.StatusNotFound, "no such job")
 		return
+	}
+	l := j.log()
+	if l == nil {
+		rec, err := s.store.read(j.ID)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, fmt.Sprintf("read event history: %v", err))
+			return
+		}
+		l = rec.events
 	}
 	follow := r.URL.Query().Get("follow") != ""
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -172,7 +182,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	off := 0
 	for {
-		chunk, done, changed := j.events.since(off)
+		chunk, done, changed := l.since(off)
 		if len(chunk) > 0 {
 			if _, err := w.Write(chunk); err != nil {
 				return

@@ -253,7 +253,11 @@ type Job struct {
 
 	// events buffers the job's JSONL trace for streaming readers; trace is
 	// the tracer writing into it (one per job, so event sequence numbers
-	// run continuously across the job's lifecycle).
+	// run continuously across the job's lifecycle). Settlement drops the
+	// tracer; the log stays in memory while the job is in the server's
+	// settled window or its record has not landed, and is read back from
+	// the record after that. Both are cleared only under mu, and other
+	// goroutines read them through log and tracer.
 	events *eventLog
 	trace  *obs.Tracer
 }
@@ -311,12 +315,44 @@ func (j *Job) setResult(s State, r JobResult) {
 	j.touch()
 }
 
-// attachLog gives the job a fresh event log and its tracer. Event history
-// does not survive a restart — a recovered job's stream starts over with
-// its recovery events.
+// attachLog gives the job a fresh event log and its tracer. A terminal
+// job's history survives restarts in its record; an interrupted job's
+// stream starts over with its recovery events.
 func (j *Job) attachLog() {
 	j.events = newEventLog()
 	j.trace = obs.NewTracer(j.events)
+}
+
+// log returns the job's in-memory event log, or nil once it was dropped
+// (the history then lives only in the job's record).
+func (j *Job) log() *eventLog {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.events
+}
+
+// tracer returns the job's tracer, or nil once the job settled.
+func (j *Job) tracer() *obs.Tracer {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.trace
+}
+
+// releaseTracer drops the tracer of a settled job: no event follows
+// settlement, and the tracer's line buffer would otherwise live as long as
+// the job.
+func (j *Job) releaseTracer() {
+	j.mu.Lock()
+	j.trace = nil
+	j.mu.Unlock()
+}
+
+// dropLog drops the in-memory event log of a terminal job whose record —
+// which carries the same log — has landed.
+func (j *Job) dropLog() {
+	j.mu.Lock()
+	j.events, j.trace = nil, nil
+	j.mu.Unlock()
 }
 
 // Job records are framed in the checkpoint container format under their own
@@ -324,17 +360,20 @@ func (j *Job) attachLog() {
 // exactly like a session snapshot instead of resurrecting a corrupt job.
 const (
 	recordMagic = "CMJR"
-	// recordVersion 3 appends the robustness fields (idempotency key,
+	// recordVersion 4 appends a terminal job's event log (empty for other
+	// states). Version 3 appended the robustness fields (idempotency key,
 	// deadline, fault tag). Version 2 appended the workload-mode fields
 	// (spec mode/k/votes, result mode + per-rank entries); version-1
 	// records from pre-workload servers load as mode "max".
-	recordVersion          = 3
+	recordVersion          = 4
+	recordVersionPreLog    = 3
 	recordVersionPreRobust = 2
 	recordVersionPreModes  = 1
 )
 
 // encodeRecord renders the job's durable fields in the record format.
-// Callers must not hold j.mu.
+// Callers must not hold j.mu. A terminal job's record carries its event
+// log, so it is never rewritten after the log is dropped.
 func encodeRecord(j *Job) []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -386,11 +425,20 @@ func encodeRecord(j *Job) []byte {
 	b.Str(j.Spec.IdempotencyKey)
 	b.F64(j.Spec.DeadlineSeconds)
 	b.Str(j.Spec.Fault)
+	// Version-4 appendix: the terminal job's event log.
+	var log []byte
+	if j.state.terminal() && j.events != nil {
+		log, _, _ = j.events.since(0)
+	}
+	b.Blob(log)
 	return checkpoint.SealEnvelope(recordMagic, recordVersion, b.Bytes())
 }
 
 // decodeRecord parses a job record, failing closed on any inconsistency.
-// Version-1 records (pre-workload servers) decode as mode "max".
+// Version-1 records (pre-workload servers) decode as mode "max". A terminal
+// job comes back with its recorded event log, complete and without a
+// tracer (empty for records older than version 4); any other job gets a
+// fresh log.
 func decodeRecord(data []byte) (*Job, error) {
 	body, ver, err := checkpoint.OpenEnvelopeAny(recordMagic, data)
 	if err != nil {
@@ -401,7 +449,6 @@ func decodeRecord(data []byte) (*Job, error) {
 	}
 	r := checkpoint.NewReader(body)
 	j := &Job{}
-	j.attachLog()
 	j.ID = r.Str()
 	j.Spec.Tenant = r.Str()
 	j.Spec.N = int(r.I64())
@@ -452,13 +499,25 @@ func decodeRecord(data []byte) (*Job, error) {
 			}
 		}
 	}
-	if ver >= recordVersion {
+	if ver >= recordVersionPreLog {
 		j.Spec.IdempotencyKey = r.Str()
 		j.Spec.DeadlineSeconds = r.F64()
 		j.Spec.Fault = r.Str()
 	}
+	var log []byte
+	if ver >= recordVersion {
+		log = r.Blob()
+	}
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	switch {
+	case j.state.terminal():
+		j.events = closedLog(log)
+	case log != nil:
+		return nil, fmt.Errorf("%w: %s record carries an event log", checkpoint.ErrCorrupt, j.state)
+	default:
+		j.attachLog()
 	}
 	if j.Spec.Mode == "" {
 		// Pre-workload record: every job was a max-find.

@@ -135,9 +135,18 @@ type Server struct {
 	idem map[string]*Job
 
 	// dirty holds jobs whose latest record write failed even after retries;
-	// the next transition or the drain-time flush tries again.
+	// the next transition or the drain-time flush tries again. dirtyMu also
+	// guards retired: the settled jobs that left the window, whose logs are
+	// dropped as soon as their records land.
 	dirtyMu sync.Mutex
 	dirty   map[string]*Job
+	retired map[*Job]bool
+
+	// window holds the last settledWindow settled jobs (a ring; next is the
+	// oldest slot), which keep their event logs in memory.
+	windowMu sync.Mutex
+	window   []*Job
+	next     int
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -188,6 +197,8 @@ func NewServer(opt Options) (*Server, error) {
 		tenants:    make(map[string]*tenant),
 		idem:       make(map[string]*Job),
 		dirty:      make(map[string]*Job),
+		retired:    make(map[*Job]bool),
+		window:     make([]*Job, settledWindow),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
@@ -400,9 +411,14 @@ func (s *Server) nextID() string {
 }
 
 // scope returns the job's tracer scope: events written through it land in
-// the job's streamable event log, in the obs JSONL wire format.
+// the job's streamable event log, in the obs JSONL wire format. A settled
+// job has no tracer; its scope is nil, which drops events.
 func (s *Server) scope(j *Job) *obs.Scope {
-	return j.trace.Scope(j.ID, j.Spec.Seed)
+	t := j.tracer()
+	if t == nil {
+		return nil
+	}
+	return t.Scope(j.ID, j.Spec.Seed)
 }
 
 // ckPath is the job's session-checkpoint file.
@@ -635,11 +651,7 @@ func (s *Server) finishDone(j *Job, scope *obs.Scope, res crowdmax.Result) {
 		obs.Fs("rung", res.Rung), obs.Fs("guarantee", string(res.Guarantee)),
 		obs.Fi("ranks", int64(len(res.Ranked))),
 		obs.Fi("naive", res.NaiveComparisons), obs.Fi("expert", res.ExpertComparisons))
-	// Close the stream before settling and persisting: followers of a
-	// terminal job should not hang on a slow (possibly fault-retried) disk.
-	j.events.close()
-	s.settle(j, res)
-	s.persistJob(j)
+	s.conclude(j, res)
 }
 
 // finishExpired settles a job whose own deadline cut the run off: the
@@ -664,9 +676,7 @@ func (s *Server) finishExpired(j *Job, scope *obs.Scope, res crowdmax.Result) {
 	})
 	scope.Event("job", obs.Fs("state", "expired"),
 		obs.Fi("naive", res.NaiveComparisons), obs.Fi("expert", res.ExpertComparisons))
-	j.events.close()
-	s.settle(j, res)
-	s.persistJob(j)
+	s.conclude(j, res)
 	s.logf("job %s expired at its deadline (%.3fs)", j.ID, j.Spec.DeadlineSeconds)
 }
 
@@ -674,20 +684,74 @@ func (s *Server) finishExpired(j *Job, scope *obs.Scope, res crowdmax.Result) {
 func (s *Server) finishFailed(j *Job, scope *obs.Scope, res crowdmax.Result, err error) {
 	j.setState(StateFailed, err.Error())
 	scope.Event("job", obs.Fs("state", "failed"), obs.Fs("error", err.Error()))
-	j.events.close()
-	s.settle(j, res)
-	s.persistJob(j)
+	s.conclude(j, res)
 	s.logf("job %s failed: %v", j.ID, err)
+}
+
+// settledWindow is how many of the most recently settled jobs keep their
+// event log in memory. An older terminal job's log is served from its
+// record, so a settled job's retained heap does not include its history.
+const settledWindow = 256
+
+// conclude finishes a terminal job: close its event stream first
+// (followers should not hang on a slow, possibly fault-retried disk), drop
+// its tracer, settle the budget, persist the terminal record — event log
+// included — and enter the job into the settled window.
+func (s *Server) conclude(j *Job, res crowdmax.Result) {
+	j.events.close()
+	j.releaseTracer()
+	first := s.settle(j, res)
+	s.persistJob(j)
+	if first {
+		s.enterWindow(j)
+	}
+}
+
+// enterWindow adds a settled job to the window of in-memory logs and
+// retires the job it displaces: that job's log is dropped now if its
+// record has landed, or when the parked record lands later.
+func (s *Server) enterWindow(j *Job) {
+	s.windowMu.Lock()
+	old := s.window[s.next]
+	s.window[s.next] = j
+	s.next = (s.next + 1) % len(s.window)
+	s.windowMu.Unlock()
+	if old == nil {
+		return
+	}
+	s.dirtyMu.Lock()
+	_, parked := s.dirty[old.ID]
+	if parked {
+		s.retired[old] = true
+	}
+	s.dirtyMu.Unlock()
+	if !parked {
+		old.dropLog()
+	}
+}
+
+// landed records that the job's latest record is on disk: it is no longer
+// parked dirty, and a retired job's log can go.
+func (s *Server) landed(j *Job) {
+	s.dirtyMu.Lock()
+	delete(s.dirty, j.ID)
+	retired := s.retired[j]
+	delete(s.retired, j)
+	s.dirtyMu.Unlock()
+	if retired {
+		j.dropLog()
+	}
 }
 
 // settle refunds the unspent part of the job's reservation (clamped at the
 // actual spend, so a reservation can never be refunded past what was
 // charged) and releases the tenant's job count. Settlement is exactly-once:
 // a panic that unwinds through a finish path which already settled must not
-// refund (or decrement the tenant) a second time.
-func (s *Server) settle(j *Job, res crowdmax.Result) {
+// refund (or decrement the tenant) a second time; only the first call
+// reports true.
+func (s *Server) settle(j *Job, res crowdmax.Result) bool {
 	if !j.settled.CompareAndSwap(false, true) {
-		return
+		return false
 	}
 	t := s.tenant(j.Spec.Tenant)
 	if dn := j.ReservedNaive - res.NaiveComparisons; dn > 0 {
@@ -699,6 +763,7 @@ func (s *Server) settle(j *Job, res crowdmax.Result) {
 	t.mu.Lock()
 	t.jobs--
 	t.mu.Unlock()
+	return true
 }
 
 // persistJob persists the job record through a bounded seeded-jitter retry
@@ -723,9 +788,7 @@ func (s *Server) persistJob(j *Job) {
 			time.Sleep(bo.Next())
 		}
 		if err = s.store.persist(j); err == nil {
-			s.dirtyMu.Lock()
-			delete(s.dirty, j.ID)
-			s.dirtyMu.Unlock()
+			s.landed(j)
 			return
 		}
 	}
@@ -759,9 +822,7 @@ func (s *Server) flushDirty() {
 			s.logf("drain flush: job %s record still unwritable: %v", j.ID, err)
 			continue
 		}
-		s.dirtyMu.Lock()
-		delete(s.dirty, j.ID)
-		s.dirtyMu.Unlock()
+		s.landed(j)
 	}
 }
 
@@ -836,8 +897,10 @@ func (s *Server) recover() error {
 		}
 		t := s.tenant(j.Spec.Tenant)
 		if j.State().terminal() {
-			// A settled job must never settle again on some later path.
+			// A settled job must never settle again on some later path. Its
+			// history is served from the record it was loaded from.
 			j.settled.Store(true)
+			j.dropLog()
 			if r, ok := j.Result(); ok {
 				t.budget.Preload(crowdmax.Naive, r.NaiveComparisons)
 				t.budget.Preload(crowdmax.Expert, r.ExpertComparisons)

@@ -122,6 +122,15 @@ func (st *store) persist(j *Job) error {
 	return nil
 }
 
+// read loads and decodes the job's record from disk.
+func (st *store) read(id string) (*Job, error) {
+	data, err := st.fsys.ReadFile(st.recordPath(id))
+	if err != nil {
+		return nil, err
+	}
+	return decodeRecord(data)
+}
+
 // health reports the load-time damage: quarantined records, records that
 // could not even be moved aside, and swept temp files.
 func (st *store) health() (quarantined []QuarantinedRecord, unmovable, sweptTmp int) {

@@ -2,7 +2,7 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -144,6 +144,12 @@ func (m *Memo) lookup(a, b int) (int, bool) {
 	return 0, false
 }
 
+// Lookup returns the frozen winner ID for the unordered pair (a, b), or
+// false when no answer is stored yet. It is the point query checkpoint
+// writers use to pick up just the pairs paid since their last snapshot
+// instead of rescanning the whole table. Safe for concurrent use.
+func (m *Memo) Lookup(a, b int) (winner int, ok bool) { return m.lookup(a, b) }
+
 // store records the winner ID for the pair. The first published entry for a
 // pair is frozen: a concurrent duplicate answer does not overwrite it.
 func (m *Memo) store(a, b, winner int) {
@@ -204,46 +210,48 @@ func (m *Memo) Len() int {
 	return n
 }
 
-// scan visits every reachable entry exactly once, newest table first, so a
-// pair duplicated across tables by a store/grow race yields the entry
-// lookup would return.
+// scan visits every reachable entry exactly once, newest table first. An
+// entry of an older table is skipped when a newer table holds the same key
+// (a pair duplicated across tables by a store/grow race), so each pair
+// yields the entry lookup would return. Chains are a handful of tables
+// long, so probing the newer ones is cheaper than a set of every key.
 func (m *Memo) scan(fn func(e uint64)) {
-	var seen map[uint64]struct{}
-	for t := m.head.Load(); t != nil; t = t.prev {
+	head := m.head.Load()
+	for t := head; t != nil; t = t.prev {
 		for i := range t.slots {
 			e := t.slots[i].Load()
-			if e == 0 {
+			if e == 0 || shadowed(head, t, e&memoKeyMask) {
 				continue
-			}
-			if t.prev != nil || seen != nil {
-				if seen == nil {
-					seen = make(map[uint64]struct{})
-				}
-				k := e & memoKeyMask
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
 			}
 			fn(e)
 		}
 	}
 }
 
+// shadowed reports whether a table newer than t in the chain from head
+// holds key k.
+func shadowed(head, t *memoTable, k uint64) bool {
+	for n := head; n != t; n = n.prev {
+		if _, ok := n.get(k); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // Entries returns every cached (a, b, winner) triple with a ≤ b, sorted by
 // (a, b) — the deterministic serialization order the checkpoint codec
-// requires. Safe for concurrent use (entries are atomic snapshots).
+// requires. Safe for concurrent use (entries are atomic snapshots). The
+// packed entries are sorted as integers: their layout puts the lower ID in
+// the top bits and the higher ID below it, so integer order is (a, b) order.
 func (m *Memo) Entries() [][3]int {
-	var out [][3]int
-	m.scan(func(e uint64) {
-		out = append(out, [3]int{int(e >> 33), int(e >> 2 & (memoIDLimit - 1)), entryWinner(e)})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	var packed []uint64
+	m.scan(func(e uint64) { packed = append(packed, e) })
+	slices.Sort(packed)
+	out := make([][3]int, len(packed))
+	for i, e := range packed {
+		out[i] = [3]int{int(e >> 33), int(e >> 2 & (memoIDLimit - 1)), entryWinner(e)}
+	}
 	return out
 }
 

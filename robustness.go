@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -236,13 +237,15 @@ func itemsFingerprint(items []Item) uint64 {
 }
 
 // checkpointState returns the snapshot builder bound to one run's live
-// state: the ledger and budget are read at snapshot time (atomic /
-// mutex-guarded), and the memo tables are copied stripe by stripe.
-func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, nm, em *Memo, vm *tournament.ValueMemo, hooks *snapHooks) func(phase string, survivors []int64) *checkpoint.State {
+// state: it fills a snapshot (reused across calls) with the fingerprint,
+// the ledger and budget read at snapshot time (atomic / mutex-guarded), the
+// value memo and the workload hooks. The pair-memo tables are the writer's
+// own incremental copies; see ckWriter.
+func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, vm *tournament.ValueMemo, hooks *snapHooks) func(st *checkpoint.State, phase string, survivors []int64) {
 	fp := itemsFingerprint(items)
 	n := len(items)
-	return func(phase string, survivors []int64) *checkpoint.State {
-		st := &checkpoint.State{
+	return func(st *checkpoint.State, phase string, survivors []int64) {
+		*st = checkpoint.State{
 			Kind:        kind,
 			Seed:        seed,
 			Un:          s.cfg.Un,
@@ -251,7 +254,7 @@ func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *L
 			NItems:      n,
 			ItemsHash:   fp,
 			Phase:       phase,
-			Survivors:   append([]int64(nil), survivors...),
+			Survivors:   survivors,
 		}
 		snap := led.Snapshot()
 		st.Comparisons, st.MemoHits, st.Steps = snap.Comparisons, snap.MemoHits, snap.Steps
@@ -261,8 +264,6 @@ func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *L
 			}
 			st.BudgetCost = budget.SpentCost()
 		}
-		st.NaiveMemo = memoPairs(nm)
-		st.ExpertMemo = memoPairs(em)
 		st.ValueMemo = valueAnswers(vm)
 		if hooks != nil {
 			ctl, blob := hooks.snapshot()
@@ -274,7 +275,6 @@ func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *L
 			}
 			st.Workload = blob
 		}
-		return st
 	}
 }
 
@@ -291,11 +291,96 @@ func memoPairs(m *Memo) []checkpoint.PairAnswer {
 	return out
 }
 
+// pairTable is one worker class's memo table in snapshot form, kept up to
+// date in O(answers since the last snapshot) instead of rebuilt from the
+// memo every time. The first snapshot seeds it with one full scan (which
+// picks up the answers a resumed run primed); after that, the checkpoint
+// decorator notes every paid comparison, and each snapshot looks just
+// those pairs up, sorts them, and merges them into the sorted table.
+type pairTable struct {
+	memo   *Memo
+	seeded bool
+	// rows is the table: every stored answer seen so far, sorted by (A, B)
+	// with A ≤ B. spare is the other half of the double buffer the merge
+	// writes into.
+	rows, spare []checkpoint.PairAnswer
+	// pending holds the pairs paid since the last snapshot (A, B only). A
+	// pair whose answer is not in the memo yet — the oracle stores it just
+	// after the backend returns — stays pending for the next snapshot.
+	pending []checkpoint.PairAnswer
+	// fresh is scratch for the pending pairs found in the memo.
+	fresh []checkpoint.PairAnswer
+}
+
+// note records one paid comparison of the pair (a, b).
+func (t *pairTable) note(a, b int) {
+	if a > b {
+		a, b = b, a
+	}
+	t.pending = append(t.pending, checkpoint.PairAnswer{A: int64(a), B: int64(b)})
+}
+
+// refresh folds the stored answers among the pending pairs into the table
+// and returns it. The returned slice is valid until the next refresh.
+func (t *pairTable) refresh() []checkpoint.PairAnswer {
+	if !t.seeded {
+		t.rows, t.seeded = memoPairs(t.memo), true
+	}
+	t.fresh = t.fresh[:0]
+	keep := t.pending[:0]
+	for _, p := range t.pending {
+		if w, ok := t.memo.Lookup(int(p.A), int(p.B)); ok {
+			p.Winner = int64(w)
+			t.fresh = append(t.fresh, p)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	t.pending = keep
+	if len(t.fresh) == 0 {
+		return t.rows
+	}
+	slices.SortFunc(t.fresh, checkpoint.ComparePairs)
+	t.spare = mergePairs(t.spare[:0], t.rows, t.fresh)
+	t.rows, t.spare = t.spare, t.rows
+	return t.rows
+}
+
+// mergePairs appends the union of the sorted tables a and b to dst in
+// (A, B) order, keeping one entry per pair (a's, when both hold it: a pair
+// already in the table can be noted again by the seeding scan's overlap).
+// b is the short side: each of its entries binary-searches a, and the run
+// of a before it is copied in bulk.
+func mergePairs(dst, a, b []checkpoint.PairAnswer) []checkpoint.PairAnswer {
+	for _, e := range b {
+		k, found := slices.BinarySearchFunc(a, e, checkpoint.ComparePairs)
+		dst = append(dst, a[:k]...)
+		a = a[k:]
+		if !found {
+			dst = appendPair(dst, e)
+		}
+	}
+	return append(dst, a...)
+}
+
+// appendPair appends e unless it repeats dst's last pair.
+func appendPair(dst []checkpoint.PairAnswer, e checkpoint.PairAnswer) []checkpoint.PairAnswer {
+	if n := len(dst); n > 0 && dst[n-1].A == e.A && dst[n-1].B == e.B {
+		return dst
+	}
+	return append(dst, e)
+}
+
 // ckWriter drives a run's checkpointing: a backend decorator counts paid
 // comparisons and snapshots every N of them, and the core algorithm's
 // OnPhase hook snapshots at phase boundaries. A failed snapshot write fails
 // the run fast — the next dispatched comparison returns the write error —
 // because continuing to spend money a crash would strand defeats the point.
+//
+// The writer keeps each class's pair table incrementally (see pairTable)
+// and reuses one snapshot and one encode buffer, so an interval snapshot
+// costs O(answers since the last one) plus a linear merge and encode of
+// the compact table, and allocates O(1) once its buffers have grown.
 type ckWriter struct {
 	mu        sync.Mutex
 	path      string
@@ -303,25 +388,37 @@ type ckWriter struct {
 	since     int64
 	phase     string
 	survivors []int64
-	build     func(phase string, survivors []int64) *checkpoint.State
+	build     func(st *checkpoint.State, phase string, survivors []int64)
 	fs        faults.FS
 	onSnap    func()
 	err       error
+
+	tables [2]pairTable // indexed by class: Naive, Expert
+	st     checkpoint.State
+	enc    checkpoint.Encoder
 }
 
-func newCkWriter(cfg CheckpointConfig, build func(string, []int64) *checkpoint.State) *ckWriter {
+// ckTestHook, when set by a test, is called at the start (before = true)
+// and end (before = false) of every snapshot, under the writer's lock.
+var ckTestHook func(w *ckWriter, before bool)
+
+func newCkWriter(cfg CheckpointConfig, naive, expert *Memo, build func(*checkpoint.State, string, []int64)) *ckWriter {
 	every := int64(cfg.Every)
 	if every <= 0 {
 		every = 500
 	}
-	return &ckWriter{path: cfg.Path, every: every, phase: "start", build: build,
+	w := &ckWriter{path: cfg.Path, every: every, phase: "start", build: build,
 		fs: cfg.FS, onSnap: cfg.OnSnapshot}
+	w.tables[Naive].memo, w.tables[Expert].memo = naive, expert
+	return w
 }
 
-// wrap decorates a backend so successful answers advance the interval
-// counter; the decorator sits outermost, so chaos-injected failures and
-// memo hits (which never reach a backend) do not count.
-func (w *ckWriter) wrap(b Backend) Backend {
+// wrap decorates the backend of one class's oracle so successful answers
+// advance the interval counter and note the paid pair for that class's
+// table; the decorator sits outermost, so chaos-injected failures and memo
+// hits (which never reach a backend) do not count.
+func (w *ckWriter) wrap(b Backend, class Class) Backend {
+	t := &w.tables[class]
 	return dispatch.Func(func(ctx context.Context, req BackendRequest) (BackendAnswer, error) {
 		w.mu.Lock()
 		failed := w.err
@@ -334,6 +431,9 @@ func (w *ckWriter) wrap(b Backend) Backend {
 			return ans, err
 		}
 		w.mu.Lock()
+		if req.Kind == dispatch.KindCompare {
+			t.note(req.A.ID, req.B.ID)
+		}
 		w.since++
 		if w.since >= w.every {
 			w.since = 0
@@ -363,8 +463,17 @@ func (w *ckWriter) boundary(phase string, survivors []Item) {
 // w.mu, which also serializes concurrent interval snapshots from parallel
 // batches.
 func (w *ckWriter) snapshotLocked(label string) {
-	st := w.build(label, w.survivors)
-	if err := checkpoint.SaveFS(w.fs, w.path, st); err != nil {
+	if ckTestHook != nil {
+		ckTestHook(w, true)
+	}
+	w.build(&w.st, label, w.survivors)
+	w.st.NaiveMemo = w.tables[Naive].refresh()
+	w.st.ExpertMemo = w.tables[Expert].refresh()
+	err := w.enc.Save(w.fs, w.path, &w.st)
+	if ckTestHook != nil {
+		ckTestHook(w, false)
+	}
+	if err != nil {
 		if w.err == nil {
 			w.err = err
 		}
