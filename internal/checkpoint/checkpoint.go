@@ -168,7 +168,8 @@ type State struct {
 // each pair-memo entry with A ≤ B (the pair is unordered), sorted by
 // (A, B) with later duplicates of a pair dropped (the first answer wins,
 // as in Memo.Prime), and the value-memo table sorted by (ID, Rep). Encode
-// canonicalizes a copy itself; sorting in place lets callers compare states.
+// and SaveFS call it first; on tables already in that order it only checks
+// them.
 func (s *State) SortPairs() {
 	s.NaiveMemo = canonicalPairs(s.NaiveMemo)
 	s.ExpertMemo = canonicalPairs(s.ExpertMemo)
@@ -209,10 +210,10 @@ func pairsCanonical(t []PairAnswer) bool {
 	return true
 }
 
-// Encode renders the state in the versioned, checksummed binary format.
-// The state is not modified: tables out of canonical order (see SortPairs)
-// are encoded from a canonicalized copy.
+// Encode renders the state in the versioned, checksummed binary format,
+// after putting its tables in canonical order in place (see SortPairs).
 func Encode(s *State) []byte {
+	s.SortPairs()
 	var e Encoder
 	return e.Encode(s)
 }
@@ -223,8 +224,10 @@ func Encode(s *State) []byte {
 // use; an Encoder must not be shared by concurrent calls.
 type Encoder struct{ buf []byte }
 
-// Encode renders s like the package-level Encode. The returned bytes alias
-// the encoder's buffer and are valid until its next call.
+// Encode renders s like the package-level Encode, except that s's tables
+// must already be in canonical order (see SortPairs), so a writer that
+// keeps them so skips that pass. The returned bytes alias the encoder's
+// buffer and are valid until its next call.
 func (e *Encoder) Encode(s *State) []byte {
 	p := payload{b: append(e.buf[:0], make([]byte, headerSize)...)}
 	p.u64(s.Seed)
@@ -271,59 +274,46 @@ func (e *Encoder) Encode(s *State) []byte {
 	return p.b
 }
 
-// pairs appends one pair-memo table in the v4 delta layout. A table out of
-// canonical order is encoded from a canonicalized copy.
+// pairs appends one pair-memo table in the v4 delta layout. It panics on
+// a table out of canonical order, and on a pair whose winner is neither A
+// nor B or whose IDs exceed maxPairID: no run produces one, and writing it
+// would either lose it or be unreadable.
+//
+// This loop is most of a snapshot's encode time, so it grows the buffer
+// once for the worst case and writes by index, and it does not branch on
+// which item won (a coin flip per pair). EXPERIMENTS.md compares it with a
+// plain binary.AppendUvarint loop, in BenchmarkEncoderEncode and end to end.
 func (p *payload) pairs(t []PairAnswer) {
-	start := len(p.b)
-	if !p.deltaPairs(t) {
-		p.b = p.b[:start]
-		p.deltaPairs(canonicalPairs(slices.Clone(t)))
-	}
-}
-
-// deltaPairs appends t in the v4 layout, or reports false at the first
-// entry out of canonical order (leaving a partial table behind). It panics
-// on a pair whose winner is neither A nor B or whose IDs exceed maxPairID:
-// no run produces one, and writing it would either lose it or be
-// unreadable. The buffer is grown once for the worst case and written by
-// index, since this loop is most of a snapshot's encode time.
-func (p *payload) deltaPairs(t []PairAnswer) bool {
 	p.i64(int64(len(t)))
 	b := slices.Grow(p.b, len(t)*2*binary.MaxVarintLen64)
 	n := len(b)
 	b = b[:cap(b)]
 	var prev PairAnswer
 	for i, e := range t {
-		// x|-x is negative exactly when x != 0: one predictable branch for
-		// "the winner is neither A nor B", where && would mispredict on
-		// every other pair.
-		wa, wb := e.Winner^e.A, e.Winner^e.B
-		if (wa|-wa)&(wb|-wb) < 0 || e.A <= -maxPairID || e.B >= maxPairID {
+		// wa is 0 when A won, wb when B won.
+		wa, wb := uint64(e.Winner^e.A), uint64(e.Winner^e.B)
+		if min(wa, wb) != 0 || e.A <= -maxPairID || e.B >= maxPairID {
 			panic(fmt.Sprintf("checkpoint: pair (%d, %d) with winner %d cannot be encoded", e.A, e.B, e.Winner))
 		}
 		d := uint64(e.B - e.A)
 		switch {
 		case e.A > e.B:
-			p.b = b[:n]
-			return false
+			panic(fmt.Sprintf("checkpoint: pair (%d, %d) is not in canonical order", e.A, e.B))
 		case i == 0:
 			n += binary.PutVarint(b[n:], e.A)
-		case e.A > prev.A:
-			n = putUvarint(b, n, uint64(e.A-prev.A))
 		case e.A == prev.A && e.B > prev.B:
 			b[n] = 0
 			n++
 			d = uint64(e.B - prev.B)
+		case e.A > prev.A:
+			n = putUvarint(b, n, uint64(e.A-prev.A))
 		default:
-			p.b = b[:n]
-			return false
+			panic(fmt.Sprintf("checkpoint: pair (%d, %d) does not follow (%d, %d)", e.A, e.B, prev.A, prev.B))
 		}
-		// The winner bit, branch-free: 1 when the winner is not A.
-		n = putUvarint(b, n, d<<1|uint64(wa|-wa)>>63)
+		n = putUvarint(b, n, d<<1|min(wa, 1))
 		prev = e
 	}
 	p.b = b[:n]
-	return true
 }
 
 // putUvarint writes x as a uvarint at b[n:] and returns the new offset,
@@ -498,18 +488,14 @@ func Save(path string, s *State) error {
 // snapshot durability is testable under injected disk faults.
 func SaveFS(fsys faults.FS, path string, s *State) error {
 	s.SortPairs()
-	return writeSnapshot(fsys, path, Encode(s))
+	var e Encoder
+	return e.Save(fsys, path, s)
 }
 
-// Save is SaveFS encoding through e's reused buffer. It does not reorder
-// s: callers keeping their tables in canonical order (see SortPairs) skip
-// both the sort and the copy.
+// Save is SaveFS encoding through e's reused buffer, with the ordering
+// requirement of Encoder.Encode.
 func (e *Encoder) Save(fsys faults.FS, path string, s *State) error {
-	return writeSnapshot(fsys, path, e.Encode(s))
-}
-
-func writeSnapshot(fsys faults.FS, path string, data []byte) error {
-	if err := WriteFileAtomicFS(fsys, path, data, 0o644); err != nil {
+	if err := WriteFileAtomicFS(fsys, path, e.Encode(s), 0o644); err != nil {
 		return fmt.Errorf("checkpoint: save %s: %w", path, err)
 	}
 	return nil

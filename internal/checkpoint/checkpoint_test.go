@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -294,6 +295,30 @@ func TestDecodeRejectsForeignWinner(t *testing.T) {
 		}
 	}()
 	Encode(s)
+}
+
+// TestEncoderRequiresCanonicalTables: the reusable Encoder does not sort,
+// so a table out of (A, B) order must panic rather than be written in a
+// layout no decoder accepts; the package-level Encode sorts first.
+func TestEncoderRequiresCanonicalTables(t *testing.T) {
+	for name, table := range map[string][]PairAnswer{
+		"swapped":    {{A: 2, B: 1, Winner: 1}},
+		"descending": {{A: 1, B: 3, Winner: 3}, {A: 1, B: 2, Winner: 1}},
+		"repeated":   {{A: 1, B: 2, Winner: 1}, {A: 1, B: 2, Winner: 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Encoder.Encode accepted a non-canonical table", name)
+				}
+			}()
+			var e Encoder
+			e.Encode(&State{NaiveMemo: slices.Clone(table)})
+		}()
+		if _, err := Decode(Encode(&State{NaiveMemo: slices.Clone(table)})); err != nil {
+			t.Errorf("%s: Encode then Decode: %v", name, err)
+		}
+	}
 }
 
 // TestDecodeRejectsNonIncreasingV4Table forges v4 tables that repeat a

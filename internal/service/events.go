@@ -44,15 +44,12 @@ func closedLog(buf []byte) *eventLog {
 	return l
 }
 
-// close marks the log complete and wakes every waiting reader. The buffer
-// is clipped to its length, since a complete log never grows again and a
-// settled job keeps it for a while. Idempotent.
+// close marks the log complete and wakes every waiting reader. Idempotent.
 func (l *eventLog) close() {
 	l.mu.Lock()
 	if !l.done {
 		l.done = true
 		close(l.changed)
-		l.buf = append([]byte(nil), l.buf...)
 	}
 	l.mu.Unlock()
 }

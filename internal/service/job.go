@@ -253,10 +253,10 @@ type Job struct {
 
 	// events buffers the job's JSONL trace for streaming readers; trace is
 	// the tracer writing into it (one per job, so event sequence numbers
-	// run continuously across the job's lifecycle). Settlement drops the
-	// tracer; the log stays in memory while the job is in the server's
-	// settled window or its record has not landed, and is read back from
-	// the record after that. Both are cleared only under mu, and other
+	// run continuously across the job's lifecycle). Both are dropped once
+	// the job has left the server's settled window and its terminal record,
+	// which carries the log, has landed; the history is read back from the
+	// record after that. Both are cleared only under mu, and other
 	// goroutines read them through log and tracer.
 	events *eventLog
 	trace  *obs.Tracer
@@ -331,24 +331,15 @@ func (j *Job) log() *eventLog {
 	return j.events
 }
 
-// tracer returns the job's tracer, or nil once the job settled.
+// tracer returns the job's tracer, or nil once its log was dropped.
 func (j *Job) tracer() *obs.Tracer {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.trace
 }
 
-// releaseTracer drops the tracer of a settled job: no event follows
-// settlement, and the tracer's line buffer would otherwise live as long as
-// the job.
-func (j *Job) releaseTracer() {
-	j.mu.Lock()
-	j.trace = nil
-	j.mu.Unlock()
-}
-
-// dropLog drops the in-memory event log of a terminal job whose record —
-// which carries the same log — has landed.
+// dropLog drops the in-memory event log and tracer of a terminal job whose
+// record — which carries the same log — has landed.
 func (j *Job) dropLog() {
 	j.mu.Lock()
 	j.events, j.trace = nil, nil

@@ -8,6 +8,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,17 +137,12 @@ type Server struct {
 
 	// dirty holds jobs whose latest record write failed even after retries;
 	// the next transition or the drain-time flush tries again. dirtyMu also
-	// guards retired: the settled jobs that left the window, whose logs are
-	// dropped as soon as their records land.
+	// guards window: the last settledWindow settled jobs, which keep their
+	// event logs in memory (a ring; next is the oldest slot).
 	dirtyMu sync.Mutex
 	dirty   map[string]*Job
-	retired map[*Job]bool
-
-	// window holds the last settledWindow settled jobs (a ring; next is the
-	// oldest slot), which keep their event logs in memory.
-	windowMu sync.Mutex
-	window   []*Job
-	next     int
+	window  []*Job
+	next    int
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -197,7 +193,6 @@ func NewServer(opt Options) (*Server, error) {
 		tenants:    make(map[string]*tenant),
 		idem:       make(map[string]*Job),
 		dirty:      make(map[string]*Job),
-		retired:    make(map[*Job]bool),
 		window:     make([]*Job, settledWindow),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -411,8 +406,8 @@ func (s *Server) nextID() string {
 }
 
 // scope returns the job's tracer scope: events written through it land in
-// the job's streamable event log, in the obs JSONL wire format. A settled
-// job has no tracer; its scope is nil, which drops events.
+// the job's streamable event log, in the obs JSONL wire format. A job whose
+// log was dropped has no tracer; its scope is nil, which drops events.
 func (s *Server) scope(j *Job) *obs.Scope {
 	t := j.tracer()
 	if t == nil {
@@ -689,56 +684,49 @@ func (s *Server) finishFailed(j *Job, scope *obs.Scope, res crowdmax.Result, err
 }
 
 // settledWindow is how many of the most recently settled jobs keep their
-// event log in memory. An older terminal job's log is served from its
-// record, so a settled job's retained heap does not include its history.
+// event log in memory. A client typically GETs a job's events right after
+// submitting it; a job that settles first is then still served from
+// memory, not from a record read (which crowdbench's memory filesystem
+// does not even keep). Older terminal jobs are served from their records,
+// so the logs held stay bounded whatever the throughput.
 const settledWindow = 256
 
 // conclude finishes a terminal job: close its event stream first
-// (followers should not hang on a slow, possibly fault-retried disk), drop
-// its tracer, settle the budget, persist the terminal record — event log
-// included — and enter the job into the settled window.
+// (followers should not hang on a slow, possibly fault-retried disk), then
+// settle the budget, persist the terminal record (event log included) and
+// enter the job into the settled window.
 func (s *Server) conclude(j *Job, res crowdmax.Result) {
 	j.events.close()
-	j.releaseTracer()
-	first := s.settle(j, res)
+	s.settle(j, res)
 	s.persistJob(j)
-	if first {
-		s.enterWindow(j)
-	}
+	s.enterWindow(j)
 }
 
-// enterWindow adds a settled job to the window of in-memory logs and
-// retires the job it displaces: that job's log is dropped now if its
-// record has landed, or when the parked record lands later.
+// enterWindow adds a settled job to the window and drops the log of the
+// job it displaces, whose terminal record was written before it entered.
+// If that record is still parked dirty, landed drops the log instead.
 func (s *Server) enterWindow(j *Job) {
-	s.windowMu.Lock()
+	s.dirtyMu.Lock()
 	old := s.window[s.next]
 	s.window[s.next] = j
 	s.next = (s.next + 1) % len(s.window)
-	s.windowMu.Unlock()
-	if old == nil {
-		return
-	}
-	s.dirtyMu.Lock()
-	_, parked := s.dirty[old.ID]
-	if parked {
-		s.retired[old] = true
-	}
+	drop := old != nil && s.dirty[old.ID] == nil
 	s.dirtyMu.Unlock()
-	if !parked {
+	if drop {
 		old.dropLog()
 	}
 }
 
-// landed records that the job's latest record is on disk: it is no longer
-// parked dirty, and a retired job's log can go.
+// landed records that the job's latest record is on disk, so it is no
+// longer parked dirty. A terminal job that was parked and has already left
+// the settled window drops its log now: its record carries the history.
 func (s *Server) landed(j *Job) {
 	s.dirtyMu.Lock()
+	_, parked := s.dirty[j.ID]
 	delete(s.dirty, j.ID)
-	retired := s.retired[j]
-	delete(s.retired, j)
+	drop := parked && j.State().terminal() && !slices.Contains(s.window, j)
 	s.dirtyMu.Unlock()
-	if retired {
+	if drop {
 		j.dropLog()
 	}
 }
@@ -747,11 +735,10 @@ func (s *Server) landed(j *Job) {
 // actual spend, so a reservation can never be refunded past what was
 // charged) and releases the tenant's job count. Settlement is exactly-once:
 // a panic that unwinds through a finish path which already settled must not
-// refund (or decrement the tenant) a second time; only the first call
-// reports true.
-func (s *Server) settle(j *Job, res crowdmax.Result) bool {
+// refund (or decrement the tenant) a second time.
+func (s *Server) settle(j *Job, res crowdmax.Result) {
 	if !j.settled.CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	t := s.tenant(j.Spec.Tenant)
 	if dn := j.ReservedNaive - res.NaiveComparisons; dn > 0 {
@@ -763,7 +750,6 @@ func (s *Server) settle(j *Job, res crowdmax.Result) bool {
 	t.mu.Lock()
 	t.jobs--
 	t.mu.Unlock()
-	return true
 }
 
 // persistJob persists the job record through a bounded seeded-jitter retry

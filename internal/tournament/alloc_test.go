@@ -33,7 +33,7 @@ func TestMemoLookupZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 1000; i++ {
-			if _, ok := m.lookup(i, i+1000); !ok {
+			if _, ok := m.Lookup(i, i+1000); !ok {
 				t.Fatal("lost entry")
 			}
 		}
@@ -116,7 +116,7 @@ func BenchmarkMemoLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.lookup(i%4096, i%4096+100000)
+		m.Lookup(i%4096, i%4096+100000)
 	}
 }
 

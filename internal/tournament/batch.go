@@ -90,7 +90,7 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 	s.todo = s.todo[:0]
 	for i, p := range pairs {
 		if o.memo != nil {
-			if w, ok := o.memo.lookup(p[0].ID, p[1].ID); ok {
+			if w, ok := o.memo.Lookup(p[0].ID, p[1].ID); ok {
 				winners[i] = pick(p, w)
 				continue
 			}
@@ -122,7 +122,7 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 		// A duplicate may have been memoized by an earlier element of
 		// this same batch.
 		if o.memo != nil {
-			if w, ok := o.memo.lookup(p[0].ID, p[1].ID); ok {
+			if w, ok := o.memo.Lookup(p[0].ID, p[1].ID); ok {
 				if o.ledger != nil {
 					o.ledger.MemoHit(o.class)
 				}
@@ -187,7 +187,7 @@ func (o *Oracle) comparePlatform(bc BatchComparator, pairs [][2]item.Item, hits 
 		o.ledger.MemoHitN(o.class, int64(len(s.dups)))
 	}
 	for _, i := range s.dups {
-		w, _ := o.memo.lookup(pairs[i][0].ID, pairs[i][1].ID)
+		w, _ := o.memo.Lookup(pairs[i][0].ID, pairs[i][1].ID)
 		winners[i] = pick(pairs[i], w)
 	}
 	o.observeBatch(int64(len(s.subIdx)), hits+int64(len(s.dups)))
@@ -256,7 +256,7 @@ func (o *Oracle) compareParallel(ctx context.Context, pairs [][2]item.Item, winn
 		o.ledger.MemoHitN(o.class, int64(len(s.dups)))
 	}
 	for _, i := range s.dups {
-		w, _ := o.memo.lookup(pairs[i][0].ID, pairs[i][1].ID)
+		w, _ := o.memo.Lookup(pairs[i][0].ID, pairs[i][1].ID)
 		winners[i] = pick(pairs[i], w)
 	}
 	return nPaid.Load(), int64(len(s.dups)), nil

@@ -133,8 +133,11 @@ func entryWinner(e uint64) int {
 	return lo
 }
 
-// lookup returns the cached winner ID for the pair, if any.
-func (m *Memo) lookup(a, b int) (int, bool) {
+// Lookup returns the frozen winner ID for the unordered pair (a, b), or
+// false when no answer is stored yet. Checkpoint writers use it to pick up
+// just the pairs paid since their last snapshot instead of rescanning the
+// whole table. Safe for concurrent use.
+func (m *Memo) Lookup(a, b int) (winner int, ok bool) {
 	k := packKey(a, b)
 	for t := m.head.Load(); t != nil; t = t.prev {
 		if e, ok := t.get(k); ok {
@@ -143,12 +146,6 @@ func (m *Memo) lookup(a, b int) (int, bool) {
 	}
 	return 0, false
 }
-
-// Lookup returns the frozen winner ID for the unordered pair (a, b), or
-// false when no answer is stored yet. It is the point query checkpoint
-// writers use to pick up just the pairs paid since their last snapshot
-// instead of rescanning the whole table. Safe for concurrent use.
-func (m *Memo) Lookup(a, b int) (winner int, ok bool) { return m.lookup(a, b) }
 
 // store records the winner ID for the pair. The first published entry for a
 // pair is frozen: a concurrent duplicate answer does not overwrite it.
@@ -213,7 +210,7 @@ func (m *Memo) Len() int {
 // scan visits every reachable entry exactly once, newest table first. An
 // entry of an older table is skipped when a newer table holds the same key
 // (a pair duplicated across tables by a store/grow race), so each pair
-// yields the entry lookup would return. Chains are a handful of tables
+// yields the entry Lookup would return. Chains are a handful of tables
 // long, so probing the newer ones is cheaper than a set of every key.
 func (m *Memo) scan(fn func(e uint64)) {
 	head := m.head.Load()

@@ -11,10 +11,10 @@ func TestMemoFirstStoreWins(t *testing.T) {
 	m.store(1, 2, 2)
 	m.store(1, 2, 1) // later, conflicting store must lose
 	m.store(2, 1, 1) // either pair order hits the same cell
-	if w, ok := m.lookup(1, 2); !ok || w != 2 {
+	if w, ok := m.Lookup(1, 2); !ok || w != 2 {
 		t.Fatalf("lookup(1,2) = %d,%v, want 2,true", w, ok)
 	}
-	if w, ok := m.lookup(2, 1); !ok || w != 2 {
+	if w, ok := m.Lookup(2, 1); !ok || w != 2 {
 		t.Fatalf("lookup(2,1) = %d,%v, want 2,true", w, ok)
 	}
 	if m.Len() != 1 {
@@ -24,11 +24,11 @@ func TestMemoFirstStoreWins(t *testing.T) {
 
 func TestMemoLookupMiss(t *testing.T) {
 	m := NewMemo()
-	if _, ok := m.lookup(3, 4); ok {
+	if _, ok := m.Lookup(3, 4); ok {
 		t.Fatal("empty memo reported a hit")
 	}
 	m.store(3, 4, 4)
-	if _, ok := m.lookup(3, 5); ok {
+	if _, ok := m.Lookup(3, 5); ok {
 		t.Fatal("unrelated pair reported a hit")
 	}
 }
@@ -36,7 +36,7 @@ func TestMemoLookupMiss(t *testing.T) {
 func TestMemoSelfPair(t *testing.T) {
 	m := NewMemo()
 	m.store(7, 7, 7)
-	if w, ok := m.lookup(7, 7); !ok || w != 7 {
+	if w, ok := m.Lookup(7, 7); !ok || w != 7 {
 		t.Fatalf("lookup(7,7) = %d,%v, want 7,true", w, ok)
 	}
 }
@@ -67,7 +67,7 @@ func TestMemoGrowth(t *testing.T) {
 			if (a+b)%3 == 0 {
 				winner = b
 			}
-			if w, ok := m.lookup(b, a); !ok || w != winner {
+			if w, ok := m.Lookup(b, a); !ok || w != winner {
 				t.Fatalf("lookup(%d,%d) = %d,%v, want %d,true", b, a, w, ok, winner)
 			}
 		}
@@ -99,8 +99,8 @@ func TestMemoEntriesSortedRoundTrip(t *testing.T) {
 		clone.Prime(e[0], e[1], e[2])
 	}
 	for _, e := range entries {
-		if w, ok := clone.lookup(e[0], e[1]); !ok || w != e[2] {
-			t.Fatalf("clone.lookup(%d,%d) = %d,%v, want %d,true", e[0], e[1], w, ok, e[2])
+		if w, ok := clone.Lookup(e[0], e[1]); !ok || w != e[2] {
+			t.Fatalf("clone.Lookup(%d,%d) = %d,%v, want %d,true", e[0], e[1], w, ok, e[2])
 		}
 	}
 }
@@ -152,7 +152,7 @@ func TestMemoConcurrentFirstStoreWins(t *testing.T) {
 					winner = b
 				}
 				m.store(a, b, winner)
-				if got, ok := m.lookup(a, b); ok && got != a && got != b {
+				if got, ok := m.Lookup(a, b); ok && got != a && got != b {
 					panic(fmt.Sprintf("lookup(%d,%d) returned non-member %d", a, b, got))
 				}
 			}
@@ -164,8 +164,8 @@ func TestMemoConcurrentFirstStoreWins(t *testing.T) {
 	}
 	for k := 0; k < keys; k++ {
 		a, b := k, k+keys
-		w1, ok1 := m.lookup(a, b)
-		w2, ok2 := m.lookup(b, a)
+		w1, ok1 := m.Lookup(a, b)
+		w2, ok2 := m.Lookup(b, a)
 		if !ok1 || !ok2 || w1 != w2 {
 			t.Fatalf("key (%d,%d): unstable lookups %d,%v vs %d,%v", a, b, w1, ok1, w2, ok2)
 		}

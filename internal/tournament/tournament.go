@@ -183,7 +183,7 @@ func (o *Oracle) Memoized() bool { return o.memo != nil }
 // budget charge is refunded, so failed dispatches never consume spend.
 func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error) {
 	if o.memo != nil {
-		if w, ok := o.memo.lookup(a.ID, b.ID); ok {
+		if w, ok := o.memo.Lookup(a.ID, b.ID); ok {
 			if o.ledger != nil {
 				o.ledger.MemoHit(o.class)
 			}
