@@ -23,21 +23,15 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"time"
 
-	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/experiment"
 	"crowdmax/internal/obs"
-	"crowdmax/internal/parallel"
 )
 
 var (
@@ -48,35 +42,17 @@ var (
 	jsonOut  = flag.Bool("json", false, "emit figures as JSON instead of text tables")
 	maxSize  = flag.Int("nmax", 5000, "largest input size in sweeps")
 	par      = flag.Int("parallel", 0, "goroutines fanning independent trials out (0 = all CPUs, 1 = sequential; output is identical for every value)")
-	benchOut = flag.String("benchout", "", "suppress figure output, time each experiment at -parallel=1 and -parallel=N, and write the wall-clock comparison as JSON to this file")
 	obsAddr  = flag.String("obs-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060")
 	traceOut = flag.String("trace-out", "", "write the structured JSONL event trace to this file")
 	budget   = flag.Int64("budget", 0, "hard cap on total comparisons per trial (0 = unlimited); a trial that hits the cap fails its sweep with the budget error, and the same seed + cap truncates identically on every run")
 	timeout  = flag.Duration("timeout", 0, "wall-clock deadline for the whole run (e.g. 2m); 0 = none")
-	trustOut = flag.String("trust-out", "", "with the trust experiment, also write its kind:\"trust\" JSON report to this file (atomic write; benchcheck-gated)")
 )
-
-// out overrides where figures are rendered (the -benchout timing mode sets
-// io.Discard so only wall-clock time is measured); nil means os.Stdout,
-// resolved per write so tests can swap the real stdout.
-var out io.Writer
-
-func dst() io.Writer {
-	if out != nil {
-		return out
-	}
-	return os.Stdout
-}
 
 // allExperiments is what the name "all" expands to, in output order.
 var allExperiments = []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 	"fig9", "fig10", "retention", "table1", "table2", "search",
 	"majority", "epsilon", "cascade", "steps", "bracket", "adversary",
 	"trust"}
-
-// workers is the effective -parallel value; the -benchout mode flips it
-// between 1 and the requested width for the timed runs.
-var workers int
 
 func main() {
 	flag.Usage = usage
@@ -85,7 +61,6 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	workers = *par
 	names := flag.Args()
 	if len(names) == 1 && names[0] == "all" {
 		names = allExperiments
@@ -103,18 +78,11 @@ func main() {
 		defer cancel()
 	}
 	code := 0
-	if *benchOut != "" {
-		if err := runBench(ctx, names); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrun: %v\n", err)
+	for _, name := range names {
+		if err := run(ctx, strings.ToLower(name)); err != nil {
+			fmt.Fprintf(os.Stderr, "benchrun %s: %v\n", name, err)
 			code = 1
-		}
-	} else {
-		for _, name := range names {
-			if err := run(ctx, strings.ToLower(name)); err != nil {
-				fmt.Fprintf(os.Stderr, "benchrun %s: %v\n", name, err)
-				code = 1
-				break
-			}
+			break
 		}
 	}
 	stop()
@@ -161,62 +129,6 @@ func setupObs() (cleanup func(), err error) {
 	return cleanup, nil
 }
 
-// runBench times every named experiment twice — sequentially and at the
-// requested parallel width — and writes the comparison to -benchout. The
-// figures themselves are discarded; determinism means both runs produce
-// identical output anyway.
-func runBench(ctx context.Context, names []string) error {
-	out = io.Discard
-	width := parallel.Normalize(*par)
-	type expTiming struct {
-		Name       string  `json:"name"`
-		SeqSeconds float64 `json:"seq_seconds"`
-		ParSeconds float64 `json:"par_seconds"`
-		Speedup    float64 `json:"speedup"`
-	}
-	report := struct {
-		Cores       int         `json:"cores"`
-		Gomaxprocs  int         `json:"gomaxprocs"`
-		Workers     int         `json:"workers"`
-		Quick       bool        `json:"quick"`
-		Experiments []expTiming `json:"experiments"`
-	}{
-		Cores:      runtime.NumCPU(),
-		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Workers:    width,
-		Quick:      *quick,
-	}
-	for _, name := range names {
-		name = strings.ToLower(name)
-		workers = 1
-		start := time.Now()
-		if err := run(ctx, name); err != nil {
-			return fmt.Errorf("%s (sequential): %w", name, err)
-		}
-		seq := time.Since(start).Seconds()
-		workers = width
-		start = time.Now()
-		if err := run(ctx, name); err != nil {
-			return fmt.Errorf("%s (parallel): %w", name, err)
-		}
-		parSec := time.Since(start).Seconds()
-		t := expTiming{Name: name, SeqSeconds: seq, ParSeconds: parSec}
-		if parSec > 0 {
-			t.Speedup = seq / parSec
-		}
-		report.Experiments = append(report.Experiments, t)
-		fmt.Fprintf(os.Stderr, "%-10s seq %.3fs  par(%d) %.3fs  speedup %.2fx\n",
-			name, seq, width, parSec, t.Speedup)
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Atomic write: an interrupted run can never leave a truncated results
-	// file behind — readers see either the old contents or the new ones.
-	return checkpoint.WriteFileAtomic(*benchOut, append(data, '\n'), 0o644)
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: benchrun [flags] <experiment>...
 
@@ -241,8 +153,7 @@ experiments:
   adversary  extension: phase-1 max retention under poisoned workers, with
              and without gold-probe health tracking
   trust      extension: gold vs agreement-graph vs hybrid worker scoring
-             under spammer/colluder-clique mixes (retention and cost per
-             arm; -trust-out writes the kind:"trust" JSON report)
+             under spammer/colluder-clique mixes (retention per arm)
   all        everything above
 
 flags:
@@ -271,29 +182,29 @@ func sweeps() []experiment.Sweep {
 	}
 	lim := dispatch.Limits{MaxTotal: *budget}
 	return []experiment.Sweep{
-		{Ns: kept, Un: 10, Ue: 5, Trials: tr, Seed: *seed, Workers: workers, Budget: lim},
-		{Ns: kept, Un: 50, Ue: 10, Trials: tr, Seed: *seed, Workers: workers, Budget: lim},
+		{Ns: kept, Un: 10, Ue: 5, Trials: tr, Seed: *seed, Workers: *par, Budget: lim},
+		{Ns: kept, Un: 50, Ue: 10, Trials: tr, Seed: *seed, Workers: *par, Budget: lim},
 	}
 }
 
 func emit(fig experiment.Figure) error {
 	if *jsonOut {
-		return fig.WriteJSON(dst())
+		return fig.WriteJSON(os.Stdout)
 	}
 	if *csvOut {
-		return fig.WriteCSV(dst())
+		return fig.WriteCSV(os.Stdout)
 	}
-	if err := fig.WriteText(dst()); err != nil {
+	if err := fig.WriteText(os.Stdout); err != nil {
 		return err
 	}
-	fmt.Fprintln(dst())
+	fmt.Println()
 	return nil
 }
 
 func run(ctx context.Context, name string) error {
 	switch name {
 	case "fig2":
-		cfg := experiment.Fig2Config{Seed: *seed, Workers: workers}
+		cfg := experiment.Fig2Config{Seed: *seed, Workers: *par}
 		if *quick {
 			cfg.PairsPerBand, cfg.Repeats = 10, 5
 		}
@@ -383,44 +294,44 @@ func run(ctx context.Context, name string) error {
 			if err != nil {
 				return err
 			}
-			if err := res.WriteText(dst()); err != nil {
+			if err := res.WriteText(os.Stdout); err != nil {
 				return err
 			}
-			fmt.Fprintln(dst())
+			fmt.Println()
 		}
 		return nil
 	case "table1":
-		tab, err := experiment.Table1(ctx, experiment.CrowdConfig{Seed: *seed, Spammers: 3, Parallel: workers})
+		tab, err := experiment.Table1(ctx, experiment.CrowdConfig{Seed: *seed, Spammers: 3, Parallel: *par})
 		if err != nil {
 			return err
 		}
-		if err := tab.WriteText(dst()); err != nil {
+		if err := tab.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Fprintln(dst())
+		fmt.Println()
 		return nil
 	case "table2":
-		tab, _, err := experiment.Table2(ctx, experiment.CrowdConfig{Seed: *seed, Parallel: workers})
+		tab, _, err := experiment.Table2(ctx, experiment.CrowdConfig{Seed: *seed, Parallel: *par})
 		if err != nil {
 			return err
 		}
-		if err := tab.WriteText(dst()); err != nil {
+		if err := tab.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Fprintln(dst())
+		fmt.Println()
 		return nil
 	case "search":
-		res, err := experiment.SearchEval(ctx, experiment.SearchConfig{Seed: *seed, Workers: workers})
+		res, err := experiment.SearchEval(ctx, experiment.SearchConfig{Seed: *seed, Workers: *par})
 		if err != nil {
 			return err
 		}
-		if err := res.WriteText(dst()); err != nil {
+		if err := res.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Fprintln(dst())
+		fmt.Println()
 		return nil
 	case "majority":
-		cfg := experiment.MajorityConfig{Seed: *seed, Workers: workers}
+		cfg := experiment.MajorityConfig{Seed: *seed, Workers: *par}
 		if *quick {
 			cfg.Trials = 300
 		}
@@ -428,10 +339,10 @@ func run(ctx context.Context, name string) error {
 		if err != nil {
 			return err
 		}
-		if err := res.WriteText(dst()); err != nil {
+		if err := res.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Fprintln(dst())
+		fmt.Println()
 		return nil
 	case "epsilon":
 		for _, s := range sweeps() {
@@ -467,7 +378,7 @@ func run(ctx context.Context, name string) error {
 		}
 		return nil
 	case "adversary":
-		cfg := experiment.AdversaryConfig{Seed: *seed, Workers: workers}
+		cfg := experiment.AdversaryConfig{Seed: *seed, Workers: *par}
 		if *quick {
 			cfg.Trials = 10
 			cfg.Fractions = []float64{0, 0.2}
@@ -478,7 +389,7 @@ func run(ctx context.Context, name string) error {
 		}
 		return emit(fig)
 	case "trust":
-		cfg := experiment.TrustConfig{Seed: *seed, Workers: workers}
+		cfg := experiment.TrustConfig{Seed: *seed, Workers: *par}
 		if *quick {
 			cfg.Trials = 8
 			cfg.Mixes = []experiment.TrustMix{{Spammers: 0, Colluders: 0}, {Spammers: 0, Colluders: 3}}
@@ -487,18 +398,9 @@ func run(ctx context.Context, name string) error {
 		if err != nil {
 			return err
 		}
-		if *trustOut != "" {
-			data, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := checkpoint.WriteFileAtomic(*trustOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-		}
 		return emit(rep.Figure())
 	case "cascade":
-		cfg := experiment.CascadeConfig{Seed: *seed, Trials: *trials, PriceRatio: 50, Workers: workers}
+		cfg := experiment.CascadeConfig{Seed: *seed, Trials: *trials, PriceRatio: 50, Workers: *par}
 		if *quick {
 			cfg.Ns = []int{400, 800}
 			cfg.Us = [3]int{20, 6, 2}

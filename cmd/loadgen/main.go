@@ -6,13 +6,17 @@
 // across -tenants synthetic tenants, retries admissions rejected with
 // 429/503 (counting every rejection), polls each accepted job to a terminal
 // state, validates that every result's guarantee label is one its rung can
-// honestly deliver, and writes a kind:"service" benchmark artifact for
-// benchcheck.
+// honestly deliver and that it carries the submitted mode and rank count,
+// and prints client-observed throughput and p50/p99 latency, overall and
+// per mode for a mixed stream. It exits non-zero unless every job completes
+// cleanly, so a loadtest's exit status is its gate. The repository's
+// performance benchmark is crowdbench (bench/README.md), not loadgen.
 //
 // With no -server it boots an in-process service on 127.0.0.1:0 and drives
 // it over real HTTP, so a single command reproduces the loadtest:
 //
-//	loadgen -jobs 1000 -out results/BENCH_service.json
+//	loadgen -jobs 1000
+//	loadgen -jobs 60 -mix max,topk,score
 //	loadgen -server http://127.0.0.1:8080 -jobs 200
 //	loadgen -server http://$(cat addr) -jobs 4 -submit-only
 package main
@@ -34,7 +38,6 @@ import (
 	"time"
 
 	"crowdmax"
-	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/service"
 )
 
@@ -48,12 +51,11 @@ var (
 	workers    = flag.Int("concurrency", 32, "concurrent client workers")
 	submitOnly = flag.Bool("submit-only", false, "submit the jobs and exit without waiting for completion (smoke scripts use this to hold work in flight)")
 	waitAll    = flag.Bool("wait-all", false, "submit nothing: poll the server's /healthz until every job it knows is terminal, exit non-zero if any failed (smoke scripts use this after a restart)")
-	out        = flag.String("out", "", "write the kind:\"service\" benchmark artifact to this file (atomic)")
 	maxConc    = flag.Int("max-concurrent", 8, "in-process server only: session slots")
 	cmpLat     = flag.Duration("cmp-latency", 0, "in-process server only: per-comparison latency")
 	retryEvery = flag.Duration("retry-every", 25*time.Millisecond, "client backoff between admission retries (the server's Retry-After is whole seconds; a loadtest retries faster but still counts every rejection)")
 	timeout    = flag.Duration("timeout", 10*time.Minute, "overall deadline for the run")
-	mix        = flag.String("mix", "max", "','-separated workload modes cycled job-by-job across the stream (max, topk, score); anything beyond plain max switches the artifact to kind:\"workloads\" with per-mode stats")
+	mix        = flag.String("mix", "max", "','-separated workload modes cycled job-by-job across the stream (max, topk, score); anything beyond plain max also prints per-mode latency lines")
 	kFlag      = flag.Int("k", 3, "ranks requested by the topk jobs in the mix")
 	votesFlag  = flag.Int("votes", 3, "cardinal votes per element for the score jobs in the mix")
 
@@ -67,37 +69,6 @@ var (
 	idemKeys    = flag.Bool("idem", false, "attach a deterministic Idempotency-Key to every submission (retries can never double-charge)")
 	cePrice     = flag.Float64("ce", 10, "-audit only: the server's expert comparison price, for the monetary reconciliation")
 )
-
-// report is the kind:"service" (single-mode) or kind:"workloads" (mixed-mode)
-// benchmark artifact schema (cmd/benchcheck validates both).
-type report struct {
-	Kind          string               `json:"kind"`
-	Seed          uint64               `json:"seed"`
-	Jobs          int                  `json:"jobs"`
-	Completed     int                  `json:"completed"`
-	Failed        int                  `json:"failed"`
-	Rejected      int64                `json:"rejected"`
-	WallSeconds   float64              `json:"wall_seconds"`
-	JobsPerSec    float64              `json:"jobs_per_sec"`
-	P50LatencyMS  float64              `json:"p50_latency_ms"`
-	P99LatencyMS  float64              `json:"p99_latency_ms"`
-	N             int                  `json:"n"`
-	Un            int                  `json:"un"`
-	Concurrency   int                  `json:"concurrency"`
-	MaxConcurrent int                  `json:"max_concurrent"`
-	Server        string               `json:"server"`
-	Mix           string               `json:"mix,omitempty"`
-	PerMode       map[string]modeStats `json:"per_mode,omitempty"`
-}
-
-// modeStats is one workload's slice of a kind:"workloads" report.
-type modeStats struct {
-	Jobs         int     `json:"jobs"`
-	Completed    int     `json:"completed"`
-	Failed       int     `json:"failed"`
-	P50LatencyMS float64 `json:"p50_latency_ms"`
-	P99LatencyMS float64 `json:"p99_latency_ms"`
-}
 
 // jobStatus is the subset of the service's jobView the client reads.
 type jobStatus struct {
@@ -158,14 +129,13 @@ func run() error {
 		}
 		return auditServer(ctx, base)
 	}
-	serverLabel := base
 	if base == "" {
 		stop, url, err := bootInProcess()
 		if err != nil {
 			return err
 		}
 		defer stop()
-		base, serverLabel = url, "in-process"
+		base = url
 	}
 
 	var (
@@ -176,7 +146,6 @@ func run() error {
 		ackedIDs  []string
 		latByMode = make(map[string][]time.Duration, len(modes))
 		jobByMode = make(map[string]int, len(modes))
-		badByMode = make(map[string]int, len(modes))
 	)
 	client := &http.Client{}
 	work := make(chan int)
@@ -196,7 +165,6 @@ func run() error {
 				}
 				if err != nil {
 					failures = append(failures, fmt.Sprintf("job %d (%s): %v", i, m, err))
-					badByMode[m]++
 				} else {
 					latencies = append(latencies, lat)
 					latByMode[m] = append(latByMode[m], lat)
@@ -233,61 +201,19 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "loadgen:", f)
 	}
 	completed := len(latencies)
-	kind := "service"
+	fmt.Printf("loadgen: %d/%d jobs done in %.2fs (%.1f jobs/s, p50 %.1fms, p99 %.1fms, %d rejections retried)\n",
+		completed, *jobs, wall.Seconds(), float64(completed)/wall.Seconds(),
+		quantileMS(latencies, 0.50), quantileMS(latencies, 0.99), rejected.Load())
 	if len(modes) > 1 || modes[0] != "max" {
-		kind = "workloads"
-	}
-	r := report{
-		Kind:          kind,
-		Seed:          *seed,
-		Jobs:          *jobs,
-		Completed:     completed,
-		Failed:        len(failures),
-		Rejected:      rejected.Load(),
-		WallSeconds:   wall.Seconds(),
-		JobsPerSec:    float64(completed) / wall.Seconds(),
-		P50LatencyMS:  quantileMS(latencies, 0.50),
-		P99LatencyMS:  quantileMS(latencies, 0.99),
-		N:             *nItems,
-		Un:            *un,
-		Concurrency:   *workers,
-		MaxConcurrent: *maxConc,
-		Server:        serverLabel,
-	}
-	var uniq []string
-	if kind == "workloads" {
-		r.Mix = strings.Join(modes, ",")
-		r.PerMode = make(map[string]modeStats, len(modes))
+		printed := make(map[string]bool, len(modes))
 		for _, m := range modes {
-			if _, done := r.PerMode[m]; done {
+			if printed[m] {
 				continue
 			}
-			uniq = append(uniq, m)
-			r.PerMode[m] = modeStats{
-				Jobs:         jobByMode[m],
-				Completed:    len(latByMode[m]),
-				Failed:       badByMode[m],
-				P50LatencyMS: quantileMS(latByMode[m], 0.50),
-				P99LatencyMS: quantileMS(latByMode[m], 0.99),
-			}
+			printed[m] = true
+			fmt.Printf("loadgen: mode %-5s %d/%d done (p50 %.1fms, p99 %.1fms)\n",
+				m, len(latByMode[m]), jobByMode[m], quantileMS(latByMode[m], 0.50), quantileMS(latByMode[m], 0.99))
 		}
-	}
-	fmt.Printf("loadgen: %d/%d jobs done in %.2fs (%.1f jobs/s, p50 %.1fms, p99 %.1fms, %d rejections retried)\n",
-		completed, *jobs, r.WallSeconds, r.JobsPerSec, r.P50LatencyMS, r.P99LatencyMS, r.Rejected)
-	for _, m := range uniq {
-		s := r.PerMode[m]
-		fmt.Printf("loadgen: mode %-5s %d/%d done (p50 %.1fms, p99 %.1fms)\n",
-			m, s.Completed, s.Jobs, s.P50LatencyMS, s.P99LatencyMS)
-	}
-	if *out != "" && !*submitOnly {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.WriteFileAtomic(*out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("loadgen: wrote %s\n", *out)
 	}
 	if len(failures) > 0 || completed != *jobs {
 		return fmt.Errorf("%d of %d jobs did not complete cleanly", *jobs-completed+len(failures), *jobs)

@@ -116,10 +116,9 @@ type TrustCell struct {
 	Arms      map[string]TrustArmStats `json:"arms"`
 }
 
-// TrustReport is the sweep's JSON artifact (results/BENCH_trust.json,
-// gated by benchcheck's kind:"trust" schema).
+// TrustReport is the sweep's result: the configuration it ran and one cell
+// per adversary mix.
 type TrustReport struct {
-	Kind     string      `json:"kind"`
 	Seed     uint64      `json:"seed"`
 	N        int         `json:"n"`
 	Un       int         `json:"un"`
@@ -324,8 +323,7 @@ func TrustSweep(ctx context.Context, cfg TrustConfig) (TrustReport, error) {
 		return TrustReport{}, err
 	}
 	return TrustReport{
-		Kind: "trust", Seed: cfg.Seed,
-		N: cfg.N, Un: cfg.Un, Ue: cfg.Ue,
+		Seed: cfg.Seed, N: cfg.N, Un: cfg.Un, Ue: cfg.Ue,
 		PoolSize: cfg.PoolSize, Trials: cfg.Trials, Warmup: cfg.Warmup,
 		Mixes:         cells,
 		Deterministic: hash == rehash,
