@@ -213,7 +213,7 @@ func run(ctx context.Context) error {
 		}
 		res, err := crowdmax.FindMax(ctx, set.Items(), no, eo, crowdmax.FindMaxOptions{Un: unEst})
 		if err != nil {
-			if terr := truncated(err, res.Best, ledger, prices); terr != nil {
+			if terr := truncated(err, res.Best, ledger.Naive(), ledger.Expert(), ledger.Cost(prices)); terr != nil {
 				return terr
 			}
 			return err
@@ -237,7 +237,7 @@ func run(ctx context.Context) error {
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	if err != nil {
-		if terr := truncated(err, best, ledger, prices); terr != nil {
+		if terr := truncated(err, best, ledger.Naive(), ledger.Expert(), ledger.Cost(prices)); terr != nil {
 			return terr
 		}
 		return err
@@ -343,7 +343,7 @@ func runSession(ctx context.Context, w crowdmax.Workload, set *crowdmax.Set, del
 			}
 			return fmt.Errorf("run crashed (injected): %w", err)
 		}
-		if terr := truncatedResult(err, res); terr != nil {
+		if terr := truncated(err, res.Best, res.NaiveComparisons, res.ExpertComparisons, res.Cost); terr != nil {
 			return terr
 		}
 		return err
@@ -374,9 +374,11 @@ func runSession(ctx context.Context, w crowdmax.Workload, set *crowdmax.Set, del
 	return nil
 }
 
-// truncatedResult is truncated for Session runs, which carry their spend in
-// the Result rather than a shared ledger.
-func truncatedResult(err error, res crowdmax.Result) error {
+// truncated reports a run that stopped early (budget exhausted, cancelled,
+// timed out, or its backend lost): the best-so-far partial answer plus the
+// true paid counts and cost, as an error so the process exits non-zero. It
+// returns nil for any other error.
+func truncated(err error, best crowdmax.Item, naive, expert int64, cost float64) error {
 	var cause string
 	switch {
 	case errors.Is(err, crowdmax.ErrBudgetExhausted):
@@ -390,34 +392,10 @@ func truncatedResult(err error, res crowdmax.Result) error {
 	default:
 		return nil
 	}
-	if res.Best.ID != 0 || res.Best.Label != "" {
-		fmt.Printf("best so far: %q (value %.4g)\n", label(res.Best), res.Best.Value)
-	}
-	fmt.Printf("spent before stopping: %d naive, %d expert; cost %.2f\n",
-		res.NaiveComparisons, res.ExpertComparisons, res.Cost)
-	return fmt.Errorf("run %s: %w", cause, err)
-}
-
-// truncated reports a budget-exhausted or cancelled run: the best-so-far
-// partial answer plus the true paid costs, as an error so the process exits
-// non-zero. It returns nil for errors that are neither.
-func truncated(err error, best crowdmax.Item, ledger *crowdmax.Ledger, prices crowdmax.Prices) error {
-	var cause string
-	switch {
-	case errors.Is(err, crowdmax.ErrBudgetExhausted):
-		cause = "budget exhausted"
-	case errors.Is(err, context.Canceled):
-		cause = "cancelled"
-	case errors.Is(err, context.DeadlineExceeded):
-		cause = "timed out"
-	default:
-		return nil
-	}
 	if best.ID != 0 || best.Label != "" {
 		fmt.Printf("best so far: %q (value %.4g)\n", label(best), best.Value)
 	}
-	fmt.Printf("spent before stopping: %d naive, %d expert; cost %.2f\n",
-		ledger.Naive(), ledger.Expert(), ledger.Cost(prices))
+	fmt.Printf("spent before stopping: %d naive, %d expert; cost %.2f\n", naive, expert, cost)
 	return fmt.Errorf("run %s: %w", cause, err)
 }
 

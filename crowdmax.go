@@ -34,6 +34,11 @@
 //	res, err := session.FindMax(set.Items())
 //	// res.Best, res.Candidates, res.Cost, ...
 //
+// Session.Run runs the same engine on any workload — MaxFind, TopKWorkload
+// or ScoreWorkload — under a context, and Session.ResumeWorkload continues
+// a checkpointed run after a crash. Each Result reports its own run's paid
+// comparisons and cost.
+//
 // The subpackages under internal implement the full system: worker error
 // models (including the empirical pair-bias model fitted to the paper's
 // CrowdFlower measurements), a crowdsourcing-platform simulator with gold
@@ -68,9 +73,6 @@ func NewSet(values []float64) *Set { return item.NewSet(values) }
 // NewSetItems builds a Set from labelled items, reassigning dense IDs.
 func NewSetItems(items []Item) *Set { return item.NewSetItems(items) }
 
-// Distance returns d(a, b) = |v(a) − v(b)|.
-func Distance(a, b Item) float64 { return item.Distance(a, b) }
-
 // Rand is a deterministic, splittable random stream; see NewRand.
 type Rand = rng.Source
 
@@ -95,10 +97,6 @@ const (
 	Expert = worker.Expert
 )
 
-// Truth is the infallible comparator (δ = 0, ε = 0); useful for tests and
-// as a stand-in for a perfect expert.
-var Truth = worker.Truth
-
 // ThresholdWorker is a worker following the threshold model T(δ, ε).
 type ThresholdWorker = worker.Threshold
 
@@ -108,13 +106,6 @@ func NewThresholdWorker(delta, epsilon float64, r *Rand) *ThresholdWorker {
 	return worker.NewThreshold(delta, epsilon, r)
 }
 
-// NewProbabilisticWorker returns a worker with a fixed error probability p
-// on every comparison — the probabilistic error model of prior work, i.e.
-// T(0, p).
-func NewProbabilisticWorker(p float64, r *Rand) *ThresholdWorker {
-	return worker.NewProbabilistic(p, r)
-}
-
 // HashTie breaks under-threshold ties by a deterministic hash of the pair —
 // a pure function of its Seed and the two item IDs, independent of
 // evaluation order. A ThresholdWorker with ε = 0 and a HashTie is safe for
@@ -122,28 +113,11 @@ func NewProbabilisticWorker(p float64, r *Rand) *ThresholdWorker {
 // Oracle.ParallelBatch.
 type HashTie = worker.HashTie
 
-// LogisticWorker is the Thurstone / Bradley–Terry psychometric comparator:
-// P(correct) = 1/(1+exp(−d/Scale)), smooth in the value difference, with no
-// hard indistinguishability radius.
-type LogisticWorker = worker.Logistic
-
-// NewLogisticWorker returns a Bradley–Terry comparator with the given
-// discrimination scale.
-func NewLogisticWorker(scale float64, r *Rand) *LogisticWorker {
-	return worker.NewLogistic(scale, r)
-}
-
 // Valuer is any source of cardinal value estimates — the crowd-scoring
 // query: "how good is this element?", answered per (element, repetition).
 // The score workload asks each element Votes independent value queries and
 // aggregates them robustly.
 type Valuer = worker.Valuer
-
-// ValuerFunc adapts a function to the Valuer interface.
-type ValuerFunc = worker.ValuerFunc
-
-// TruthValuer reports every element's exact value — the infallible scorer.
-var TruthValuer = worker.TruthValuer
 
 // NoisyValuer is a crowd scorer with additive seeded noise: each vote is the
 // element's true value plus deterministic pseudo-Gaussian noise, a pure
@@ -262,28 +236,6 @@ func TopK(ctx context.Context, items []Item, naive, expert *Oracle, opt TopKOpti
 // how many ranks completed, and the failed round's best-so-far leader.
 // errors.As recovers it from a TopK error to salvage partial progress.
 type RoundError = core.RoundError
-
-// ScoreOptions configures Score.
-type ScoreOptions = core.ScoreOptions
-
-// ScoreResult reports a Score run: the best element, the expert shortlist,
-// and every element's aggregated crowd score.
-type ScoreResult = core.ScoreResult
-
-// Score runs the crowd-scoring workload directly against a pair of oracles:
-// naïve workers score every element with repeated cardinal value queries,
-// votes are aggregated robustly (trimmed mean or median), and experts
-// extract the maximum from the top-scored shortlist. Sessions run the same
-// algorithm with budgets, chaos, and checkpoints attached via ScoreWorkload.
-func Score(ctx context.Context, items []Item, naive, expert *Oracle, opt ScoreOptions) (ScoreResult, error) {
-	return core.Score(ctx, items, naive, expert, opt)
-}
-
-// RankByWins orders items by win count in one all-play-all tournament,
-// best first — the "last round" ranking of the paper's Tables 1–2.
-func RankByWins(ctx context.Context, items []Item, o *Oracle) ([]Item, error) {
-	return core.RankByWins(ctx, items, o)
-}
 
 // BracketOptions configures TournamentMax.
 type BracketOptions = core.BracketOptions

@@ -50,9 +50,6 @@ func DotsDataset(n int) *Set { return dataset.Dots(n) }
 // control.
 func DotsGold() []Item { return dataset.DotsGold() }
 
-// DotCount recovers the dot count of a DOTS item.
-func DotCount(it Item) int { return dataset.DotCount(it) }
-
 // SearchQuery names a Section 5.3 evaluation query.
 type SearchQuery = dataset.SearchQuery
 
@@ -76,9 +73,6 @@ func SampleDataset(s *Set, k int, r *Rand) (*Set, error) {
 // ReadCSV loads a Set from "label,value" CSV rows (header optional), the
 // entry point for real datasets.
 func ReadCSV(r io.Reader) (*Set, error) { return dataset.ReadCSV(r) }
-
-// WriteCSV writes a Set as "label,value" CSV rows, the inverse of ReadCSV.
-func WriteCSV(w io.Writer, s *Set) error { return dataset.WriteCSV(w, s) }
 
 // Platform simulates a crowdsourcing platform: a worker pool, batched
 // comparison jobs billed in logical steps, gold-question quality control,

@@ -1,10 +1,6 @@
 package crowdmax
 
-import (
-	"time"
-
-	"crowdmax/internal/degrade"
-)
+import "crowdmax/internal/degrade"
 
 // Guarantee is the machine-checkable quality label attached to a Result: the
 // distance bound that holds between the returned element and the true
@@ -26,14 +22,6 @@ const (
 	GuaranteeNone = degrade.GuaranteeNone
 )
 
-// QualityLadder is an ordered list of degradation rungs, strongest first;
-// see DefaultQualityLadder for the standard five-rung ladder.
-type QualityLadder = degrade.Ladder
-
-// LadderRung is one named policy on a QualityLadder, with its preconditions
-// (minimum budget, minimum active experts) and Guarantee label.
-type LadderRung = degrade.Rung
-
 // DegradeDecision is one entry of the degradation controller's append-only
 // decision log: which rung was chosen at which decision point, and why every
 // stronger rung was skipped.
@@ -41,7 +29,7 @@ type DegradeDecision = degrade.Decision
 
 // StrongestGuaranteeFor returns the strongest guarantee label the named
 // quality rung may honestly attach to an answer, over the standard rung
-// names (the DefaultQualityLadder rungs plus the undegraded
+// names (the degradation ladder's rungs plus the undegraded
 // "expert-all-play-all" natural rung). ok is false for unknown names.
 // Harnesses and services use it to validate label honesty: a Result whose
 // Guarantee is stronger than StrongestGuaranteeFor(Result.Rung) is lying.
@@ -49,33 +37,26 @@ func StrongestGuaranteeFor(rung string) (g Guarantee, ok bool) {
 	return degrade.StrongestLabel(rung)
 }
 
-// DefaultQualityLadder returns the standard ladder, strongest first:
+// DegradeConfig enables graceful degradation: instead of failing a run when
+// the expert backend dies or the budget drains, the session walks down the
+// quality ladder — and back up when a quarantined pool heals — and reports
+// the guarantee the answer actually achieved in Result.Guarantee. The ladder
+// is fixed, strongest first:
 //
 //	expert-2maxfind   (2δe)         2-MaxFind over the candidate set S
 //	expert-randomized (3δe-whp)     randomized Algorithm 5 over S
 //	expert-shrunk     (2δe@subset)  2-MaxFind over a budget-sized sample of S
 //	naive-majority    (δn)          all-play-all over S with naïve workers
 //	best-so-far       (no bound)    return the current leader, spend nothing
-func DefaultQualityLadder() QualityLadder { return degrade.DefaultLadder() }
-
-// DegradeConfig enables graceful degradation: instead of failing a run when
-// the expert backend dies, the budget drains, or the deadline closes in, the
-// session walks down a declared quality ladder — and back up when a
-// quarantined pool heals — and reports the guarantee the answer actually
-// achieved in Result.Guarantee. Injected crashes (ErrInjectedCrash) and
-// context cancellation stay fatal: crash recovery is Session.Resume's job.
+//
+// Each rung may fail twice before the controller stops retrying it. A
+// deadline that has already passed blocks every paying rung; the controller
+// does not estimate whether a rung would finish before the deadline.
+// Injected crashes (ErrInjectedCrash) and context cancellation stay fatal:
+// crash recovery is Session.ResumeWorkload's job.
 //
 // Ladder decisions are deterministic in the session seed and the observed
 // comparison stream, so a resumed run replaying a checkpoint lands on the
-// same rung with the same decision log.
-type DegradeConfig struct {
-	// Ladder is the quality ladder to walk; nil uses DefaultQualityLadder().
-	Ladder QualityLadder
-	// MaxAttempts is how many times one rung may fail before the controller
-	// stops retrying it; defaults to 2.
-	MaxAttempts int
-	// CmpLatency, when > 0, is the per-comparison wall-time estimate used to
-	// hold a rung's cost estimate against the context deadline. Zero skips
-	// the deadline-versus-cost precondition (a passed deadline still blocks).
-	CmpLatency time.Duration
-}
+// same rung with the same decision log. The struct has no fields; a non-nil
+// Config.Degrade turns the controller on.
+type DegradeConfig struct{}

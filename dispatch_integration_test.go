@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/dispatch"
+	"crowdmax/internal/item"
 )
 
 // blockingBackend parks every comparison on ctx.Done(), modelling a crowd
@@ -65,7 +67,7 @@ func TestFindMaxContextCancelMidFilter(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := s.FindMaxContext(ctx, cal.Set.Items())
+	res, err := s.Run(ctx, MaxFind(), cal.Set.Items())
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
@@ -101,7 +103,7 @@ func TestFindMaxContextCancelMidPhase2(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := s.FindMaxContext(ctx, cal.Set.Items())
+	res, err := s.Run(ctx, MaxFind(), cal.Set.Items())
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
@@ -146,17 +148,17 @@ func TestSessionReentrancyGuard(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.FindMaxContext(ctx, cal.Set.Items())
+		_, err := s.Run(ctx, MaxFind(), cal.Set.Items())
 		done <- err
 	}()
 	<-bb.entered
 	// The first run is parked inside the filter: every concurrent entry
-	// must be refused rather than race on the shared ledger.
+	// must be refused rather than race on the session's comparators.
 	if _, err := s.FindMax(cal.Set.Items()); !errors.Is(err, ErrSessionBusy) {
 		t.Fatalf("concurrent FindMax: err = %v, want ErrSessionBusy", err)
 	}
-	if _, err := s.EstimateUn(cal.Set.Items(), 0.5, 200); !errors.Is(err, ErrSessionBusy) {
-		t.Fatalf("concurrent EstimateUn: err = %v, want ErrSessionBusy", err)
+	if _, err := s.Run(context.Background(), TopKWorkload(2), cal.Set.Items()); !errors.Is(err, ErrSessionBusy) {
+		t.Fatalf("concurrent Run: err = %v, want ErrSessionBusy", err)
 	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -166,7 +168,7 @@ func TestSessionReentrancyGuard(t *testing.T) {
 	// already-cancelled context, not on the guard).
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
-	if _, err := s.FindMaxContext(dead, cal.Set.Items()); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(dead, MaxFind(), cal.Set.Items()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("slot not released after cancelled run: err = %v", err)
 	}
 }
@@ -264,7 +266,7 @@ func TestFlakyRetryBackendEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
+	if d := item.Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
 		t.Fatalf("d(M, e) = %g > 2δe", d)
 	}
 	if res.NaiveComparisons == 0 || res.ExpertComparisons == 0 {
@@ -304,7 +306,7 @@ func TestHedgeDuplicateChargesBudgetOnce(t *testing.T) {
 	ledger := NewLedger()
 	budget := NewBudget(BudgetLimits{MaxExpert: 1})
 	oracle := NewOracle(&ThresholdWorker{Tie: HashTie{Seed: 3}}, Expert, ledger, nil).
-		WithBackend(NewHedgeBackend(slow, 5*time.Millisecond)).
+		WithBackend(dispatch.NewHedge(slow, 5*time.Millisecond)).
 		WithBudget(budget)
 
 	a, b := Item{ID: 1, Value: 1}, Item{ID: 2, Value: 2}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"crowdmax"
 )
@@ -31,7 +32,7 @@ func ExampleSession_FindMax() {
 	}
 	fmt.Printf("true rank of result: %d\n", cal.Set.Rank(res.Best.ID))
 	fmt.Printf("candidates within bound: %v\n", len(res.Candidates) <= 19)
-	fmt.Printf("within guarantee: %v\n", crowdmax.Distance(cal.Set.Max(), res.Best) <= 2*cal.DeltaE)
+	fmt.Printf("within guarantee: %v\n", math.Abs(cal.Set.Max().Value-res.Best.Value) <= 2*cal.DeltaE)
 	// Output:
 	// true rank of result: 1
 	// candidates within bound: true

@@ -4,6 +4,11 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"crowdmax/internal/core"
+	"crowdmax/internal/dataset"
+	"crowdmax/internal/item"
+	"crowdmax/internal/worker"
 )
 
 // These tests exercise the façade re-exports end to end, so every public
@@ -38,8 +43,8 @@ func TestFacadeDatasets(t *testing.T) {
 	}
 
 	dots := DotsDataset(50)
-	if DotCount(dots.Max()) != 100 {
-		t.Fatalf("best dots = %d", DotCount(dots.Max()))
+	if dots.Len() != 50 {
+		t.Fatalf("dots len = %d", dots.Len())
 	}
 	if len(DotsGold()) != 30 {
 		t.Fatal("gold size wrong")
@@ -59,19 +64,27 @@ func TestFacadeSetConstruction(t *testing.T) {
 	if s.Max().Label != "five" {
 		t.Fatalf("max = %v", s.Max())
 	}
-	if Distance(s.Item(0), s.Item(1)) != 3 {
-		t.Fatal("distance wrong")
-	}
 }
 
 func TestFacadeWorkers(t *testing.T) {
 	r := NewRand(2)
-	p := NewProbabilisticWorker(0.25, r)
-	if p.Delta != 0 || p.Epsilon != 0.25 {
-		t.Fatalf("probabilistic worker = %+v", p)
+	p := NewThresholdWorker(0.1, 0.25, r)
+	if p.Delta != 0.1 || p.Epsilon != 0.25 {
+		t.Fatalf("threshold worker = %+v", p)
 	}
-	if Truth.Compare(Item{ID: 0, Value: 1}, Item{ID: 1, Value: 2}).ID != 1 {
-		t.Fatal("Truth broken")
+	// A HashTie worker answers an under-threshold pair the same way every
+	// time, in either argument order.
+	h := &ThresholdWorker{Delta: 1, Tie: HashTie{Seed: 5}}
+	a, b := Item{ID: 0, Value: 1}, Item{ID: 1, Value: 1.5}
+	first := h.Compare(a, b).ID
+	for i := 0; i < 10; i++ {
+		if h.Compare(a, b).ID != first || h.Compare(b, a).ID != first {
+			t.Fatal("HashTie answer depends on call order")
+		}
+	}
+	v := NoisyValuer{Sigma: 0.5, Seed: 7}
+	if v.Value(a, 3) != v.Value(a, 3) {
+		t.Fatal("NoisyValuer is not replay-stable")
 	}
 }
 
@@ -88,7 +101,7 @@ func TestFacadeFindMaxFreeFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
+	if d := item.Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
 		t.Fatalf("d = %g", d)
 	}
 	if ledger.Naive() == 0 || ledger.Expert() == 0 {
@@ -119,7 +132,7 @@ func TestFacadeCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := Distance(set.Max(), res.Best); d > 2*dFine {
+	if d := item.Distance(set.Max(), res.Best); d > 2*dFine {
 		t.Fatalf("cascade d = %g > 2δ", d)
 	}
 	if len(res.Candidates) != 2 {
@@ -170,8 +183,8 @@ func TestFacadePlateauWorld(t *testing.T) {
 func TestFacadeTopKAndRankByWins(t *testing.T) {
 	r := NewRand(7)
 	set := UniformDataset(200, 0, 1, r.Child("data"))
-	no := NewOracle(Truth, Naive, nil, NewMemo())
-	eo := NewOracle(Truth, Expert, nil, NewMemo())
+	no := NewOracle(worker.Truth, Naive, nil, NewMemo())
+	eo := NewOracle(worker.Truth, Expert, nil, NewMemo())
 	top, err := TopK(context.Background(), set.Items(), no, eo, TopKOptions{K: 3, U: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +194,7 @@ func TestFacadeTopKAndRankByWins(t *testing.T) {
 			t.Fatalf("TopK position %d has rank %d", i, set.Rank(it.ID))
 		}
 	}
-	ranked, err := RankByWins(context.Background(), top, eo)
+	ranked, err := core.RankByWins(context.Background(), top, eo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +208,7 @@ func TestFacadeLogisticWorkerAndBracket(t *testing.T) {
 	set := UniformDataset(64, 0, 10, r.Child("data"))
 	// A sharply discriminating logistic worker finds the max through the
 	// bracket baseline most of the time.
-	w := NewLogisticWorker(0.05, r.Child("w"))
+	w := worker.NewLogistic(0.05, r.Child("w"))
 	o := NewOracle(w, Naive, NewLedger(), nil)
 	best, err := TournamentMax(context.Background(), set.Items(), o, BracketOptions{Repetitions: 3})
 	if err != nil {
@@ -210,7 +223,7 @@ func TestFacadeCSVRoundTrip(t *testing.T) {
 	r := NewRand(9)
 	set := UniformDataset(10, 0, 1, r)
 	var sb strings.Builder
-	if err := WriteCSV(&sb, set); err != nil {
+	if err := dataset.WriteCSV(&sb, set); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSV(strings.NewReader(sb.String()))

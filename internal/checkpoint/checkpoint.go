@@ -7,7 +7,7 @@
 // *knowledge*: the configuration fingerprint (seed, un, phase-2 choice,
 // items hash), the current phase and survivor set, the ledger counters and
 // budget spend so far, and — crucially — the full memo tables, i.e. every
-// pair's frozen answer per worker class. Session.Resume re-runs the
+// pair's frozen answer per worker class. Session.ResumeWorkload re-runs the
 // algorithm from the beginning with the memo tables primed: every
 // pre-checkpoint comparison is a free memo hit, the restored ledger carries
 // its paid count, and the first genuinely new comparison lands exactly where
@@ -104,10 +104,11 @@ type ValueAnswer struct {
 }
 
 // State is one snapshot of a session run. Fields divide into the
-// configuration fingerprint (Seed..ItemsHash — Resume refuses a snapshot
-// whose fingerprint does not match the session and items it is applied to),
-// progress markers (Phase, Survivors), restored accounting (ledger counters,
-// budget spend), and the replay substrate (the two memo tables).
+// configuration fingerprint (Seed..ItemsHash — ResumeWorkload refuses a
+// snapshot whose fingerprint does not match the session and items it is
+// applied to), progress markers (Phase, Survivors), restored accounting
+// (ledger counters, budget spend), and the replay substrate (the two memo
+// tables).
 type State struct {
 	// Seed is the session's root rng seed; identical seeds are what make
 	// resumed and uninterrupted runs comparable at all.
@@ -151,7 +152,7 @@ type State struct {
 	NaiveMemo, ExpertMemo []PairAnswer
 
 	// Kind names the workload the snapshot belongs to (KindMaxFind,
-	// "top-k", "score"). Resume dispatches on it; a v2 file decodes with
+	// "top-k", "score"). ResumeWorkload checks it; a v2 file decodes with
 	// KindMaxFind. Encode writes KindMaxFind when empty.
 	Kind string
 	// Workload is the workload's opaque private state blob (nil for

@@ -232,7 +232,7 @@ func (c *Controller) Report(r Rung, err error) (fatal bool) {
 	switch {
 	// ErrCrash wraps ErrPermanent, so the crash test comes first: a crash
 	// models process death and must stay fatal even under degradation —
-	// recovery is Resume's job, not the ladder's.
+	// recovery is ResumeWorkload's job, not the ladder's.
 	case errors.Is(err, chaos.ErrCrash),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):

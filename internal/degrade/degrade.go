@@ -259,20 +259,3 @@ func StrongestLabel(rung string) (g Guarantee, ok bool) {
 	}
 	return GuaranteeNone, false
 }
-
-// NaturalRung returns the rung name and guarantee label of an undegraded
-// run for the given phase-2 algorithm index (core.Phase2Algorithm values:
-// 0 = 2-MaxFind, 1 = randomized, 2 = all-play-all) — the labels a session
-// without a degrade controller attaches to a clean result.
-func NaturalRung(phase2 int) (string, Guarantee) {
-	switch phase2 {
-	case 0:
-		return "expert-2maxfind", Guarantee2DeltaE
-	case 1:
-		return "expert-randomized", Guarantee3DeltaEWHP
-	case 2:
-		return "expert-all-play-all", Guarantee2DeltaE
-	default:
-		return "best-so-far", GuaranteeNone
-	}
-}

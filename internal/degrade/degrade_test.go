@@ -426,22 +426,3 @@ func TestShrinkIsDeterministicAndBudgetSized(t *testing.T) {
 		t.Fatalf("Shrink(0) returned %d candidates, want the 2-element floor", len(got))
 	}
 }
-
-func TestNaturalRung(t *testing.T) {
-	cases := []struct {
-		phase2 int
-		name   string
-		g      Guarantee
-	}{
-		{0, "expert-2maxfind", Guarantee2DeltaE},
-		{1, "expert-randomized", Guarantee3DeltaEWHP},
-		{2, "expert-all-play-all", Guarantee2DeltaE},
-		{99, "best-so-far", GuaranteeNone},
-	}
-	for _, tc := range cases {
-		name, g := NaturalRung(tc.phase2)
-		if name != tc.name || g != tc.g {
-			t.Errorf("NaturalRung(%d) = (%q, %q), want (%q, %q)", tc.phase2, name, g, tc.name, tc.g)
-		}
-	}
-}

@@ -24,8 +24,8 @@
 // stops at its last durable checkpoint — marks the jobs interrupted, and
 // returns once every record is persisted. A new server over the same state
 // directory reloads the records, rebuilds tenant budgets from them, and
-// re-runs interrupted jobs through Session.Resume: memo replay makes the
-// recovered results bit-identical to an uninterrupted run.
+// re-runs interrupted jobs through Session.ResumeWorkload: memo replay
+// makes the recovered results bit-identical to an uninterrupted run.
 package service
 
 import (
@@ -533,8 +533,8 @@ func decodeRecord(data []byte) (*Job, error) {
 // buildSet materializes the job's problem instance: the explicit items, or
 // the uniform dataset its seed derives. Both are pure functions of the
 // persisted spec, which is what lets a restarted server regenerate the
-// exact instance a checkpoint fingerprints (Resume verifies the items
-// hash).
+// exact instance a checkpoint fingerprints (ResumeWorkload verifies the
+// items hash).
 func buildSet(sp JobSpec) *crowdmax.Set {
 	if len(sp.Items) > 0 {
 		items := make([]crowdmax.Item, len(sp.Items))

@@ -537,10 +537,12 @@ func (s *Server) runJob(j *Job, resume bool) {
 		return
 	}
 
-	// The job's own deadline layers a timeout over the server context; the
-	// degrade controller sees it (and sheds quality to beat it), and an
-	// expiry that still cuts the run off settles as "expired" with the
-	// partial spend billed.
+	// The job's own deadline layers a timeout over the server context. The
+	// degrade controller sees it, but only a deadline that has already
+	// passed blocks a rung: sessions estimate no per-comparison latency, so
+	// the controller does not shed quality ahead of the deadline. An expiry
+	// that cuts the run off settles as "expired" with the partial spend
+	// billed.
 	ctx := s.baseCtx
 	if d := j.Spec.DeadlineSeconds; d > 0 {
 		var cancel context.CancelFunc

@@ -9,7 +9,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"crowdmax/internal/chaos"
 	"crowdmax/internal/checkpoint"
@@ -58,7 +57,7 @@ func ParseChaosPlan(spec string) (ChaosPlan, error) { return chaos.ParsePlan(spe
 
 // ErrInjectedCrash marks a run killed by the chaos crash injector. It wraps
 // ErrPermanentBackend, so retry decorators never retry it; resume the run
-// from its checkpoint with Session.Resume.
+// from its checkpoint with Session.ResumeWorkload.
 var ErrInjectedCrash = chaos.ErrCrash
 
 // ErrPermanentBackend marks backend failures that retrying cannot repair;
@@ -118,43 +117,16 @@ func NewWorkerPool(workers []PoolWorker, seed uint64) (*WorkerPool, error) {
 	return dispatch.NewPool(workers, seed)
 }
 
-// NewHedgeBackend duplicates requests the inner backend has not answered
-// within delay and returns the first successful answer. Wall-clock-driven
-// and therefore not deterministic; keep it out of checkpointed runs.
-func NewHedgeBackend(inner Backend, delay time.Duration) Backend {
-	return dispatch.NewHedge(inner, delay)
-}
-
-// Resume continues a run truncated by a crash (or any permanent failure)
-// from the snapshot at path, which must have been written by a session with
-// the same configuration fingerprint — seed, un, phase-2 algorithm,
-// loss-tracking setting — applied to the same items. The workload is
-// reconstructed from the snapshot's kind and state blob (a top-k snapshot
-// resumes as the same top-k run, a score snapshot as the same score run;
-// pre-workload snapshots load as max-find). The snapshot's memo tables are
-// replayed, so already-paid comparisons are served free at their recorded
-// cost, and with deterministic comparators (ε = 0 and an order-independent
-// tie policy such as HashTie) the resumed run returns answers, paid totals,
-// and candidate sets bit-identical to an uninterrupted run with the same
-// seed.
-func (s *Session) Resume(ctx context.Context, path string, items []Item) (Result, error) {
-	st, err := checkpoint.LoadFS(s.cfg.Checkpoint.FS, path)
-	if err != nil {
-		return Result{}, err
-	}
-	w, err := workloadFromState(st)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.checkpointCompatible(st, items); err != nil {
-		return Result{}, err
-	}
-	return s.run(ctx, w, items, st)
-}
-
-// ResumeWorkload is Resume for callers that know which workload the
-// snapshot must belong to: it refuses a snapshot whose recorded kind differs
-// from w's instead of silently running whatever the file says.
+// ResumeWorkload continues a run of workload w truncated by a crash (or
+// any permanent failure) from the snapshot at path. The snapshot must have
+// been written by a run of the same workload (kind, and k or votes) under
+// the same configuration fingerprint — seed and un — applied to the same
+// items; anything else is refused rather than silently run. The snapshot's
+// memo tables are replayed, so already-paid comparisons are served free at
+// their recorded cost, and with deterministic comparators (ε = 0 and an
+// order-independent tie policy such as HashTie) the resumed run returns
+// answers, paid totals, and candidate sets bit-identical to an
+// uninterrupted run with the same seed.
 func (s *Session) ResumeWorkload(ctx context.Context, w Workload, path string, items []Item) (Result, error) {
 	if w == nil {
 		return Result{}, errors.New("crowdmax: nil workload")
@@ -172,35 +144,12 @@ func (s *Session) ResumeWorkload(ctx context.Context, w Workload, path string, i
 	return s.run(ctx, w, items, st)
 }
 
-// workloadFromState reconstructs the workload a snapshot belongs to from its
-// recorded kind and state blob.
-func workloadFromState(st *checkpoint.State) (Workload, error) {
-	switch st.Kind {
-	case MaxFindKind:
-		return MaxFind(), nil
-	case TopKKind:
-		k, _, err := decodeTopKBlob(st.Workload)
-		if err != nil {
-			return nil, err
-		}
-		return TopKWorkload(k), nil
-	case ScoreKind:
-		cfg, err := decodeScoreBlob(st.Workload)
-		if err != nil {
-			return nil, err
-		}
-		return ScoreWorkload(cfg), nil
-	default:
-		return nil, fmt.Errorf("crowdmax: checkpoint has unknown workload kind %q", st.Kind)
-	}
-}
-
 // checkpointCompatible refuses snapshots whose configuration fingerprint
 // does not match this session and input — resuming under a different
 // configuration would silently produce answers neither run would have.
 func (s *Session) checkpointCompatible(st *checkpoint.State, items []Item) error {
 	if s.cfg.DisableMemoization {
-		return errors.New("crowdmax: Resume requires memoization (resume replays the checkpoint's memo tables)")
+		return errors.New("crowdmax: ResumeWorkload requires memoization (resume replays the checkpoint's memo tables)")
 	}
 	seed := uint64(0)
 	if s.cfg.Rand != nil {
@@ -209,10 +158,10 @@ func (s *Session) checkpointCompatible(st *checkpoint.State, items []Item) error
 	switch {
 	case st.Un != s.cfg.Un:
 		return fmt.Errorf("crowdmax: checkpoint was taken with un=%d, session has un=%d", st.Un, s.cfg.Un)
-	case st.Phase2 != int(s.cfg.Phase2):
-		return fmt.Errorf("crowdmax: checkpoint was taken with phase2=%d, session has %d", st.Phase2, int(s.cfg.Phase2))
-	case st.TrackLosses != s.cfg.TrackLosses:
-		return errors.New("crowdmax: checkpoint and session disagree on TrackLosses")
+	case st.Phase2 != 0:
+		return fmt.Errorf("crowdmax: checkpoint was taken with phase2=%d; only 2-MaxFind (0) is supported", st.Phase2)
+	case st.TrackLosses:
+		return errors.New("crowdmax: checkpoint was taken with TrackLosses set; loss tracking is not supported")
 	case st.Seed != seed:
 		return fmt.Errorf("crowdmax: checkpoint was taken with seed %d, session has %d", st.Seed, seed)
 	case st.NItems != len(items):
@@ -223,7 +172,7 @@ func (s *Session) checkpointCompatible(st *checkpoint.State, items []Item) error
 	return nil
 }
 
-// itemsFingerprint hashes the input's IDs and value bits (FNV-1a) so Resume
+// itemsFingerprint hashes the input's IDs and value bits (FNV-1a) so a resume
 // can detect a snapshot applied to different data.
 func itemsFingerprint(items []Item) uint64 {
 	h := fnv.New64a()
@@ -246,15 +195,13 @@ func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *L
 	n := len(items)
 	return func(st *checkpoint.State, phase string, survivors []int64) {
 		*st = checkpoint.State{
-			Kind:        kind,
-			Seed:        seed,
-			Un:          s.cfg.Un,
-			Phase2:      int(s.cfg.Phase2),
-			TrackLosses: s.cfg.TrackLosses,
-			NItems:      n,
-			ItemsHash:   fp,
-			Phase:       phase,
-			Survivors:   survivors,
+			Kind:      kind,
+			Seed:      seed,
+			Un:        s.cfg.Un,
+			NItems:    n,
+			ItemsHash: fp,
+			Phase:     phase,
+			Survivors: survivors,
 		}
 		snap := led.Snapshot()
 		st.Comparisons, st.MemoHits, st.Steps = snap.Comparisons, snap.MemoHits, snap.Steps

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/item"
 )
 
 // statelessSession builds a session over deterministic, order-independent
@@ -53,7 +55,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := Distance(cal.Set.Max(), want.Best); d > 2*cal.DeltaE {
+	if d := item.Distance(cal.Set.Max(), want.Best); d > 2*cal.DeltaE {
 		t.Fatalf("baseline answer is %g from the max, want ≤ 2δe = %g", d, 2*cal.DeltaE)
 	}
 
@@ -75,7 +77,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			resumed := statelessSession(t, cal, seed, func(c *Config) {
 				c.Checkpoint = CheckpointConfig{Path: path, Every: 64}
 			})
-			got, err := resumed.Resume(context.Background(), path, items)
+			got, err := resumed.ResumeWorkload(context.Background(), MaxFind(), path, items)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
@@ -123,7 +125,6 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 	}{
 		{name: "different-un", mutate: func(c *Config) { c.Un++ }, items: items},
 		{name: "different-seed", mutate: func(c *Config) { c.Rand = NewRand(999) }, items: items},
-		{name: "different-phase2", mutate: func(c *Config) { c.Phase2 = AllPlayAllPhase2 }, items: items},
 		{name: "different-items", mutate: nil, items: items[:len(items)-1]},
 		{name: "memoization-off", mutate: func(c *Config) { c.DisableMemoization = true }, items: items},
 	}
@@ -134,8 +135,35 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 					tc.mutate(c)
 				}
 			})
-			if _, err := other.Resume(context.Background(), path, tc.items); err == nil {
-				t.Fatal("Resume accepted a mismatched checkpoint")
+			if _, err := other.ResumeWorkload(context.Background(), MaxFind(), path, tc.items); err == nil {
+				t.Fatal("ResumeWorkload accepted a mismatched checkpoint")
+			}
+		})
+	}
+
+	// Snapshots of configurations no session can run any more — another
+	// phase-2 algorithm, loss tracking — are refused by name.
+	st, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retired := range []struct {
+		name, field string
+		mutate      func(*checkpoint.State)
+	}{
+		{name: "different-phase2", field: "phase2", mutate: func(st *checkpoint.State) { st.Phase2 = 2 }},
+		{name: "different-track-losses", field: "TrackLosses", mutate: func(st *checkpoint.State) { st.TrackLosses = true }},
+	} {
+		t.Run(retired.name, func(t *testing.T) {
+			old := *st
+			retired.mutate(&old)
+			oldPath := filepath.Join(t.TempDir(), "old.ck")
+			if err := os.WriteFile(oldPath, checkpoint.Encode(&old), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := statelessSession(t, cal, 5, nil).ResumeWorkload(context.Background(), MaxFind(), oldPath, items)
+			if err == nil || !strings.Contains(err.Error(), retired.field) {
+				t.Fatalf("ResumeWorkload err = %v, want a refusal naming %s", err, retired.field)
 			}
 		})
 	}
@@ -151,7 +179,7 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("CMCKgarbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Resume(context.Background(), path, cal.Set.Items()); err == nil {
+	if _, err := s.ResumeWorkload(context.Background(), MaxFind(), path, cal.Set.Items()); err == nil {
 		t.Fatal("Resume accepted a corrupt checkpoint file")
 	}
 }
@@ -187,7 +215,7 @@ func TestBackendDiesMidPhase1(t *testing.T) {
 	s := statelessSession(t, cal, 9, func(c *Config) {
 		c.NaiveBackend = dying
 	})
-	res, err := s.FindMaxContext(context.Background(), cal.Set.Items())
+	res, err := s.Run(context.Background(), MaxFind(), cal.Set.Items())
 	if !errors.Is(err, ErrBackendUnavailable) {
 		t.Fatalf("err = %v, want ErrBackendUnavailable", err)
 	}
@@ -218,7 +246,7 @@ func TestBackendDiesMidPhase2(t *testing.T) {
 	s := statelessSession(t, cal, 9, func(c *Config) {
 		c.ExpertBackend = dying
 	})
-	res, err := s.FindMaxContext(context.Background(), cal.Set.Items())
+	res, err := s.Run(context.Background(), MaxFind(), cal.Set.Items())
 	if !errors.Is(err, ErrBackendUnavailable) {
 		t.Fatalf("err = %v, want ErrBackendUnavailable", err)
 	}
@@ -366,7 +394,7 @@ func TestSessionDegradeCrashResumeSameRung(t *testing.T) {
 	resumed := degradedOutageSession(t, cal, seed, 40, func(c *Config) {
 		c.Checkpoint = CheckpointConfig{Path: path, Every: 16}
 	})
-	got, err := resumed.Resume(context.Background(), path, items)
+	got, err := resumed.ResumeWorkload(context.Background(), MaxFind(), path, items)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -383,22 +411,5 @@ func TestSessionDegradeCrashResumeSameRung(t *testing.T) {
 	}
 	if len(got.Decisions) != len(want.Decisions) {
 		t.Fatalf("resumed decision log has %d entries, reference %d", len(got.Decisions), len(want.Decisions))
-	}
-}
-
-func TestSessionDegradeRejectsBadLadder(t *testing.T) {
-	cal, err := dataset.UniformCalibrated(80, 4, 2, NewRand(37))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := statelessSession(t, cal, 5, func(c *Config) {
-		// A ladder not ending in best-so-far could leave the controller with
-		// no eligible rung; the run must refuse it up front.
-		c.Degrade = &DegradeConfig{Ladder: QualityLadder{
-			{Name: "expert-2maxfind", Guarantee: Guarantee2DeltaE, MinExperts: 1},
-		}}
-	})
-	if _, err := s.FindMax(cal.Set.Items()); err == nil {
-		t.Fatal("invalid ladder accepted")
 	}
 }

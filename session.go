@@ -17,10 +17,9 @@ import (
 	"crowdmax/internal/worker"
 )
 
-// ErrSessionBusy is returned by FindMax/FindMaxContext/EstimateUn when a
-// Session is entered concurrently. A Session accumulates costs in a single
-// ledger and is documented as not safe for concurrent use; the guard turns
-// silent data races into a crisp error.
+// ErrSessionBusy is returned by FindMax, Run and ResumeWorkload when a
+// Session is entered concurrently. A Session is documented as not safe for
+// concurrent use; the guard turns silent data races into a crisp error.
 var ErrSessionBusy = errors.New("crowdmax: session already running (Session is not safe for concurrent use)")
 
 // Config assembles a Session: the two worker pools, the filter parameter,
@@ -35,31 +34,24 @@ type Config struct {
 	// workloads ignore it. Score runs require either a Valuer or a
 	// NaiveBackend that answers value queries itself.
 	Valuer Valuer
-	// Un is the un(n) estimate handed to the filter; estimate it with
-	// EstimateUn when unknown. Required, ≥ 1. Overestimating costs money
-	// but never accuracy.
+	// Un is the un(n) estimate handed to the filter; estimate it with the
+	// EstimateUn function when unknown. Required, ≥ 1. Overestimating costs
+	// money but never accuracy.
 	Un int
 	// Prices sets cn and ce for cost reporting; the zero value prices
 	// every comparison at 0.
 	Prices Prices
-	// Phase2 selects the expert-phase algorithm; the zero value is
-	// 2-MaxFind, the paper's practical choice.
-	Phase2 Phase2Algorithm
 	// Memoize caches each pair's first answer per worker class
 	// (Appendix A, optimization 1). Enabled by default — set
 	// DisableMemoization to turn it off.
 	DisableMemoization bool
-	// TrackLosses discards elements early once they have lost to un
-	// distinct opponents (Appendix A, optimization 2).
-	TrackLosses bool
-	// Rand drives the randomized phase 2 (only needed with
-	// RandomizedPhase2); defaults to a fixed-seed stream.
+	// Rand seeds the run: its seed fingerprints checkpoints and drives the
+	// degradation ladder's randomized rung; defaults to a fixed-seed stream.
 	Rand *Rand
 	// Budget declares hard caps on comparison counts and monetary spend
-	// for each FindMax run; the zero value is unlimited. A capped run that
-	// hits a limit returns ErrBudgetExhausted (wrapped) alongside the
-	// best-so-far partial result, and never exceeds any cap by even one
-	// comparison.
+	// for each run; the zero value is unlimited. A capped run that hits a
+	// limit returns ErrBudgetExhausted (wrapped) alongside the best-so-far
+	// partial result, and never exceeds any cap by even one comparison.
 	Budget BudgetLimits
 	// NaiveBackend, when set, routes phase-1 comparisons through a dispatch
 	// backend (flaky, retrying, or a real platform adapter) instead of
@@ -70,8 +62,8 @@ type Config struct {
 	ExpertBackend Backend
 	// Checkpoint enables crash recovery: snapshots of the run state are
 	// written atomically to Checkpoint.Path at phase boundaries and every
-	// Checkpoint.Every paid comparisons, and Session.Resume continues a
-	// truncated run from the last snapshot. Requires memoization (the
+	// Checkpoint.Every paid comparisons, and Session.ResumeWorkload
+	// continues a truncated run from the last snapshot. Requires memoization (the
 	// default) and — for bit-identical resume — stateless comparators
 	// (ε = 0 with an order-independent tie policy such as HashTie).
 	Checkpoint CheckpointConfig
@@ -101,18 +93,16 @@ type Config struct {
 	OnDecision func(d DegradeDecision)
 }
 
-// Session runs the two-phase algorithm with a fixed worker configuration
-// and accumulates costs across runs. Create one with NewSession.
+// Session runs workloads with a fixed worker configuration; each Result
+// reports its own run's paid counts and cost. Create one with NewSession.
 //
-// A Session is NOT safe for concurrent use: runs share one cost ledger and
-// the configured comparators are typically stateful (seeded random
-// streams). A cheap atomic guard enforces this — a reentrant or concurrent
-// FindMax/FindMaxContext/EstimateUn returns ErrSessionBusy instead of
-// racing.
+// A Session is NOT safe for concurrent use: the configured comparators are
+// typically stateful (seeded random streams). A cheap atomic guard enforces
+// this — a reentrant or concurrent FindMax, Run or ResumeWorkload returns
+// ErrSessionBusy instead of racing.
 type Session struct {
-	cfg    Config
-	ledger *Ledger
-	inUse  atomic.Bool
+	cfg   Config
+	inUse atomic.Bool
 }
 
 // enter acquires the session's single-run slot.
@@ -137,10 +127,10 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Un < 1 {
 		return nil, fmt.Errorf("crowdmax: Config.Un must be ≥ 1, got %d", cfg.Un)
 	}
-	return &Session{cfg: cfg, ledger: NewLedger()}, nil
+	return &Session{cfg: cfg}, nil
 }
 
-// Result is the outcome of one Session.FindMax run.
+// Result is the outcome of one Session run.
 type Result struct {
 	// Best is the returned approximation of the maximum element. On a
 	// truncated run (cancellation, budget exhaustion) it is the phase-2
@@ -154,9 +144,9 @@ type Result struct {
 	// Cost is this run's monetary cost under the session prices.
 	Cost float64
 	// Rung names the quality-ladder rung that produced Best, and Guarantee
-	// its machine-checkable label. An undegraded successful run reports the
-	// natural rung of its phase-2 algorithm (e.g. "expert-2maxfind" / 2δe);
-	// any run that returns an error reports "best-so-far" with no bound.
+	// its machine-checkable label. An undegraded successful max-find run
+	// reports "expert-2maxfind" / 2δe; any run that returns an error reports
+	// "best-so-far" with no bound.
 	Rung      string
 	Guarantee Guarantee
 	// Phase1Complete reports whether the filter phase ran to completion —
@@ -189,32 +179,25 @@ type RankedResult struct {
 }
 
 // FindMax runs the two-phase algorithm on items with no cancellation
-// deadline; see FindMaxContext.
+// deadline: it is Run(context.Background(), MaxFind(), items).
 func (s *Session) FindMax(items []Item) (Result, error) {
-	return s.FindMaxContext(context.Background(), items)
+	return s.run(context.Background(), MaxFind(), items, nil)
 }
 
-// FindMaxContext runs the two-phase algorithm on items under ctx. The run
-// stops promptly on cancellation, and the Config.Budget caps (when set) are
-// enforced on every comparison. On cancellation or budget exhaustion the
-// returned Result carries the best-so-far partial answer and the true paid
-// costs alongside the error; use errors.Is(err, context.Canceled) and
-// errors.Is(err, ErrBudgetExhausted) to tell the causes apart.
-func (s *Session) FindMaxContext(ctx context.Context, items []Item) (Result, error) {
-	return s.run(ctx, MaxFind(), items, nil)
-}
-
-// Run executes a workload on items through the session engine: the same
+// Run executes a workload on items under ctx through the session engine:
 // backend wiring (chaos, health, hedging, checkpointing), budget
-// enforcement, memoization, and checkpoint-replay resume that FindMax uses,
-// with the algorithm supplied by the workload. FindMaxContext is exactly
-// Run(ctx, MaxFind(), items); see TopKWorkload and ScoreWorkload for the
-// other registered workloads.
+// enforcement and memoization, with the algorithm supplied by the workload;
+// see MaxFind, TopKWorkload and ScoreWorkload. The run stops promptly on
+// cancellation, and the Config.Budget caps (when set) are enforced on every
+// comparison. On cancellation or budget exhaustion the returned Result
+// carries the best-so-far partial answer and the true paid costs alongside
+// the error; use errors.Is(err, context.Canceled) and errors.Is(err,
+// ErrBudgetExhausted) to tell the causes apart.
 func (s *Session) Run(ctx context.Context, w Workload, items []Item) (Result, error) {
 	return s.run(ctx, w, items, nil)
 }
 
-// run is the workload-generic engine behind Run, FindMaxContext and Resume:
+// run is the workload-generic engine behind FindMax, Run and ResumeWorkload:
 // it wires the configured backends (decorating them with chaos, health, and
 // checkpoint layers as requested), optionally replays a checkpoint, hands
 // the plumbed environment to the workload, and leaves cost merging and
@@ -383,9 +366,8 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 // deadline) and decision forwarding to obs and the user's observer.
 func (s *Session) degradeOptions(ctx context.Context, env *runEnv, ropt core.RandomizedOptions) degrade.Options {
 	return degrade.Options{
-		Un:          s.cfg.Un,
-		TrackLosses: s.cfg.TrackLosses,
-		Randomized:  ropt,
+		Un:         s.cfg.Un,
+		Randomized: ropt,
 		Signals: func() degrade.Signals {
 			sig := degrade.Unconstrained()
 			if env.budget != nil {
@@ -430,7 +412,6 @@ func (s *Session) findMaxDegraded(ctx context.Context, env *runEnv, ctl *degrade
 	if err == nil && env.ck != nil {
 		err = env.ck.Err()
 	}
-	s.ledger.Add(env.runLedger)
 	rung, guarantee := out.Rung.Name, out.Rung.Guarantee
 	if err != nil {
 		// A fatal error (crash, cancellation) means no rung completed; the
@@ -465,79 +446,4 @@ func (s *Session) phaseHook(ck *ckWriter) func(phase string, survivors []Item) {
 		ck.boundary(phase, survivors)
 		user(phase, survivors)
 	}
-}
-
-// TotalCost returns the monetary cost accumulated across all FindMax runs
-// of this session.
-func (s *Session) TotalCost() float64 { return s.ledger.Cost(s.cfg.Prices) }
-
-// TotalComparisons returns the accumulated (naïve, expert) comparison
-// counts across all runs.
-func (s *Session) TotalComparisons() (naive, expert int64) {
-	return s.ledger.Naive(), s.ledger.Expert()
-}
-
-// EstimateUn runs Algorithm 4 with this session's naïve workers: it
-// estimates an upper bound for un(n) from a training set whose maximum is
-// known (gold data), to be fed back into Config.Un. The estimation
-// comparisons are billed to the session like any other naïve work.
-//
-// Deprecated: EstimateUn cannot be cancelled and bypasses the session's
-// Config.Budget caps — estimation comparisons are billed but never held
-// against the limits. Use EstimateUnContext, which honours both.
-func (s *Session) EstimateUn(training []Item, perr float64, n int) (int, error) {
-	return s.estimateUn(context.Background(), training, perr, n, false)
-}
-
-// EstimateUnContext is EstimateUn under a context and the session budget: the
-// estimation stops promptly on cancellation, and when Config.Budget is set
-// its caps apply to the estimation comparisons exactly as they do to a run —
-// a capped estimation returns ErrBudgetExhausted (wrapped) rather than
-// overspending.
-func (s *Session) EstimateUnContext(ctx context.Context, training []Item, perr float64, n int) (int, error) {
-	return s.estimateUn(ctx, training, perr, n, true)
-}
-
-func (s *Session) estimateUn(ctx context.Context, training []Item, perr float64, n int, budgeted bool) (int, error) {
-	if err := s.enter(); err != nil {
-		return 0, err
-	}
-	defer s.leave()
-	runLedger := NewLedger()
-	no := NewOracle(s.cfg.Naive, Naive, runLedger, nil).WithBackend(s.cfg.NaiveBackend)
-	if budgeted && !s.cfg.Budget.IsZero() {
-		no.WithBudget(NewBudget(s.cfg.Budget))
-	}
-	est, err := core.EstimateUn(ctx, training, no, core.EstimateUnOptions{Perr: perr, N: n})
-	if err != nil {
-		return 0, err
-	}
-	s.ledger.Add(runLedger)
-	return est, nil
-}
-
-// Bounds evaluates the paper's closed-form guarantees for an input of size
-// n under this session's un: the maximum naïve comparisons (Lemma 3), the
-// maximum expert comparisons with a 2-MaxFind phase 2 (Theorem 1), the
-// candidate-set bound, and the worst-case cost under the session prices.
-//
-// Deprecated: Bounds cannot report cancellation to callers embedding it in
-// request paths; use BoundsContext.
-func (s *Session) Bounds(n int) (naiveMax, expertMax float64, candidates int, worstCost float64) {
-	naiveMax, expertMax, candidates, worstCost, _ = s.BoundsContext(context.Background(), n)
-	return naiveMax, expertMax, candidates, worstCost
-}
-
-// BoundsContext is Bounds with a context: services evaluating bounds inside
-// a request handler get the standard cancellation check (the computation is
-// closed-form, so the context is only consulted once, up front).
-func (s *Session) BoundsContext(ctx context.Context, n int) (naiveMax, expertMax float64, candidates int, worstCost float64, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	naiveMax = core.Phase1UpperBound(n, s.cfg.Un)
-	expertMax = core.Phase2ExpertUpperBound(s.cfg.Un)
-	candidates = core.CandidateSetBound(s.cfg.Un)
-	worstCost = naiveMax*s.cfg.Prices.Unit(worker.Naive) + expertMax*s.cfg.Prices.Unit(worker.Expert)
-	return naiveMax, expertMax, candidates, worstCost, nil
 }

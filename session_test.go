@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"crowdmax/internal/core"
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/item"
+	"crowdmax/internal/worker"
 )
 
 func testSession(t *testing.T, cal dataset.Calibrated, un int, seed uint64) *Session {
@@ -51,7 +54,7 @@ func TestSessionFindMaxGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
+		if d := item.Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
 			t.Fatalf("trial %d: d(M, e) = %g > 2δe", trial, d)
 		}
 		if res.NaiveComparisons == 0 || res.ExpertComparisons == 0 {
@@ -63,13 +66,14 @@ func TestSessionFindMaxGuarantee(t *testing.T) {
 	}
 }
 
-func TestSessionAccumulatesCosts(t *testing.T) {
-	r := NewRand(3)
-	cal, err := dataset.UniformCalibrated(400, 6, 2, r)
+// TestSessionRunsReportOwnCosts: a Session carries no cost across runs, so
+// a second run over the same input reports exactly what the first did.
+func TestSessionRunsReportOwnCosts(t *testing.T) {
+	cal, err := dataset.UniformCalibrated(400, 6, 2, NewRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := testSession(t, cal, 6, 200)
+	s := statelessSession(t, cal, 200, nil)
 	res1, err := s.FindMax(cal.Set.Items())
 	if err != nil {
 		t.Fatal(err)
@@ -78,16 +82,15 @@ func TestSessionAccumulatesCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TotalCost(); got != res1.Cost+res2.Cost {
-		t.Fatalf("TotalCost = %g, want %g", got, res1.Cost+res2.Cost)
-	}
-	n, e := s.TotalComparisons()
-	if n != res1.NaiveComparisons+res2.NaiveComparisons ||
-		e != res1.ExpertComparisons+res2.ExpertComparisons {
-		t.Fatal("TotalComparisons mismatch")
+	resultsEqual(t, res2, res1)
+	if want := float64(res1.NaiveComparisons) + 50*float64(res1.ExpertComparisons); res1.Cost != want {
+		t.Fatalf("cost = %g, want %g", res1.Cost, want)
 	}
 }
 
+// TestSessionBoundsHold checks a run's paid counts, candidate set and cost
+// against the paper's closed-form guarantees for its n and un: Lemma 3's
+// naïve bound, Theorem 1's expert bound for 2-MaxFind, and |S| ≤ 2·un − 1.
 func TestSessionBoundsHold(t *testing.T) {
 	r := NewRand(4)
 	cal, err := dataset.UniformCalibrated(800, 10, 4, r)
@@ -95,7 +98,10 @@ func TestSessionBoundsHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := testSession(t, cal, 10, 300)
-	naiveMax, expertMax, candidates, worstCost := s.Bounds(800)
+	naiveMax := core.Phase1UpperBound(800, 10)
+	expertMax := core.Phase2ExpertUpperBound(10)
+	candidates := core.CandidateSetBound(10)
+	worstCost := naiveMax*1 + expertMax*50
 	res, err := s.FindMax(cal.Set.Items())
 	if err != nil {
 		t.Fatal(err)
@@ -147,38 +153,12 @@ func TestSessionMemoizationReducesCost(t *testing.T) {
 	}
 }
 
-func TestSessionRandomizedPhase2(t *testing.T) {
-	r := NewRand(6)
-	cal, err := dataset.UniformCalibrated(500, 8, 3, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := NewRand(7)
-	s, err := NewSession(Config{
-		Naive:  NewThresholdWorker(cal.DeltaN, 0, rr.Child("n")),
-		Expert: NewThresholdWorker(cal.DeltaE, 0, rr.Child("e")),
-		Un:     8,
-		Phase2: RandomizedPhase2,
-		Rand:   rr.Child("p2"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.FindMax(cal.Set.Items())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := Distance(cal.Set.Max(), res.Best); d > 3*cal.DeltaE {
-		t.Fatalf("randomized phase 2: d = %g > 3δe", d)
-	}
-}
-
 func TestFacadeAlgorithmsUsable(t *testing.T) {
 	// The free functions of the façade must work end to end.
 	r := NewRand(8)
 	set := NewSet([]float64{3, 1, 4, 1.5, 9, 2.6})
 	ledger := NewLedger()
-	o := NewOracle(Truth, Expert, ledger, NewMemo())
+	o := NewOracle(worker.Truth, Expert, ledger, NewMemo())
 	best, err := TwoMaxFind(context.Background(), set.Items(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +182,7 @@ func TestFacadeAlgorithmsUsable(t *testing.T) {
 	if !found {
 		t.Fatal("Filter dropped the maximum")
 	}
-	rbest, err := RandomizedMaxFind(context.Background(), set.Items(), NewOracle(Truth, Expert, nil, nil), RandomizedOptions{R: r})
+	rbest, err := RandomizedMaxFind(context.Background(), set.Items(), NewOracle(worker.Truth, Expert, nil, nil), RandomizedOptions{R: r})
 	if err != nil || rbest.Value != 9 {
 		t.Fatalf("RandomizedMaxFind: %v, %v", rbest, err)
 	}
@@ -228,28 +208,5 @@ func TestFacadeEstimation(t *testing.T) {
 	}
 	if un < 1 {
 		t.Fatalf("un estimate = %d", un)
-	}
-}
-
-func TestSessionEstimateUn(t *testing.T) {
-	r := NewRand(10)
-	cal, err := dataset.UniformCalibrated(600, 12, 4, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testSession(t, cal, 12, 400)
-	est, err := s.EstimateUn(cal.Set.Items(), 0.5, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est < 1 {
-		t.Fatalf("estimate = %d", est)
-	}
-	// Estimation comparisons are billed to the session (cn = 1 each).
-	if s.TotalCost() < 599 {
-		t.Fatalf("estimation comparisons not billed: total cost %.0f", s.TotalCost())
-	}
-	if _, err := s.EstimateUn(nil, 0.5, 600); err == nil {
-		t.Fatal("empty training accepted")
 	}
 }

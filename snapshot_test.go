@@ -15,6 +15,7 @@ import (
 	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/core"
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/dispatch"
 	"crowdmax/internal/faults"
 )
 
@@ -273,7 +274,7 @@ func TestIncrementalTablesMatchFullScan(t *testing.T) {
 			check.requireExact(5)
 
 			check = checkSnapshots(t)
-			got, err := statelessSession(t, cal, seed, config(0)).Resume(context.Background(), path, items)
+			got, err := statelessSession(t, cal, seed, config(0)).ResumeWorkload(context.Background(), w, path, items)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
@@ -338,7 +339,7 @@ func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 		build := s.checkpointState(MaxFindKind, items, 6, ledger, nil, nil, &snapHooks{})
 		w := newCkWriter(CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ck"), Every: 8}, memo, NewMemo(), build)
 		o := NewOracle(naive, Naive, ledger, memo).
-			WithBackend(w.wrap(NewHedgeBackend(pool, time.Microsecond), Naive)).
+			WithBackend(w.wrap(dispatch.NewHedge(pool, time.Microsecond), Naive)).
 			ParallelBatch(4)
 		w.boundary("start", nil)
 		if _, err := core.Filter(context.Background(), items, o, core.FilterOptions{Un: cal.Un}); err != nil {

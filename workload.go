@@ -13,7 +13,7 @@ import (
 )
 
 // The registered workload kinds — the strings Session.Run stamps into
-// checkpoints, job records, and event streams, and Resume dispatches on.
+// checkpoints, job records, and event streams, and ResumeWorkload checks.
 const (
 	// MaxFindKind is the original two-phase max-finding workload.
 	MaxFindKind = checkpoint.KindMaxFind
@@ -40,8 +40,8 @@ type Workload interface {
 	// "start" checkpoint boundary: workloads create controllers, decode
 	// their resume blob, and register snapshot hooks here.
 	prepare(env *runEnv) error
-	// run executes the workload. It owns the tail of the run: merging the
-	// run ledger into the session ledger and labelling the Result honestly.
+	// run executes the workload. It owns the tail of the run: reporting the
+	// run ledger's totals and labelling the Result honestly.
 	run(ctx context.Context, env *runEnv) (Result, error)
 }
 
@@ -110,8 +110,7 @@ func (h *snapHooks) snapshot() (*degrade.Controller, []byte) {
 type maxFindWorkload struct{}
 
 // MaxFind returns the two-phase max-finding workload — the algorithm
-// Session.FindMax runs. Session.Run(ctx, MaxFind(), items) and
-// Session.FindMaxContext(ctx, items) are the same call.
+// Session.FindMax runs: Run(ctx, MaxFind(), items) is FindMax under ctx.
 func MaxFind() Workload { return maxFindWorkload{} }
 
 // Kind implements Workload.
@@ -120,13 +119,8 @@ func (maxFindWorkload) Kind() string { return MaxFindKind }
 func (maxFindWorkload) validate(cfg *Config, nItems int) error { return nil }
 
 func (maxFindWorkload) prepare(env *runEnv) error {
-	if d := env.s.cfg.Degrade; d != nil {
-		ctl, err := degrade.NewController(degrade.Config{
-			Ladder:      d.Ladder,
-			MaxAttempts: d.MaxAttempts,
-			Seed:        env.r.Seed(),
-			CmpLatency:  d.CmpLatency,
-		})
+	if env.s.cfg.Degrade != nil {
+		ctl, err := degrade.NewController(degrade.Config{Seed: env.r.Seed()})
 		if err != nil {
 			return err
 		}
@@ -141,13 +135,7 @@ func (maxFindWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 	if env.ctl != nil {
 		return s.findMaxDegraded(ctx, env, env.ctl)
 	}
-	opt := core.FindMaxOptions{
-		Un:          s.cfg.Un,
-		Phase2:      s.cfg.Phase2,
-		TrackLosses: s.cfg.TrackLosses,
-		Randomized:  core.RandomizedOptions{R: env.r.Child("phase2")},
-	}
-	opt.OnPhase = s.phaseHook(env.ck)
+	opt := core.FindMaxOptions{Un: s.cfg.Un, OnPhase: s.phaseHook(env.ck)}
 	res, err := core.FindMax(ctx, env.items, env.no, env.eo, opt)
 	if err == nil && env.ck != nil {
 		// A boundary snapshot that failed to write cannot fail the run
@@ -156,11 +144,10 @@ func (maxFindWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 		// durable final snapshot.
 		err = env.ck.Err()
 	}
-	s.ledger.Add(env.runLedger)
-	rung, guarantee := degrade.NaturalRung(int(s.cfg.Phase2))
+	rung, guarantee := "expert-2maxfind", Guarantee2DeltaE
 	if err != nil {
-		// A truncated run's Best is a best-so-far leader; claiming the
-		// phase-2 algorithm's bound for it would overstate the quality.
+		// A truncated run's Best is a best-so-far leader; claiming
+		// 2-MaxFind's bound for it would overstate the quality.
 		rung, guarantee = "best-so-far", GuaranteeNone
 	}
 	return Result{
@@ -336,16 +323,10 @@ func (w *topKWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 
 rounds:
 	for round := len(ranked); round < st.k; round++ {
-		natural, naturalG := degrade.NaturalRung(int(s.cfg.Phase2))
 		if s.cfg.Degrade != nil && len(remaining) > 1 {
 			// Each round gets a fresh controller: failure counts and ladder
 			// positions from one rank say nothing about the next.
-			ctl, err := degrade.NewController(degrade.Config{
-				Ladder:      s.cfg.Degrade.Ladder,
-				MaxAttempts: s.cfg.Degrade.MaxAttempts,
-				Seed:        env.r.ChildN("topk-ctl", round).Seed(),
-				CmpLatency:  s.cfg.Degrade.CmpLatency,
-			})
+			ctl, err := degrade.NewController(degrade.Config{Seed: env.r.ChildN("topk-ctl", round).Seed()})
 			if err != nil {
 				runErr = err
 				break
@@ -372,16 +353,7 @@ rounds:
 		}
 		// Undegraded (or single-element) round: wrap core.TopK for its
 		// validation, single-survivor shortcut, and truncation reporting.
-		// Per-round child streams keep a resumed run's randomized phase 2 on
-		// the same draws as an uninterrupted one even though completed
-		// rounds are skipped.
-		out, err := core.TopK(ctx, remaining, env.no, env.eo, core.TopKOptions{
-			K:           1,
-			U:           s.cfg.Un,
-			Phase2:      s.cfg.Phase2,
-			TrackLosses: s.cfg.TrackLosses,
-			Randomized:  core.RandomizedOptions{R: env.r.ChildN("topk-phase2", round)},
-		})
+		out, err := core.TopK(ctx, remaining, env.no, env.eo, core.TopKOptions{K: 1, U: s.cfg.Un})
 		if err != nil {
 			// Re-wrap with the global round number (core.TopK saw round 1 of
 			// its one-round run).
@@ -392,13 +364,12 @@ rounds:
 			runErr = fmt.Errorf("round %d: %w", round+1, err)
 			break
 		}
-		record(RankedResult{Item: out[0], Rung: natural, Guarantee: naturalG})
+		record(RankedResult{Item: out[0], Rung: "expert-2maxfind", Guarantee: Guarantee2DeltaE})
 	}
 
 	if runErr == nil && env.ck != nil {
 		runErr = env.ck.Err()
 	}
-	s.ledger.Add(env.runLedger)
 	res := Result{
 		Ranked:            ranked,
 		NaiveComparisons:  env.runLedger.Naive(),
@@ -432,33 +403,16 @@ rounds:
 // ----------------------------------------------------------------------------
 // crowd scoring
 
-// ScoreAggregation selects how a score run combines each element's votes.
-type ScoreAggregation = core.Aggregation
-
-// Score aggregation choices.
-const (
-	// TrimmedMeanAggregation drops each element's top and bottom quarter of
-	// votes and averages the rest (the default).
-	TrimmedMeanAggregation = core.AggTrimmedMean
-	// MedianAggregation takes each element's median vote — the
-	// majority-style aggregate.
-	MedianAggregation = core.AggMedian
-)
-
 // ItemScore pairs an element with its aggregated crowd score.
 type ItemScore = core.ItemScore
 
 // ScoreConfig configures the crowd-scoring workload.
 type ScoreConfig struct {
 	// Votes is the number of independent cardinal votes per element in the
-	// scoring phase; 0 defaults to 3.
+	// scoring phase; 0 defaults to 3. Each element's votes are combined by
+	// a trimmed mean (the top and bottom quarter dropped), and the expert
+	// phase sees the 2·un − 1 top-scored elements.
 	Votes int
-	// Aggregation combines each element's votes; the zero value is the
-	// trimmed mean.
-	Aggregation ScoreAggregation
-	// Shortlist overrides the number of top-scored elements handed to the
-	// expert phase; 0 derives 2·un − 1 from the session's Config.Un.
-	Shortlist int
 }
 
 // scoreWorkload is the crowd-scoring workload (Nordio et al.).
@@ -482,14 +436,6 @@ func (w *scoreWorkload) validate(cfg *Config, nItems int) error {
 	if w.cfg.Votes < 0 {
 		return fmt.Errorf("crowdmax: ScoreConfig.Votes must be ≥ 0, got %d", w.cfg.Votes)
 	}
-	if w.cfg.Shortlist < 0 {
-		return fmt.Errorf("crowdmax: ScoreConfig.Shortlist must be ≥ 0, got %d", w.cfg.Shortlist)
-	}
-	switch w.cfg.Aggregation {
-	case TrimmedMeanAggregation, MedianAggregation:
-	default:
-		return fmt.Errorf("crowdmax: unknown ScoreConfig.Aggregation %d", int(w.cfg.Aggregation))
-	}
 	if cfg.Valuer == nil && cfg.NaiveBackend == nil {
 		return errors.New("crowdmax: ScoreWorkload requires Config.Valuer or a NaiveBackend that answers value queries")
 	}
@@ -497,28 +443,34 @@ func (w *scoreWorkload) validate(cfg *Config, nItems int) error {
 }
 
 // encodeBlob fingerprints the score configuration into the checkpoint blob
-// so Resume can reconstruct the workload and refuse a mismatched one.
+// so a resume can refuse a mismatched workload. The two zeros are the
+// retired aggregation and shortlist fields, kept so the format is unchanged.
 func (w *scoreWorkload) encodeBlob() []byte {
 	var b checkpoint.Builder
 	b.U64(1) // blob revision
 	b.I64(int64(w.cfg.Votes))
-	b.I64(int64(w.cfg.Aggregation))
-	b.I64(int64(w.cfg.Shortlist))
+	b.I64(0) // aggregation: trimmed mean
+	b.I64(0) // shortlist: 2·un − 1
 	return b.Bytes()
 }
 
+// decodeScoreBlob reads a score blob back, refusing one written with a
+// non-default aggregation or shortlist: no session runs those any more.
 func decodeScoreBlob(blob []byte) (ScoreConfig, error) {
 	r := checkpoint.NewReader(blob)
 	if rev := r.U64(); r.Err() == nil && rev != 1 {
 		return ScoreConfig{}, fmt.Errorf("%w: unknown score state revision %d", checkpoint.ErrCorrupt, rev)
 	}
-	cfg := ScoreConfig{
-		Votes:       int(r.I64()),
-		Aggregation: ScoreAggregation(r.I64()),
-		Shortlist:   int(r.I64()),
-	}
+	cfg := ScoreConfig{Votes: int(r.I64())}
+	agg, shortlist := r.I64(), r.I64()
 	if err := r.Done(); err != nil {
 		return ScoreConfig{}, err
+	}
+	if agg != 0 {
+		return ScoreConfig{}, fmt.Errorf("crowdmax: checkpoint was taken with score aggregation %d; only the trimmed mean (0) is supported", agg)
+	}
+	if shortlist != 0 {
+		return ScoreConfig{}, fmt.Errorf("crowdmax: checkpoint was taken with score shortlist %d; only the default (0) is supported", shortlist)
 	}
 	return cfg, nil
 }
@@ -539,15 +491,7 @@ func (w *scoreWorkload) prepare(env *runEnv) error {
 
 func (w *scoreWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 	s := env.s
-	opt := core.ScoreOptions{
-		Votes:       w.cfg.Votes,
-		Aggregation: w.cfg.Aggregation,
-		U:           s.cfg.Un,
-		Shortlist:   w.cfg.Shortlist,
-		Phase2:      s.cfg.Phase2,
-		Randomized:  core.RandomizedOptions{R: env.r.Child("score-phase2")},
-	}
-	opt.OnPhase = s.phaseHook(env.ck)
+	opt := core.ScoreOptions{Votes: w.cfg.Votes, U: s.cfg.Un, OnPhase: s.phaseHook(env.ck)}
 	res, serr := core.Score(ctx, env.items, env.no, env.eo, opt)
 	var ckErr error
 	if env.ck != nil {
@@ -557,7 +501,6 @@ func (w *scoreWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 	if err == nil {
 		err = ckErr
 	}
-	s.ledger.Add(env.runLedger)
 	out := Result{
 		Best:              res.Best,
 		Candidates:        res.Shortlist,
@@ -585,7 +528,7 @@ func (w *scoreWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 
 // recoverableScoreErr reports whether a score run's expert-phase failure may
 // be absorbed by the score-naive fallback. Cancellation, deadlines, and
-// injected crashes stay fatal — crash recovery is Resume's job.
+// injected crashes stay fatal — crash recovery is ResumeWorkload's job.
 func recoverableScoreErr(err error) bool {
 	return !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) &&

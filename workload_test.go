@@ -8,7 +8,10 @@ import (
 	"testing"
 
 	"crowdmax/internal/checkpoint"
+	"crowdmax/internal/core"
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/item"
+	"crowdmax/internal/worker"
 )
 
 // resultsEqual compares the engine-visible outcome of two runs: answer,
@@ -56,40 +59,71 @@ func resultsEqual(t *testing.T, got, want Result) {
 	}
 }
 
-// TestRunMaxFindEquivalent is the tentpole's core promise: Session.Run with
-// the MaxFind workload is the same computation as FindMaxContext — same
-// answer, same paid counts, same cost, same labels — across seeds, phase-2
-// algorithms, budgets, and mid-run crashes.
+// TestRunMaxFindEquivalent pins the session engine to the bare algorithm:
+// Session.Run with the MaxFind workload is core.FindMax on memoized
+// oracles — same answer, candidate set, paid counts, cost and error, with
+// 2-MaxFind's label on success — across seeds, budgets, and mid-run crashes.
 func TestRunMaxFindEquivalent(t *testing.T) {
 	cal, err := dataset.UniformCalibrated(150, 5, 2, NewRand(21))
 	if err != nil {
 		t.Fatal(err)
 	}
 	items := cal.Set.Items()
+	prices := Prices{Naive: 1, Expert: 50}
+	lim := BudgetLimits{MaxNaive: 600, MaxExpert: 10_000}
+	crash := ChaosPlan{CrashAfter: 120}
 	for _, seed := range []uint64{3, 77} {
-		for _, algo := range []Phase2Algorithm{TwoMaxFindPhase2, RandomizedPhase2, AllPlayAllPhase2} {
-			for _, variant := range []string{"plain", "budget", "crash"} {
-				name := fmt.Sprintf("seed=%d/algo=%d/%s", seed, algo, variant)
-				t.Run(name, func(t *testing.T) {
-					mutate := func(c *Config) {
-						c.Phase2 = algo
-						switch variant {
-						case "budget":
-							c.Budget = BudgetLimits{MaxNaive: 600, MaxExpert: 10_000}
-						case "crash":
-							c.Chaos = &ChaosPlan{CrashAfter: 120}
-						}
+		for _, variant := range []string{"plain", "budget", "crash"} {
+			// algo=0 is 2-MaxFind, the only phase 2 a session runs undegraded.
+			t.Run(fmt.Sprintf("seed=%d/algo=%d/%s", seed, TwoMaxFindPhase2, variant), func(t *testing.T) {
+				naive := &ThresholdWorker{Delta: cal.DeltaN, Tie: HashTie{Seed: seed}}
+				expert := &ThresholdWorker{Delta: cal.DeltaE, Tie: HashTie{Seed: seed + 1}}
+				ledger := NewLedger()
+				no := NewOracle(naive, Naive, ledger, NewMemo())
+				eo := NewOracle(expert, Expert, ledger, NewMemo())
+				switch variant {
+				case "budget":
+					b := NewBudget(lim)
+					no.WithBudget(b)
+					eo.WithBudget(b)
+				case "crash":
+					clock := func() int64 { return ledger.Snapshot().TotalComparisons() }
+					nb, eb, _, err := crash.Apply(NewSimulatedBackend(naive), NewSimulatedBackend(expert), clock)
+					if err != nil {
+						t.Fatal(err)
 					}
-					a := statelessSession(t, cal, seed, mutate)
-					b := statelessSession(t, cal, seed, mutate)
-					want, errA := a.FindMaxContext(context.Background(), items)
-					got, errB := b.Run(context.Background(), MaxFind(), items)
-					if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
-						t.Fatalf("FindMax err %v, Run err %v", errA, errB)
+					no.WithBackend(nb)
+					eo.WithBackend(eb)
+				}
+				want, errA := core.FindMax(context.Background(), items, no, eo, core.FindMaxOptions{Un: cal.Un})
+
+				s := statelessSession(t, cal, seed, func(c *Config) {
+					switch variant {
+					case "budget":
+						c.Budget = lim
+					case "crash":
+						plan := crash
+						c.Chaos = &plan
 					}
-					resultsEqual(t, got, want)
 				})
-			}
+				got, errB := s.Run(context.Background(), MaxFind(), items)
+				if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
+					t.Fatalf("core.FindMax err %v, Run err %v", errA, errB)
+				}
+				rung, guarantee := "expert-2maxfind", Guarantee2DeltaE
+				if errA != nil {
+					rung, guarantee = "best-so-far", GuaranteeNone
+				}
+				resultsEqual(t, got, Result{
+					Best:              want.Best,
+					Candidates:        want.Candidates,
+					NaiveComparisons:  ledger.Naive(),
+					ExpertComparisons: ledger.Expert(),
+					Cost:              ledger.Cost(prices),
+					Rung:              rung,
+					Guarantee:         guarantee,
+				})
+			})
 		}
 	}
 }
@@ -142,7 +176,7 @@ func TestTopKWorkloadSession(t *testing.T) {
 	}
 	// Each rank's element is within 2δe of the best among its round's
 	// remaining elements — spot-check rank 1 against the global max.
-	if d := Distance(cal.Set.Max(), res.Ranked[0].Item); d > 2*cal.DeltaE {
+	if d := item.Distance(cal.Set.Max(), res.Ranked[0].Item); d > 2*cal.DeltaE {
 		t.Fatalf("rank 1 is %g from the max, want ≤ 2δe = %g", d, 2*cal.DeltaE)
 	}
 }
@@ -206,7 +240,7 @@ func TestTopKCrashResumeBitIdentical(t *testing.T) {
 					}
 				}
 			})
-			got, err := resumed.Resume(context.Background(), path, items)
+			got, err := resumed.ResumeWorkload(context.Background(), TopKWorkload(k), path, items)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
@@ -234,7 +268,7 @@ func TestScoreWorkloadSession(t *testing.T) {
 	}
 	items := cal.Set.Items()
 	s := statelessSession(t, cal, 11, func(c *Config) {
-		c.Valuer = TruthValuer
+		c.Valuer = worker.TruthValuer
 	})
 	res, err := s.Run(context.Background(), ScoreWorkload(ScoreConfig{Votes: 3}), items)
 	if err != nil {
@@ -307,7 +341,7 @@ func TestScoreCrashResumeBitIdentical(t *testing.T) {
 				c.Valuer = valuer
 				c.Checkpoint = CheckpointConfig{Path: path, Every: 32}
 			})
-			got, err := resumed.Resume(context.Background(), path, items)
+			got, err := resumed.ResumeWorkload(context.Background(), ScoreWorkload(ScoreConfig{Votes: 5}), path, items)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
@@ -333,7 +367,7 @@ func TestScoreNaiveFallback(t *testing.T) {
 	}
 	items := cal.Set.Items()
 	s := statelessSession(t, cal, 13, func(c *Config) {
-		c.Valuer = TruthValuer
+		c.Valuer = worker.TruthValuer
 		c.ExpertBackend = failingBackend{}
 		c.Degrade = &DegradeConfig{}
 	})
@@ -349,7 +383,7 @@ func TestScoreNaiveFallback(t *testing.T) {
 	}
 	// Without Degrade the same failure is fatal.
 	hard := statelessSession(t, cal, 13, func(c *Config) {
-		c.Valuer = TruthValuer
+		c.Valuer = worker.TruthValuer
 		c.ExpertBackend = failingBackend{}
 	})
 	hres, err := hard.Run(context.Background(), ScoreWorkload(ScoreConfig{Votes: 3}), items)
@@ -404,9 +438,9 @@ func TestWorkloadValidation(t *testing.T) {
 	if _, err := wrong.ResumeWorkload(ctx, TopKWorkload(3), path, items); err == nil {
 		t.Fatal("top-k checkpoint resumed with different k")
 	}
-	// Resume proper dispatches on the recorded kind and succeeds.
-	if _, err := wrong.Resume(ctx, path, items); err != nil {
-		t.Fatalf("kind-dispatched Resume: %v", err)
+	// The matching workload resumes.
+	if _, err := wrong.ResumeWorkload(ctx, TopKWorkload(2), path, items); err != nil {
+		t.Fatalf("matching ResumeWorkload: %v", err)
 	}
 }
 
