@@ -46,18 +46,26 @@ golden:
 	$(GO) run ./cmd/benchrun all >/tmp/benchrun-all.txt
 	diff results/benchrun-all.txt /tmp/benchrun-all.txt
 
-# Crash-and-resume bit-identical check plus a poisoned-pool run: the same
-# steps as the CI chaos-smoke job.
+# Crash-and-resume bit-identical checks plus a poisoned-pool run: the same
+# steps as the CI chaos-smoke job. The first crash lands before the first
+# interval snapshot (resume from the start base); the second, with a
+# snapshot every 64 paid comparisons, leaves a base and its segments.
 chaos-smoke:
-	rm -f /tmp/chaos-smoke.ck
+	rm -f /tmp/chaos-smoke.ck /tmp/chaos-smoke.ck-* /tmp/chaos-smoke-seg.ck /tmp/chaos-smoke-seg.ck-*
 	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -checkpoint /tmp/chaos-smoke-clean.ck >/tmp/chaos-smoke-clean.out
 	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -checkpoint /tmp/chaos-smoke.ck -chaos crash:300 >/dev/null 2>&1; \
 		test $$? -ne 0 || { echo "chaos-smoke: crash run exited zero"; exit 1; }
 	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -checkpoint /tmp/chaos-smoke.ck -resume /tmp/chaos-smoke.ck >/tmp/chaos-smoke-resumed.out
 	diff /tmp/chaos-smoke-clean.out /tmp/chaos-smoke-resumed.out
+	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -checkpoint-every 64 -checkpoint /tmp/chaos-smoke-seg.ck -chaos crash:1000 >/dev/null 2>&1; \
+		test $$? -ne 0 || { echo "chaos-smoke: crash run exited zero"; exit 1; }
+	test -e /tmp/chaos-smoke-seg.ck-1 || { echo "chaos-smoke: crash left no segment"; exit 1; }
+	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -checkpoint-every 64 -checkpoint /tmp/chaos-smoke-seg.ck -resume /tmp/chaos-smoke-seg.ck >/tmp/chaos-smoke-seg-resumed.out
+	diff /tmp/chaos-smoke-clean.out /tmp/chaos-smoke-seg-resumed.out
 	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -chaos spammer:0.1 >/dev/null
 	$(GO) test -run 'TestAdversarySweepRetentionWithHealth' ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzSegmentReplay -fuzztime 10s ./internal/checkpoint
 
 # Graceful-degradation soak: the same steps as the CI soak-smoke job. A run
 # whose expert backend dies mid-phase-2 must complete on the naive-majority

@@ -33,6 +33,33 @@
 // left one bit, with the low bit set when the winner is B. A typical pair
 // takes about 2 bytes instead of the 24 of the fixed-width version 3
 // layout. Versions 2 and 3 still decode.
+//
+// # Base and segments
+//
+// A checkpointing run (see Writer) keeps its snapshots as a chain: a full
+// v4 snapshot at the path, the base, and delta segments beside it at
+// "<path>-1", "<path>-2", … (SegmentPath). A segment has its own envelope
+// (magic "CMSG") around the same v4 payload, but its tables hold only the
+// answers paid since the previous snapshot and its survivor list is empty
+// (survivors change only at boundaries, which write a base). Ahead of the
+// payload it carries its sequence number, the CRC-32C of the base it
+// extends and the CRC-32C of its predecessor (the base, for segment 1), so
+// a segment left by an earlier chain at the same path never applies.
+//
+// Load reads the base, then applies segments 1, 2, … in order: each
+// replaces the scalar state (phase, ledger, budget, rung, decision hash,
+// workload blob) and adds its answers. Replay stops at the first segment
+// that is missing, corrupt or torn, or bound to another base or
+// predecessor, so a bad segment loses the answers from it on — what a
+// missed interval snapshot loses — and never the base. The tables are then
+// put in canonical order, the first answer for a pair winning, as
+// Memo.Prime does.
+//
+// A run writes a base at every phase and rank boundary, and instead of a
+// segment whenever the segments since the last base hold more bytes than
+// that base; each base removes the segments it covers. The total written
+// therefore stays proportional to the answers paid, a resume reads a
+// bounded number of segments, and a finished run leaves one file.
 package checkpoint
 
 import (
@@ -168,20 +195,32 @@ type State struct {
 // SortPairs puts the state's tables in the canonical order Encode writes:
 // each pair-memo entry with A ≤ B (the pair is unordered), sorted by
 // (A, B) with later duplicates of a pair dropped (the first answer wins,
-// as in Memo.Prime), and the value-memo table sorted by (ID, Rep). Encode
-// and SaveFS call it first; on tables already in that order it only checks
-// them.
+// as in Memo.Prime), and the value-memo table sorted by (ID, Rep), again
+// with the first answer of a repeated vote kept. Encode and SaveFS call it
+// first; on pair tables already in that order it only checks them.
 func (s *State) SortPairs() {
 	s.NaiveMemo = canonicalPairs(s.NaiveMemo)
 	s.ExpertMemo = canonicalPairs(s.ExpertMemo)
-	slices.SortFunc(s.ValueMemo, func(a, b ValueAnswer) int {
-		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Rep, b.Rep))
-	})
+	s.ValueMemo = canonicalValues(s.ValueMemo)
 }
 
 // ComparePairs orders pair answers by (A, B), the order of encoded tables.
 func ComparePairs(a, b PairAnswer) int {
 	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
+}
+
+// CompareValues orders value answers by (ID, Rep), the order of encoded
+// tables.
+func CompareValues(a, b ValueAnswer) int {
+	return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Rep, b.Rep))
+}
+
+// canonicalValues sorts t in place by (ID, Rep), keeping the first answer
+// of a repeated vote, and returns it (shortened when repeats were
+// dropped).
+func canonicalValues(t []ValueAnswer) []ValueAnswer {
+	slices.SortStableFunc(t, CompareValues)
+	return slices.CompactFunc(t, func(a, b ValueAnswer) bool { return a.ID == b.ID && a.Rep == b.Rep })
 }
 
 // canonicalPairs orders t in place into the canonical table form and
@@ -231,6 +270,14 @@ type Encoder struct{ buf []byte }
 // buffer and are valid until its next call.
 func (e *Encoder) Encode(s *State) []byte {
 	p := payload{b: append(e.buf[:0], make([]byte, headerSize)...)}
+	p.body(s, s.Survivors)
+	e.buf = p.b
+	sealHeader(magic, version, p.b)
+	return p.b
+}
+
+// body appends the v4 payload of s, with survivors as its survivor list.
+func (p *payload) body(s *State, survivors []int64) {
 	p.u64(s.Seed)
 	p.i64(int64(s.Un))
 	p.i64(int64(s.Phase2))
@@ -238,8 +285,8 @@ func (e *Encoder) Encode(s *State) []byte {
 	p.i64(int64(s.NItems))
 	p.u64(s.ItemsHash)
 	p.str(s.Phase)
-	p.i64(int64(len(s.Survivors)))
-	for _, id := range s.Survivors {
+	p.i64(int64(len(survivors)))
+	for _, id := range survivors {
 		p.i64(id)
 	}
 	p.str(s.Rung)
@@ -270,9 +317,6 @@ func (e *Encoder) Encode(s *State) []byte {
 		p.i64(e.Rep)
 		p.u64(math.Float64bits(e.Value))
 	}
-	e.buf = p.b
-	sealHeader(magic, version, p.b)
-	return p.b
 }
 
 // pairs appends one pair-memo table in the v4 delta layout. It panics on
@@ -280,17 +324,23 @@ func (e *Encoder) Encode(s *State) []byte {
 // nor B or whose IDs exceed maxPairID: no run produces one, and writing it
 // would either lose it or be unreadable.
 //
-// This loop is most of a snapshot's encode time, so it grows the buffer
-// once for the worst case and writes by index, and it does not branch on
-// which item won (a coin flip per pair). EXPERIMENTS.md compares it with a
-// plain binary.AppendUvarint loop, in BenchmarkEncoderEncode and end to end.
+// This loop is most of a snapshot's encode time, so it writes by index
+// into room reserved up front — about three bytes a pair, the typical
+// size, doubled whenever fewer than two worst-case entries fit — and it
+// does not branch on which item won (a coin flip per pair). EXPERIMENTS.md
+// compares it with a plain binary.AppendUvarint loop, in
+// BenchmarkEncoderEncode and end to end.
 func (p *payload) pairs(t []PairAnswer) {
 	p.i64(int64(len(t)))
-	b := slices.Grow(p.b, len(t)*2*binary.MaxVarintLen64)
+	b := slices.Grow(p.b, len(t)*3+2*binary.MaxVarintLen64)
 	n := len(b)
 	b = b[:cap(b)]
 	var prev PairAnswer
 	for i, e := range t {
+		if len(b)-n < 2*binary.MaxVarintLen64 {
+			b = slices.Grow(b[:n], len(b))
+			b = b[:cap(b)]
+		}
 		// wa is 0 when A won, wb when B won.
 		wa, wb := uint64(e.Winner^e.A), uint64(e.Winner^e.B)
 		if min(wa, wb) != 0 || e.A <= -maxPairID || e.B >= maxPairID {
@@ -344,6 +394,15 @@ func Decode(data []byte) (*State, error) {
 	}
 
 	r := reader{b: body}
+	s := r.body(v)
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// body reads a payload written by codec version v.
+func (r *reader) body(v uint32) *State {
 	s := &State{}
 	s.Seed = r.u64()
 	s.Un = int(r.i64())
@@ -382,29 +441,34 @@ func Decode(data []byte) (*State, error) {
 		// A v2 file was written by a max-find run; the workload envelope
 		// fields did not exist yet.
 		s.Kind = KindMaxFind
-	} else {
-		if s.Kind = r.str(); s.Kind == "" {
-			// Encode always writes a kind; normalize a hand-forged empty
-			// one the same way Encode would have.
-			s.Kind = KindMaxFind
-		}
-		if n := r.count(1); n > 0 {
-			s.Workload = append([]byte(nil), r.take(int(n))...)
-		}
-		if n := r.count(24); n > 0 {
-			s.ValueMemo = make([]ValueAnswer, n)
-			for i := range s.ValueMemo {
-				s.ValueMemo[i] = ValueAnswer{ID: r.i64(), Rep: r.i64(), Value: math.Float64frombits(r.u64())}
-			}
+		return s
+	}
+	if s.Kind = r.str(); s.Kind == "" {
+		// Encode always writes a kind; normalize a hand-forged empty
+		// one the same way Encode would have.
+		s.Kind = KindMaxFind
+	}
+	if n := r.count(1); n > 0 {
+		s.Workload = append([]byte(nil), r.take(int(n))...)
+	}
+	if n := r.count(24); n > 0 {
+		s.ValueMemo = make([]ValueAnswer, n)
+		for i := range s.ValueMemo {
+			s.ValueMemo[i] = ValueAnswer{ID: r.i64(), Rep: r.i64(), Value: math.Float64frombits(r.u64())}
 		}
 	}
+	return s
+}
+
+// done returns the latched error, or one for unread trailing bytes.
+func (r *reader) done() error {
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(r.b) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.b)-r.off)
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.b)-r.off)
 	}
-	return s, nil
+	return nil
 }
 
 // fixedPairs reads one v2/v3 pair-memo table: a count, then 24 bytes of
@@ -488,22 +552,15 @@ func Save(path string, s *State) error {
 // SaveFS is Save over an injectable filesystem (nil for the real one), so
 // snapshot durability is testable under injected disk faults.
 func SaveFS(fsys faults.FS, path string, s *State) error {
-	s.SortPairs()
-	var e Encoder
-	return e.Save(fsys, path, s)
-}
-
-// Save is SaveFS encoding through e's reused buffer, with the ordering
-// requirement of Encoder.Encode.
-func (e *Encoder) Save(fsys faults.FS, path string, s *State) error {
-	if err := WriteFileAtomicFS(fsys, path, e.Encode(s), 0o644); err != nil {
+	if err := WriteFileAtomicFS(fsys, path, Encode(s), 0o644); err != nil {
 		return fmt.Errorf("checkpoint: save %s: %w", path, err)
 	}
 	return nil
 }
 
-// Load reads and decodes the snapshot at path. Decoding failures wrap
-// ErrCorrupt; a missing file surfaces as the usual fs.ErrNotExist.
+// Load reads the snapshot at path and replays its segments (see the
+// package comment). Decoding failures of the base wrap ErrCorrupt; a
+// missing file surfaces as the usual fs.ErrNotExist.
 func Load(path string) (*State, error) {
 	return LoadFS(nil, path)
 }
@@ -521,6 +578,20 @@ func LoadFS(fsys faults.FS, path string) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: load %s: %w", path, err)
 	}
+	base := sealedCRC(data)
+	for seq, prev := 1, base; ; seq++ {
+		data, err := fsys.ReadFile(SegmentPath(path, seq))
+		if err != nil {
+			break
+		}
+		seg, err := decodeSegment(data, seq, base, prev)
+		if err != nil || !seg.sameRun(s) {
+			break
+		}
+		s.apply(seg)
+		prev = sealedCRC(data)
+	}
+	s.SortPairs()
 	return s, nil
 }
 

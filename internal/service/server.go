@@ -863,6 +863,7 @@ func (s *Server) recover() error {
 	if err != nil {
 		return err
 	}
+	s.sweepCheckpoints(jobs)
 	// Quarantined records still pin the ID sequence: a fresh job must never
 	// reuse the identity of a record that was only moved aside, or a later
 	// un-quarantine would collide two different jobs under one ID.
@@ -918,6 +919,46 @@ func (s *Server) recover() error {
 		}(j)
 	}
 	return nil
+}
+
+// sweepCheckpoints clears the checkpoint directory at boot, before any job
+// resumes: temp files a crash stranded mid-write, and the segments of jobs
+// already settled, which no run will extend. A job that resumes keeps its
+// segments (its first snapshot removes them), and files of jobs with no
+// record are left alone.
+func (s *Server) sweepCheckpoints(jobs []*Job) {
+	dir := filepath.Join(s.opt.Dir, "ck")
+	entries, err := s.fsys.ReadDir(dir)
+	if err != nil {
+		s.logf("service: could not list %s: %v", dir, err)
+		return
+	}
+	settled := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		settled[j.ID] = j.State().terminal()
+	}
+	swept, segments := 0, 0
+	for _, e := range entries {
+		name := e.Name()
+		id, _, segment := strings.Cut(name, ".ck-")
+		tmp := strings.Contains(name, ".tmp-")
+		if !tmp && !(segment && settled[id]) {
+			continue
+		}
+		if err := s.fsys.Remove(filepath.Join(dir, name)); err != nil {
+			s.logf("service: could not sweep %s: %v", name, err)
+			continue
+		}
+		if tmp {
+			swept++
+		} else {
+			segments++
+		}
+	}
+	s.store.noteSwept(swept)
+	if swept+segments > 0 {
+		s.logf("service: swept %d orphaned temp file(s) and %d segment(s) of settled jobs from %s", swept, segments, dir)
+	}
 }
 
 // Job returns the job by ID, or nil.

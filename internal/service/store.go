@@ -139,6 +139,20 @@ func (st *store) health() (quarantined []QuarantinedRecord, unmovable, sweptTmp 
 	return append([]QuarantinedRecord(nil), st.quarantined...), st.unmovable, st.sweptTmp
 }
 
+// noteSwept adds n orphaned temp files swept outside the store's own
+// directory (the checkpoint directory) to the damage report.
+func (st *store) noteSwept(n int) {
+	if n == 0 {
+		return
+	}
+	st.hmu.Lock()
+	st.sweptTmp += n
+	st.hmu.Unlock()
+	if m := obs.Active(); m != nil {
+		m.StoreTmpSweep(int64(n))
+	}
+}
+
 // degraded reports whether load found damage a client should know about.
 func (st *store) degraded() bool {
 	st.hmu.Lock()

@@ -272,7 +272,7 @@ func (o *Oracle) ask(ctx context.Context, a, b item.Item) (item.Item, error) {
 // An oracle with neither backend nor valuer fails the query permanently.
 func (o *Oracle) AskValue(ctx context.Context, it item.Item, rep int) (float64, error) {
 	if o.vmemo != nil {
-		if v, ok := o.vmemo.lookup(it.ID, rep); ok {
+		if v, ok := o.vmemo.Lookup(it.ID, rep); ok {
 			if o.ledger != nil {
 				o.ledger.MemoHit(o.class)
 			}
@@ -355,8 +355,10 @@ func NewValueMemo() *ValueMemo {
 	return &ValueMemo{m: make(map[[2]int]float64)}
 }
 
-// lookup returns the frozen answer for (id, rep), if any.
-func (m *ValueMemo) lookup(id, rep int) (float64, bool) {
+// Lookup returns the frozen answer for (id, rep), if any. Checkpoint
+// writers use it, like Memo.Lookup, to pick up just the votes paid since
+// their last snapshot. Safe for concurrent use.
+func (m *ValueMemo) Lookup(id, rep int) (float64, bool) {
 	m.mu.RLock()
 	v, ok := m.m[[2]int{id, rep}]
 	m.mu.RUnlock()

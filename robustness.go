@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"crowdmax/internal/chaos"
 	"crowdmax/internal/checkpoint"
@@ -26,9 +27,14 @@ type StorageFS = faults.FS
 
 // CheckpointConfig enables crash recovery for Session runs.
 type CheckpointConfig struct {
-	// Path is the snapshot file; empty disables checkpointing. Snapshots
-	// are written atomically (temp file + rename), so the file always
-	// holds one complete snapshot.
+	// Path is the snapshot file; empty disables checkpointing. Run-start
+	// and phase-boundary snapshots rewrite it whole (a base); the interval
+	// snapshots between them write only the answers paid since the
+	// previous snapshot, as segments beside it at Path-1, Path-2, …, until
+	// the segments outgrow the base and the next snapshot is a base again.
+	// Every file is written atomically (temp file + rename), each base
+	// removes the segments it covers, and ResumeWorkload reads the base
+	// plus its segments; see internal/checkpoint.
 	Path string
 	// Every also snapshots after every N paid backend comparisons, in
 	// addition to the run-start and phase-boundary snapshots; defaults
@@ -187,10 +193,9 @@ func itemsFingerprint(items []Item) uint64 {
 
 // checkpointState returns the snapshot builder bound to one run's live
 // state: it fills a snapshot (reused across calls) with the fingerprint,
-// the ledger and budget read at snapshot time (atomic / mutex-guarded), the
-// value memo and the workload hooks. The pair-memo tables are the writer's
-// own incremental copies; see ckWriter.
-func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, vm *tournament.ValueMemo, hooks *snapHooks) func(st *checkpoint.State, phase string, survivors []int64) {
+// the ledger and budget read at snapshot time (atomic / mutex-guarded) and
+// the workload hooks. The memo tables are the writer's own; see ckWriter.
+func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, hooks *snapHooks) func(st *checkpoint.State, phase string, survivors []int64) {
 	fp := itemsFingerprint(items)
 	n := len(items)
 	return func(st *checkpoint.State, phase string, survivors []int64) {
@@ -211,7 +216,6 @@ func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *L
 			}
 			st.BudgetCost = budget.SpentCost()
 		}
-		st.ValueMemo = valueAnswers(vm)
 		if hooks != nil {
 			ctl, blob := hooks.snapshot()
 			if ctl != nil {
@@ -225,204 +229,292 @@ func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *L
 	}
 }
 
-// memoPairs copies a memo table into the checkpoint's sorted triple form.
-func memoPairs(m *Memo) []checkpoint.PairAnswer {
-	if m == nil {
-		return nil
-	}
-	entries := m.Entries()
-	out := make([]checkpoint.PairAnswer, len(entries))
-	for i, e := range entries {
-		out[i] = checkpoint.PairAnswer{A: int64(e[0]), B: int64(e[1]), Winner: int64(e[2])}
-	}
-	return out
-}
-
-// pairTable is one worker class's memo table in snapshot form, kept up to
-// date in O(answers since the last snapshot) instead of rebuilt from the
-// memo every time. The first snapshot seeds it with one full scan (which
-// picks up the answers a resumed run primed); after that, the checkpoint
-// decorator notes every paid comparison, and each snapshot looks just
-// those pairs up, sorts them, and merges them into the sorted table.
+// pairTable is one worker class's memo table in snapshot form, kept by
+// the writer instead of rescanned from the memo. Its answers are sorted
+// and merged as packed integer keys, like the memo's own entries: A<<33 |
+// B<<1, plus 1 when B won (A ≤ B, both memo IDs below 2^31), which order
+// as (A, B) does.
 type pairTable struct {
-	memo   *Memo
-	seeded bool
-	// rows is the table: every stored answer seen so far, sorted by (A, B)
-	// with A ≤ B. spare is the other half of the double buffer the merge
-	// writes into.
-	rows, spare []checkpoint.PairAnswer
-	// pending holds the pairs paid since the last snapshot (A, B only). A
-	// pair whose answer is not in the memo yet — the oracle stores it just
-	// after the backend returns — stays pending for the next snapshot.
-	pending []checkpoint.PairAnswer
-	// fresh is scratch for the pending pairs found in the memo.
-	fresh []checkpoint.PairAnswer
+	memo *Memo
+	// rows holds every answer the writer knows: the resumed snapshot's,
+	// then each snapshot's fresh ones. rows[:sortedTo] is in order (the
+	// last base).
+	rows     []checkpoint.PairAnswer
+	sortedTo int
+	// pending holds the pairs paid since the last snapshot, packed with no
+	// winner. A pair whose answer is not in the memo yet — the oracle
+	// stores it just after the backend returns — stays pending for the
+	// next snapshot. keys is scratch for sorting.
+	pending, keys []uint64
 }
 
-// note records one paid comparison of the pair (a, b).
-func (t *pairTable) note(a, b int) {
-	if a > b {
-		a, b = b, a
+// pairBMask extracts B from a packed key shifted right one bit.
+const pairBMask = 1<<32 - 1
+
+// pairKey packs the unordered pair (a, b) with no winner.
+func pairKey(a, b int) uint64 {
+	return uint64(min(a, b))<<33 | uint64(max(a, b))<<1
+}
+
+// packPair packs a canonical pair answer.
+func packPair(e checkpoint.PairAnswer) uint64 {
+	k := pairKey(int(e.A), int(e.B))
+	if e.Winner != e.A {
+		k |= 1
 	}
-	t.pending = append(t.pending, checkpoint.PairAnswer{A: int64(a), B: int64(b)})
+	return k
 }
 
-// refresh folds the stored answers among the pending pairs into the table
-// and returns it. The returned slice is valid until the next refresh.
+// unpackPair is packPair's inverse.
+func unpackPair(k uint64) checkpoint.PairAnswer {
+	e := checkpoint.PairAnswer{A: int64(k >> 33), B: int64(k >> 1 & pairBMask)}
+	e.Winner = e.A
+	if k&1 != 0 {
+		e.Winner = e.B
+	}
+	return e
+}
+
+// samePair reports whether two packed keys name one pair.
+func samePair(a, b uint64) bool { return a>>1 == b>>1 }
+
+// sortKeys sorts t.keys, each pair once.
+func (t *pairTable) sortKeys() {
+	slices.Sort(t.keys)
+	t.keys = slices.CompactFunc(t.keys, samePair)
+}
+
+// seed starts the table from a loaded snapshot's canonical table.
+func (t *pairTable) seed(rows []checkpoint.PairAnswer) {
+	t.rows = slices.Clone(rows)
+	t.sortedTo = len(rows)
+}
+
+// refresh moves the stored answers among the pending pairs onto rows and
+// returns them sorted, each pair once: the table a segment writes. The
+// returned slice aliases rows and is valid until the next refresh or
+// sorted.
 func (t *pairTable) refresh() []checkpoint.PairAnswer {
-	if !t.seeded {
-		t.rows, t.seeded = memoPairs(t.memo), true
-	}
-	t.fresh = t.fresh[:0]
+	t.keys = t.keys[:0]
 	keep := t.pending[:0]
-	for _, p := range t.pending {
-		if w, ok := t.memo.Lookup(int(p.A), int(p.B)); ok {
-			p.Winner = int64(w)
-			t.fresh = append(t.fresh, p)
+	for _, k := range t.pending {
+		b := int(k >> 1 & pairBMask)
+		if w, ok := t.memo.Lookup(int(k>>33), b); ok {
+			if w == b {
+				k |= 1
+			}
+			t.keys = append(t.keys, k)
 		} else {
-			keep = append(keep, p)
+			keep = append(keep, k)
 		}
 	}
 	t.pending = keep
-	if len(t.fresh) == 0 {
-		return t.rows
+	t.sortKeys()
+	n := len(t.rows)
+	for _, k := range t.keys {
+		t.rows = append(t.rows, unpackPair(k))
 	}
-	slices.SortFunc(t.fresh, checkpoint.ComparePairs)
-	t.spare = mergePairs(t.spare[:0], t.rows, t.fresh)
-	t.rows, t.spare = t.spare, t.rows
+	return t.rows[n:]
+}
+
+// sorted puts rows in order, each pair once, and returns them: the table
+// a base writes. The answers added since the last base are sorted as keys,
+// then merged into the sorted prefix from the back.
+func (t *pairTable) sorted() []checkpoint.PairAnswer {
+	t.keys = t.keys[:0]
+	for _, e := range t.rows[t.sortedTo:] {
+		t.keys = append(t.keys, packPair(e))
+	}
+	t.sortKeys()
+	i, k := t.sortedTo-1, t.sortedTo+len(t.keys)-1
+	t.rows = t.rows[:k+1]
+	for j := len(t.keys) - 1; j >= 0; {
+		var p uint64
+		if i >= 0 {
+			p = packPair(t.rows[i])
+		}
+		switch {
+		case i >= 0 && samePair(p, t.keys[j]):
+			// Paid again, concurrently, after the base that holds it.
+			j--
+			continue
+		case i >= 0 && p > t.keys[j]:
+			t.rows[k], i = t.rows[i], i-1
+		default:
+			t.rows[k], j = unpackPair(t.keys[j]), j-1
+		}
+		k--
+	}
+	if k > i {
+		// Close the gap the skipped repeats left.
+		t.rows = append(t.rows[:i+1], t.rows[k+1:]...)
+	}
+	t.sortedTo = len(t.rows)
 	return t.rows
 }
 
-// mergePairs appends the union of the sorted tables a and b to dst in
-// (A, B) order, keeping one entry per pair (a's, when both hold it: a pair
-// already in the table can be noted again by the seeding scan's overlap).
-// b is the short side: each of its entries binary-searches a, and the run
-// of a before it is copied in bulk.
-func mergePairs(dst, a, b []checkpoint.PairAnswer) []checkpoint.PairAnswer {
-	for _, e := range b {
-		k, found := slices.BinarySearchFunc(a, e, checkpoint.ComparePairs)
-		dst = append(dst, a[:k]...)
-		a = a[k:]
-		if !found {
-			dst = appendPair(dst, e)
+// valueTable is pairTable's counterpart for the value memo (crowd
+// scoring), kept as plain answers: it holds a few votes per item, so a
+// base simply re-sorts it.
+type valueTable struct {
+	memo          *tournament.ValueMemo
+	rows, pending []checkpoint.ValueAnswer
+}
+
+// refresh moves the stored answers among the pending votes onto rows and
+// returns them sorted, each vote once: the table a segment writes.
+func (t *valueTable) refresh() []checkpoint.ValueAnswer {
+	n := len(t.rows)
+	keep := t.pending[:0]
+	for _, e := range t.pending {
+		v, ok := t.memo.Lookup(int(e.ID), int(e.Rep))
+		if ok {
+			e.Value = v
+			t.rows = append(t.rows, e)
+		} else {
+			keep = append(keep, e)
 		}
 	}
-	return append(dst, a...)
+	t.pending = keep
+	fresh := t.rows[n:]
+	slices.SortFunc(fresh, checkpoint.CompareValues)
+	fresh = slices.CompactFunc(fresh, sameVote)
+	t.rows = t.rows[:n+len(fresh)]
+	return fresh
 }
 
-// appendPair appends e unless it repeats dst's last pair.
-func appendPair(dst []checkpoint.PairAnswer, e checkpoint.PairAnswer) []checkpoint.PairAnswer {
-	if n := len(dst); n > 0 && dst[n-1].A == e.A && dst[n-1].B == e.B {
-		return dst
-	}
-	return append(dst, e)
+// sorted puts rows in order, each vote once, and returns them: the table
+// a base writes.
+func (t *valueTable) sorted() []checkpoint.ValueAnswer {
+	slices.SortFunc(t.rows, checkpoint.CompareValues)
+	t.rows = slices.CompactFunc(t.rows, sameVote)
+	return t.rows
 }
+
+func sameVote(a, b checkpoint.ValueAnswer) bool { return a.ID == b.ID && a.Rep == b.Rep }
 
 // ckWriter drives a run's checkpointing: a backend decorator counts paid
-// comparisons and snapshots every N of them, and the core algorithm's
-// OnPhase hook snapshots at phase boundaries. A failed snapshot write fails
-// the run fast — the next dispatched comparison returns the write error —
+// answers and snapshots every N of them, and the core algorithm's OnPhase
+// hook snapshots at phase boundaries. A failed snapshot write fails the
+// run fast — the next dispatched comparison returns the write error —
 // because continuing to spend money a crash would strand defeats the point.
 //
-// The writer keeps each class's pair table incrementally (see pairTable)
-// and reuses one snapshot and one encode buffer, so an interval snapshot
-// costs O(answers since the last one) plus a linear merge and encode of
-// the compact table, and allocates O(1) once its buffers have grown.
+// Boundary snapshots write a full base; interval snapshots write a segment
+// holding only the answers paid since the previous snapshot, unless the
+// segments have outgrown the base (see checkpoint.Writer). The writer
+// keeps each memo table itself (see pairTable), seeded from the resumed
+// snapshot, and reuses one snapshot and one encode buffer, so an interval
+// snapshot costs O(answers since the last one) in time and bytes.
 type ckWriter struct {
 	mu        sync.Mutex
-	path      string
 	every     int64
 	since     int64
-	phase     string
 	survivors []int64
 	build     func(st *checkpoint.State, phase string, survivors []int64)
-	fs        faults.FS
+	out       *checkpoint.Writer
 	onSnap    func()
 	err       error
+	// failed is set with err, so the per-answer check takes no lock.
+	failed atomic.Bool
 
-	tables [2]pairTable // indexed by class: Naive, Expert
+	pairs  [2]pairTable // indexed by class: Naive, Expert
+	values valueTable
 	st     checkpoint.State
-	enc    checkpoint.Encoder
 }
 
 // ckTestHook, when set by a test, is called at the start (before = true)
 // and end (before = false) of every snapshot, under the writer's lock.
 var ckTestHook func(w *ckWriter, before bool)
 
-func newCkWriter(cfg CheckpointConfig, naive, expert *Memo, build func(*checkpoint.State, string, []int64)) *ckWriter {
+// newCkWriter returns the writer for one run over its memos, seeded with
+// the tables of the snapshot it resumes (nil for a fresh run), which are
+// exactly what the memos were primed with.
+func newCkWriter(cfg CheckpointConfig, naive, expert *Memo, values *tournament.ValueMemo, resume *checkpoint.State, build func(*checkpoint.State, string, []int64)) *ckWriter {
 	every := int64(cfg.Every)
 	if every <= 0 {
 		every = 500
 	}
-	w := &ckWriter{path: cfg.Path, every: every, phase: "start", build: build,
-		fs: cfg.FS, onSnap: cfg.OnSnapshot}
-	w.tables[Naive].memo, w.tables[Expert].memo = naive, expert
+	w := &ckWriter{every: every, build: build, out: checkpoint.NewWriter(cfg.FS, cfg.Path), onSnap: cfg.OnSnapshot}
+	w.pairs[Naive].memo, w.pairs[Expert].memo, w.values.memo = naive, expert, values
+	if resume != nil {
+		w.pairs[Naive].seed(resume.NaiveMemo)
+		w.pairs[Expert].seed(resume.ExpertMemo)
+		w.values.rows = slices.Clone(resume.ValueMemo)
+	}
 	return w
 }
 
 // wrap decorates the backend of one class's oracle so successful answers
-// advance the interval counter and note the paid pair for that class's
-// table; the decorator sits outermost, so chaos-injected failures and memo
-// hits (which never reach a backend) do not count.
+// advance the interval counter and note the paid key in that class's pair
+// table (or the value table); the decorator sits outermost, so
+// chaos-injected failures and memo hits (which never reach a backend) do
+// not count.
 func (w *ckWriter) wrap(b Backend, class Class) Backend {
-	t := &w.tables[class]
+	t := &w.pairs[class]
 	return dispatch.Func(func(ctx context.Context, req BackendRequest) (BackendAnswer, error) {
-		w.mu.Lock()
-		failed := w.err
-		w.mu.Unlock()
-		if failed != nil {
-			return BackendAnswer{}, failed
+		if w.failed.Load() {
+			return BackendAnswer{}, w.Err()
 		}
 		ans, err := b.Answer(ctx, req)
 		if err != nil {
 			return ans, err
 		}
 		w.mu.Lock()
-		if req.Kind == dispatch.KindCompare {
-			t.note(req.A.ID, req.B.ID)
+		switch req.Kind {
+		case dispatch.KindCompare:
+			t.pending = append(t.pending, pairKey(req.A.ID, req.B.ID))
+		case dispatch.KindValue:
+			w.values.pending = append(w.values.pending, checkpoint.ValueAnswer{ID: int64(req.A.ID), Rep: int64(req.Rep)})
 		}
 		w.since++
 		if w.since >= w.every {
 			w.since = 0
-			w.snapshotLocked("interval")
+			w.snapshotLocked("interval", false)
 		}
 		w.mu.Unlock()
 		return ans, nil
 	})
 }
 
-// boundary records a phase boundary and snapshots immediately. Matches the
-// core.FindMaxOptions.OnPhase signature.
+// boundary records a phase boundary and writes a base immediately.
+// Matches the core.FindMaxOptions.OnPhase signature.
 func (w *ckWriter) boundary(phase string, survivors []Item) {
 	ids := make([]int64, len(survivors))
 	for i, it := range survivors {
 		ids[i] = int64(it.ID)
 	}
 	w.mu.Lock()
-	w.phase = phase
 	w.survivors = ids
 	w.since = 0
-	w.snapshotLocked(phase)
+	w.snapshotLocked(phase, true)
 	w.mu.Unlock()
 }
 
-// snapshotLocked builds and atomically writes one snapshot; callers hold
+// snapshotLocked builds and atomically writes one snapshot: a base when
+// base is set or the chain is due one, a segment otherwise. Callers hold
 // w.mu, which also serializes concurrent interval snapshots from parallel
 // batches.
-func (w *ckWriter) snapshotLocked(label string) {
+func (w *ckWriter) snapshotLocked(label string, base bool) {
 	if ckTestHook != nil {
 		ckTestHook(w, true)
 	}
 	w.build(&w.st, label, w.survivors)
-	w.st.NaiveMemo = w.tables[Naive].refresh()
-	w.st.ExpertMemo = w.tables[Expert].refresh()
-	err := w.enc.Save(w.fs, w.path, &w.st)
+	naive, expert, values := w.pairs[Naive].refresh(), w.pairs[Expert].refresh(), w.values.refresh()
+	var err error
+	if base || w.out.Due() {
+		w.st.NaiveMemo, w.st.ExpertMemo, w.st.ValueMemo = w.pairs[Naive].sorted(), w.pairs[Expert].sorted(), w.values.sorted()
+		err = w.out.Base(&w.st)
+	} else {
+		w.st.NaiveMemo, w.st.ExpertMemo, w.st.ValueMemo = naive, expert, values
+		err = w.out.Segment(&w.st)
+	}
 	if ckTestHook != nil {
 		ckTestHook(w, false)
 	}
 	if err != nil {
 		if w.err == nil {
 			w.err = err
+			w.failed.Store(true)
 		}
 		return
 	}

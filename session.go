@@ -313,8 +313,8 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 		if s.cfg.DisableMemoization {
 			return Result{}, errors.New("crowdmax: Config.Checkpoint requires memoization (resume replays the memo tables)")
 		}
-		ck = newCkWriter(s.cfg.Checkpoint, naiveMemo, expertMemo,
-			s.checkpointState(w.Kind(), items, r.Seed(), runLedger, budget, valueMemo, hooks))
+		ck = newCkWriter(s.cfg.Checkpoint, naiveMemo, expertMemo, valueMemo, resume,
+			s.checkpointState(w.Kind(), items, r.Seed(), runLedger, budget, hooks))
 		nb, eb = ck.wrap(nb, Naive), ck.wrap(eb, Expert)
 	}
 

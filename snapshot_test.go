@@ -1,6 +1,7 @@
 package crowdmax
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"crowdmax/internal/dataset"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/faults"
+	"crowdmax/internal/tournament"
 )
 
 // discardFS is a faults.FS whose writes go nowhere: CreateTemp hands out a
@@ -88,10 +90,41 @@ func BenchmarkSessionCheckpoint(b *testing.B) {
 	}
 }
 
+// sizeFS is a discardFS that remembers the size of every file it
+// publishes, and counts publications at one path, without allocating.
+type sizeFS struct {
+	discardFS
+	f      sizeFile
+	base   string
+	bases  int
+	last   int
+	writes int
+}
+
+type sizeFile struct {
+	discardFile
+	n int
+}
+
+func (f *sizeFile) Write(p []byte) (int, error) { f.n += len(p); return len(p), nil }
+
+func (s *sizeFS) CreateTemp(string, string) (faults.File, error) {
+	s.f.n = 0
+	return &s.f, nil
+}
+
+func (s *sizeFS) Rename(_, newpath string) error {
+	s.last = s.f.n
+	s.writes++
+	if newpath == s.base {
+		s.bases++
+	}
+	return nil
+}
+
 // warmWriter returns a checkpoint writer over a naive memo primed with
-// size pairs among 2000 items, after its seeding snapshot, plus a source
-// of pairs the memo does not hold yet.
-func warmWriter(t *testing.T, size int) (*ckWriter, *Memo, func() (int, int)) {
+// size pairs among 2000 items, after its start base, writing into fsys.
+func warmWriter(t *testing.T, size int, fsys *sizeFS) (*ckWriter, *Memo) {
 	t.Helper()
 	s, err := NewSession(Config{Naive: &ThresholdWorker{}, Expert: &ThresholdWorker{}, Un: 4})
 	if err != nil {
@@ -101,124 +134,194 @@ func warmWriter(t *testing.T, size int) (*ckWriter, *Memo, func() (int, int)) {
 	for i := range items {
 		items[i] = Item{ID: i, Value: float64(i)}
 	}
-	a, b := 0, 0
-	next := func() (int, int) {
+	naive, expert := NewMemo(), NewMemo()
+	for a, b, i := 0, 1, 0; i < size; i++ {
+		naive.Prime(a, b, b)
 		if b++; b == len(items) {
 			a++
 			b = a + 1
 		}
-		return a, b
 	}
-	naive, expert := NewMemo(), NewMemo()
-	for i := 0; i < size; i++ {
-		x, y := next()
-		naive.Prime(x, y, y)
-	}
-	build := s.checkpointState(MaxFindKind, items, 1, NewLedger(), nil, nil, &snapHooks{})
-	w := newCkWriter(CheckpointConfig{Path: "run.ck", Every: 64, FS: discardFS{}}, naive, expert, build)
+	resume := &checkpoint.State{NaiveMemo: memoPairs(naive)}
+	build := s.checkpointState(MaxFindKind, items, 1, NewLedger(), nil, &snapHooks{})
+	fsys.base = "run.ck"
+	w := newCkWriter(CheckpointConfig{Path: fsys.base, Every: 64, FS: fsys}, naive, expert, nil, resume, build)
 	w.boundary("start", nil)
-	return w, naive, next
+	return w, naive
 }
 
-// intervalSnapshotAllocs reports the allocations of one interval snapshot
-// that folds in 64 new answers, on a writer warmed over size memo pairs.
-func intervalSnapshotAllocs(t *testing.T, size int) float64 {
-	const runs, every = 100, 64
-	w, naive, next := warmWriter(t, size)
-	// Store the answers the measured snapshots will fold in up front, so
-	// the memo's own growth stays out of the measurement.
+// intervalSnapshotCost reports the allocations and the bytes of one
+// interval snapshot that writes 64 new answers, on a writer warmed over
+// size memo pairs.
+func intervalSnapshotCost(t *testing.T, size int) (allocs float64, bytes int) {
+	const runs, every = 4, 64
+	fsys := &sizeFS{}
+	w, naive := warmWriter(t, size, fsys)
+	// Store the answers the measured snapshots write up front, so the
+	// memo's own growth stays out of the measurement. They are pairs
+	// (x, x+1) of items the priming never reached, the same pairs at
+	// every size.
 	fresh := make([][2]int, (runs+1)*every)
 	for i := range fresh {
-		x, y := next()
-		naive.Prime(x, y, x)
-		fresh[i] = [2]int{x, y}
+		x := 100 + i
+		naive.Prime(x, x+1, x)
+		fresh[i] = [2]int{x, x + 1}
 	}
-	// Warm the writer's buffers to the table's final size.
-	w.tables[Naive].rows = slices.Grow(w.tables[Naive].rows, len(fresh))
-	w.tables[Naive].spare = slices.Grow(w.tables[Naive].spare, size+len(fresh))
+	// Warm the writer's table to its final size.
+	w.pairs[Naive].rows = slices.Grow(w.pairs[Naive].rows, len(fresh))
+	var sizes []int
 	snap := func() {
 		w.mu.Lock()
 		for _, p := range fresh[:every] {
-			w.tables[Naive].note(p[0], p[1])
+			w.pairs[Naive].pending = append(w.pairs[Naive].pending, pairKey(p[0], p[1]))
 		}
 		fresh = fresh[every:]
-		w.snapshotLocked("interval")
+		w.snapshotLocked("interval", false)
 		w.mu.Unlock()
 	}
-	allocs := testing.AllocsPerRun(runs, snap) // one warm-up call, then runs
+	bases := fsys.bases
+	allocs = testing.AllocsPerRun(runs, func() {
+		snap()
+		sizes = append(sizes[:len(sizes):len(sizes)], fsys.last)
+	})
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
-	if got, want := len(w.tables[Naive].rows), size+(runs+1)*every; got != want {
+	if fsys.bases != bases || fsys.writes != runs+2 {
+		t.Fatalf("%d files written, %d of them bases, after the start base; want %d segments", fsys.writes-1, fsys.bases-bases, runs+1)
+	}
+	if got, want := len(w.pairs[Naive].rows), size+(runs+1)*every; got != want {
 		t.Fatalf("table holds %d pairs after the snapshots, want %d", got, want)
 	}
-	return allocs
+	for _, n := range sizes[1:] {
+		if n != sizes[0] {
+			t.Fatalf("segment sizes %v differ", sizes)
+		}
+	}
+	return allocs, sizes[0]
 }
 
-// TestIntervalSnapshotAllocsConstant is the checkpoint layer's allocation
-// gate: one interval snapshot of a warmed writer allocates the same small
-// constant whether the memo holds a thousand pairs or fifty thousand.
+// TestIntervalSnapshotAllocsConstant is the checkpoint layer's cost gate:
+// one interval snapshot of a warmed writer writes a segment of the same
+// size, and allocates the same small constant, whether the memo holds a
+// thousand pairs or fifty thousand.
 func TestIntervalSnapshotAllocsConstant(t *testing.T) {
-	small := intervalSnapshotAllocs(t, 1000)
-	large := intervalSnapshotAllocs(t, 50000)
-	t.Logf("allocs per interval snapshot: %v at 1k pairs, %v at 50k pairs", small, large)
-	if large != small || large > 4 {
-		t.Fatalf("interval snapshot allocates %v at 1k memo pairs and %v at 50k, want the same constant ≤ 4", small, large)
+	smallAllocs, smallBytes := intervalSnapshotCost(t, 1000)
+	largeAllocs, largeBytes := intervalSnapshotCost(t, 50000)
+	t.Logf("per interval snapshot: %v allocs and %d bytes at 1k pairs, %v allocs and %d bytes at 50k pairs",
+		smallAllocs, smallBytes, largeAllocs, largeBytes)
+	if largeAllocs != smallAllocs || largeAllocs > 4 {
+		t.Fatalf("interval snapshot allocates %v at 1k memo pairs and %v at 50k, want the same constant ≤ 4", smallAllocs, largeAllocs)
 	}
+	if largeBytes != smallBytes {
+		t.Fatalf("interval snapshot writes %d bytes at 1k memo pairs and %d at 50k, want the same", smallBytes, largeBytes)
+	}
+}
+
+// memoPairs copies a memo table into the checkpoint's sorted form.
+func memoPairs(m *Memo) []checkpoint.PairAnswer {
+	var out []checkpoint.PairAnswer
+	for _, e := range m.Entries() {
+		out = append(out, checkpoint.PairAnswer{A: int64(e[0]), B: int64(e[1]), Winner: int64(e[2])})
+	}
+	return out
+}
+
+// valueAnswers copies a value memo into the checkpoint's sorted form.
+func valueAnswers(vm *tournament.ValueMemo) []checkpoint.ValueAnswer {
+	var out []checkpoint.ValueAnswer
+	if vm == nil {
+		return out
+	}
+	for _, e := range vm.Entries() {
+		out = append(out, checkpoint.ValueAnswer{ID: e.ID, Rep: e.Rep, Value: e.Value})
+	}
+	return out
 }
 
 // snapshotChecker installs the writer test hook: at every snapshot it
-// compares the incrementally merged pair tables with full scans of the
-// memos taken just before and just after the snapshot. Every answer stored
-// before the snapshot must be in the table, and every table entry must be
-// stored; with no concurrent stores the two scans agree and the table must
-// equal them exactly.
+// loads the checkpoint back (base plus segments) and compares its tables
+// with full scans of the memos taken just before and just after the
+// snapshot. Every answer stored before the snapshot must be loaded, and
+// every loaded answer must be stored; with no concurrent stores the two
+// scans agree and the loaded tables must equal them exactly. The loaded
+// scalars must be the snapshot's.
 type snapshotChecker struct {
 	t         *testing.T
-	before    [2][]checkpoint.PairAnswer
+	path      string
+	before    [3]memoScan
 	snapshots int
 	exact     int
+	// chained counts snapshots after which the chain held a segment.
+	chained int
 }
 
-func checkSnapshots(t *testing.T) *snapshotChecker {
-	c := &snapshotChecker{t: t}
+// memoScan is one full scan of a run's three memo tables, as a
+// checkpoint.State's tables.
+type memoScan = checkpoint.State
+
+func scanMemos(w *ckWriter) checkpoint.State {
+	return checkpoint.State{NaiveMemo: memoPairs(w.pairs[Naive].memo), ExpertMemo: memoPairs(w.pairs[Expert].memo), ValueMemo: valueAnswers(w.values.memo)}
+}
+
+// checkSnapshots installs the checker for runs checkpointing to path.
+func checkSnapshots(t *testing.T, path string) *snapshotChecker {
+	c := &snapshotChecker{t: t, path: path}
 	ckTestHook = c.hook
 	t.Cleanup(func() { ckTestHook = nil })
 	return c
 }
 
 func (c *snapshotChecker) hook(w *ckWriter, before bool) {
-	for class := range w.tables {
-		scan := memoPairs(w.tables[class].memo)
-		if before {
-			c.before[class] = scan
-			continue
+	if before {
+		c.before[0] = scanMemos(w)
+		return
+	}
+	c.snapshots++
+	after := scanMemos(w)
+	loaded, err := checkpoint.Load(c.path)
+	if err != nil {
+		c.t.Errorf("snapshot %d (%s): load: %v", c.snapshots, w.st.Phase, err)
+		return
+	}
+	if _, err := os.Stat(checkpoint.SegmentPath(c.path, 1)); err == nil {
+		c.chained++
+	}
+	if loaded.Phase != w.st.Phase || loaded.Comparisons != w.st.Comparisons || loaded.Rung != w.st.Rung ||
+		!bytes.Equal(loaded.Workload, w.st.Workload) {
+		c.t.Errorf("snapshot %d (%s): loaded scalars (phase %q, comparisons %v) are not the snapshot's (%q, %v)",
+			c.snapshots, w.st.Phase, loaded.Phase, loaded.Comparisons, w.st.Phase, w.st.Comparisons)
+	}
+	tables := func(s *checkpoint.State) [3]any { return [3]any{s.NaiveMemo, s.ExpertMemo, s.ValueMemo} }
+	lo, hi, got := tables(&c.before[0]), tables(&after), tables(loaded)
+	for i := range got {
+		if !tableSubset(lo[i], got[i]) || !tableSubset(got[i], hi[i]) {
+			c.t.Errorf("snapshot %d (%s), table %d: loaded table is not between the memo scans before and after", c.snapshots, w.st.Phase, i)
 		}
-		table := w.st.NaiveMemo
-		if class == int(Expert) {
-			table = w.st.ExpertMemo
-		}
-		if !pairSubset(c.before[class], table) || !pairSubset(table, scan) {
-			c.t.Errorf("snapshot %d (%s), class %d: merged table of %d pairs is not between the memo's %d pairs before and %d after",
-				c.snapshots, w.st.Phase, class, len(table), len(c.before[class]), len(scan))
-		}
-		if reflect.DeepEqual(c.before[class], scan) {
-			if !reflect.DeepEqual(table, scan) {
-				c.t.Errorf("snapshot %d (%s), class %d: merged table differs from a full memo scan", c.snapshots, w.st.Phase, class)
+		if reflect.DeepEqual(lo[i], hi[i]) {
+			if !reflect.DeepEqual(got[i], hi[i]) {
+				c.t.Errorf("snapshot %d (%s), table %d: loaded table differs from a full memo scan", c.snapshots, w.st.Phase, i)
 			}
 			c.exact++
 		}
 	}
-	if !before {
-		c.snapshots++
-	}
 }
 
-// pairSubset reports whether every entry of the sorted table a is in the
-// sorted table b with the same winner.
-func pairSubset(a, b []checkpoint.PairAnswer) bool {
+// tableSubset reports whether every entry of the sorted table a (pair or
+// value answers) is in the sorted table b with the same answer.
+func tableSubset(a, b any) bool {
+	switch a := a.(type) {
+	case []checkpoint.PairAnswer:
+		return subsetOf(a, b.([]checkpoint.PairAnswer), checkpoint.ComparePairs)
+	case []checkpoint.ValueAnswer:
+		return subsetOf(a, b.([]checkpoint.ValueAnswer), checkpoint.CompareValues)
+	}
+	panic("unknown table")
+}
+
+func subsetOf[E comparable](a, b []E, cmp func(E, E) int) bool {
 	for _, e := range a {
-		i, ok := slices.BinarySearchFunc(b, e, checkpoint.ComparePairs)
+		i, ok := slices.BinarySearchFunc(b, e, cmp)
 		if !ok || b[i] != e {
 			return false
 		}
@@ -226,18 +329,21 @@ func pairSubset(a, b []checkpoint.PairAnswer) bool {
 	return true
 }
 
-// requireSnapshots fails unless the checker saw at least min snapshots, all
-// of them exact (a sequential run has no concurrent stores).
+// requireExact fails unless the checker saw at least min snapshots, all
+// of them exact (a sequential run has no concurrent stores), and at least
+// one of them loaded through a segment.
 func (c *snapshotChecker) requireExact(min int) {
 	c.t.Helper()
-	if c.snapshots < min || c.exact != 2*c.snapshots {
-		c.t.Fatalf("checked %d snapshots (%d exact table comparisons), want ≥ %d, all exact", c.snapshots, c.exact, min)
+	if c.snapshots < min || c.exact != 3*c.snapshots || c.chained == 0 {
+		c.t.Fatalf("checked %d snapshots (%d exact table comparisons, %d with segments), want ≥ %d, all exact, some with segments",
+			c.snapshots, c.exact, c.chained, min)
 	}
 }
 
 // TestIncrementalTablesMatchFullScan runs max, top-k and score workloads
 // fresh, crashed by chaos, and resumed, and checks at every snapshot that
-// the writer's merged tables equal a full scan of the memos.
+// the checkpoint loaded back — base plus segments — equals a full scan of
+// the memos.
 func TestIncrementalTablesMatchFullScan(t *testing.T) {
 	cal, err := dataset.UniformCalibrated(150, 5, 2, NewRand(41))
 	if err != nil {
@@ -259,28 +365,46 @@ func TestIncrementalTablesMatchFullScan(t *testing.T) {
 					}
 				}
 			}
-			check := checkSnapshots(t)
+			check := checkSnapshots(t, path)
 			want, err := statelessSession(t, cal, seed, config(0)).Run(context.Background(), w, items)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check.requireExact(10)
 
-			check = checkSnapshots(t)
+			check = checkSnapshots(t, path)
 			crashAt := (want.NaiveComparisons + want.ExpertComparisons) / 2
 			if _, err := statelessSession(t, cal, seed, config(crashAt)).Run(context.Background(), w, items); !errors.Is(err, ErrInjectedCrash) {
 				t.Fatalf("crashed run: err = %v, want ErrInjectedCrash", err)
 			}
 			check.requireExact(5)
 
-			check = checkSnapshots(t)
+			check = checkSnapshots(t, path)
 			got, err := statelessSession(t, cal, seed, config(0)).ResumeWorkload(context.Background(), w, path, items)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
 			check.requireExact(5)
 			resultsEqual(t, got, want)
+			requireOneFile(t, path)
 		})
+	}
+}
+
+// requireOneFile fails unless the base at path is the only file left in
+// its directory: a finished run's last base removed every segment.
+func requireOneFile(t *testing.T, path string) {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("checkpoint directory holds %v, want only %s", names, filepath.Base(path))
 	}
 }
 
@@ -295,9 +419,10 @@ func poolWorkers(n int, cmp Comparator) []PoolWorker {
 
 // TestIncrementalTablesUnderConcurrency drives the writer through a hedged
 // WorkerPool — inside a session, and under a ParallelBatch oracle, where
-// answers are stored while a snapshot is being taken. Every snapshot's
-// table must sit between the memo scans around it, and the final one,
-// taken with nothing in flight, must equal the full scan.
+// answers are stored while a snapshot is being taken. The checkpoint
+// loaded back after every snapshot must sit between the memo scans around
+// it, and after the final base, taken with nothing in flight, it must
+// equal the full scan.
 func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 	cal, err := dataset.UniformCalibrated(200, 6, 2, NewRand(42))
 	if err != nil {
@@ -311,11 +436,12 @@ func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check := checkSnapshots(t)
+		path := filepath.Join(t.TempDir(), "run.ck")
+		check := checkSnapshots(t, path)
 		s := statelessSession(t, cal, 5, func(c *Config) {
 			c.NaiveBackend = pool
 			c.Health = HealthConfig{DisagreeEvery: 2, HedgeAfter: time.Microsecond, Seed: 5}
-			c.Checkpoint = CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ck"), Every: 16}
+			c.Checkpoint = CheckpointConfig{Path: path, Every: 16}
 		})
 		if _, err := s.FindMax(items); err != nil {
 			t.Fatal(err)
@@ -329,15 +455,16 @@ func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool.EnableHealth(HealthConfig{DisagreeEvery: 2, Seed: 6})
-		check := checkSnapshots(t)
+		path := filepath.Join(t.TempDir(), "run.ck")
+		check := checkSnapshots(t, path)
 		s, err := NewSession(Config{Naive: naive, Expert: naive, Un: cal.Un})
 		if err != nil {
 			t.Fatal(err)
 		}
 		memo := NewMemo()
 		ledger := NewLedger()
-		build := s.checkpointState(MaxFindKind, items, 6, ledger, nil, nil, &snapHooks{})
-		w := newCkWriter(CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ck"), Every: 8}, memo, NewMemo(), build)
+		build := s.checkpointState(MaxFindKind, items, 6, ledger, nil, &snapHooks{})
+		w := newCkWriter(CheckpointConfig{Path: path, Every: 8}, memo, NewMemo(), nil, nil, build)
 		o := NewOracle(naive, Naive, ledger, memo).
 			WithBackend(w.wrap(dispatch.NewHedge(pool, time.Microsecond), Naive)).
 			ParallelBatch(4)
@@ -349,11 +476,266 @@ func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.boundary("done", nil)
-		if check.snapshots < 50 {
-			t.Fatalf("checked %d snapshots, want ≥ 50", check.snapshots)
+		if check.snapshots < 50 || check.chained == 0 {
+			t.Fatalf("checked %d snapshots (%d with segments), want ≥ 50, some with segments", check.snapshots, check.chained)
 		}
-		if final := w.st.NaiveMemo; !reflect.DeepEqual(final, memoPairs(memo)) {
-			t.Fatalf("final snapshot holds %d pairs, the memo %d", len(final), memo.Len())
+		final, err := checkpoint.LoadFS(nil, path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(final.NaiveMemo, memoPairs(memo)) {
+			t.Fatalf("final snapshot holds %d pairs, the memo %d", len(final.NaiveMemo), memo.Len())
+		}
+		requireOneFile(t, path)
 	})
+}
+
+// segmentRun is one crash/resume scenario of a workload: the uninterrupted
+// run's result and final snapshot, and a crashed run's checkpoint chain.
+type segmentRun struct {
+	w     Workload
+	items []Item
+	cfg   func(path string, crash int64) func(*Config)
+	seed  uint64
+	cal   dataset.Calibrated
+	want  Result
+	final *checkpoint.State // the uninterrupted run's final snapshot
+	path  string            // the crashed run's checkpoint
+}
+
+// crashWithSegments runs w uninterrupted, then again with a snapshot
+// every 16 paid answers, crashed at the first point from half-way on that
+// leaves a base and at least three segments.
+func crashWithSegments(t *testing.T, w Workload) *segmentRun {
+	t.Helper()
+	cal, err := dataset.UniformCalibrated(150, 5, 2, NewRand(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 19
+	r := &segmentRun{w: w, items: cal.Set.Items(), seed: seed, cal: cal}
+	r.cfg = func(path string, crash int64) func(*Config) {
+		return func(c *Config) {
+			c.Valuer = NoisyValuer{Sigma: cal.DeltaN, Seed: seed + 2}
+			c.Checkpoint = CheckpointConfig{Path: path, Every: 16}
+			c.Degrade = &DegradeConfig{}
+			if crash > 0 {
+				c.Chaos = &ChaosPlan{CrashAfter: crash}
+			}
+		}
+	}
+	clean := filepath.Join(t.TempDir(), "clean.ck")
+	if r.want, err = statelessSession(t, cal, seed, r.cfg(clean, 0)).Run(context.Background(), w, r.items); err != nil {
+		t.Fatal(err)
+	}
+	if r.final, err = checkpoint.Load(clean); err != nil {
+		t.Fatal(err)
+	}
+	total := r.want.NaiveComparisons + r.want.ExpertComparisons
+	for crash := total / 2; crash < total; crash += 8 {
+		r.path = filepath.Join(t.TempDir(), "run.ck")
+		if _, err := statelessSession(t, cal, seed, r.cfg(r.path, crash)).Run(context.Background(), w, r.items); !errors.Is(err, ErrInjectedCrash) {
+			t.Fatalf("crashed run: err = %v, want ErrInjectedCrash", err)
+		}
+		if _, err := os.Stat(checkpoint.SegmentPath(r.path, 3)); err == nil {
+			return r
+		}
+	}
+	t.Fatal("no crash point in the second half of the run leaves three segments")
+	return nil
+}
+
+// resume resumes the run from path, requires the uninterrupted run's
+// result, with the final snapshot alone in its directory, and returns
+// that snapshot.
+func (r *segmentRun) resume(t *testing.T, path string) []byte {
+	t.Helper()
+	got, err := statelessSession(t, r.cal, r.seed, r.cfg(path, 0)).ResumeWorkload(context.Background(), r.w, path, r.items)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	resultsEqual(t, got, r.want)
+	requireOneFile(t, path)
+	final, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return final
+}
+
+// TestCorruptMiddleSegmentStopsReplay flips a byte in the second of a
+// crashed run's segments: loading stops there, keeping the base and the
+// first segment, and the run resumed from that shorter replay still
+// matches the uninterrupted run bit for bit, final answers included.
+func TestCorruptMiddleSegmentStopsReplay(t *testing.T) {
+	for _, w := range []Workload{MaxFind(), TopKWorkload(3), ScoreWorkload(ScoreConfig{Votes: 3})} {
+		t.Run(w.Kind(), func(t *testing.T) {
+			r := crashWithSegments(t, w)
+			full, err := checkpoint.Load(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg2 := checkpoint.SegmentPath(r.path, 2)
+			data, err := os.ReadFile(seg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Load base plus segment 1 alone for the expected state.
+			if err := os.Rename(seg2, seg2+".aside"); err != nil {
+				t.Fatal(err)
+			}
+			want, err := checkpoint.Load(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x01
+			if err := os.WriteFile(seg2, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			os.Remove(seg2 + ".aside")
+			got, err := checkpoint.Load(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("replay did not stop at the corrupt segment")
+			}
+			if got.Comparisons == full.Comparisons {
+				t.Fatal("the corrupt segment cost no progress: the test damaged nothing")
+			}
+			final, err := checkpoint.Decode(r.resume(t, r.path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual([3]any{final.NaiveMemo, final.ExpertMemo, final.ValueMemo}, [3]any{r.final.NaiveMemo, r.final.ExpertMemo, r.final.ValueMemo}) ||
+				final.Comparisons != r.final.Comparisons || !bytes.Equal(final.Workload, r.final.Workload) {
+				t.Fatal("the resumed run's final snapshot holds other answers or counts than the uninterrupted run's")
+			}
+		})
+	}
+}
+
+// legacySnapshot renders st in the fixed-width v3 layout, or in the v2
+// layout (no workload envelope) when v2 is set: the single files older
+// builds wrote.
+func legacySnapshot(st *checkpoint.State, v2 bool) []byte {
+	var b checkpoint.Builder
+	b.U64(st.Seed)
+	b.I64(int64(st.Un))
+	b.I64(int64(st.Phase2))
+	b.Bool(st.TrackLosses)
+	b.I64(int64(st.NItems))
+	b.U64(st.ItemsHash)
+	b.Str(st.Phase)
+	b.I64(int64(len(st.Survivors)))
+	for _, id := range st.Survivors {
+		b.I64(id)
+	}
+	b.Str(st.Rung)
+	b.U64(st.DecisionHash)
+	for _, counters := range [][]int64{st.Comparisons[:], st.MemoHits[:], {st.Steps}, st.BudgetSpent[:]} {
+		for _, n := range counters {
+			b.I64(n)
+		}
+	}
+	b.F64(st.BudgetCost)
+	for _, table := range [][]checkpoint.PairAnswer{st.NaiveMemo, st.ExpertMemo} {
+		b.I64(int64(len(table)))
+		for _, e := range table {
+			b.I64(e.A)
+			b.I64(e.B)
+			b.I64(e.Winner)
+		}
+	}
+	if v2 {
+		return checkpoint.SealEnvelope("CMCK", 2, b.Bytes())
+	}
+	b.Str(st.Kind)
+	b.Blob(st.Workload)
+	b.I64(int64(len(st.ValueMemo)))
+	for _, e := range st.ValueMemo {
+		b.I64(e.ID)
+		b.I64(e.Rep)
+		b.F64(e.Value)
+	}
+	return checkpoint.SealEnvelope("CMCK", 3, b.Bytes())
+}
+
+// TestSingleFileSnapshotsStillResume: a crashed run's state written as one
+// file — v4 as Save writes it, and the v3 and v2 layouts of older builds
+// (v2 for max-find, the only workload it knew) — resumes to the
+// uninterrupted run's result and to the same final snapshot, byte for
+// byte, as resuming from the base and its segments.
+func TestSingleFileSnapshotsStillResume(t *testing.T) {
+	for _, w := range []Workload{MaxFind(), TopKWorkload(3), ScoreWorkload(ScoreConfig{Votes: 3})} {
+		t.Run(w.Kind(), func(t *testing.T) {
+			r := crashWithSegments(t, w)
+			st, err := checkpoint.Load(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := map[string][]byte{"v4": checkpoint.Encode(st), "v3": legacySnapshot(st, false)}
+			if w.Kind() == MaxFindKind {
+				files["v2"] = legacySnapshot(st, true)
+			}
+			want := r.resume(t, r.path)
+			for name, data := range files {
+				t.Run(name, func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "single.ck")
+					if err := os.WriteFile(path, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(r.resume(t, path), want) {
+						t.Fatal("resuming the single file wrote another final snapshot than resuming the chain")
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestStaleSegmentsNeverApply runs max-find, crashed and resumed, on a
+// filesystem where every segment removal fails — as if each base's
+// writer died between renaming the base and removing the segments it
+// covers — so every base has stale segments of older bases beside it.
+// The checkpoint loaded back after every snapshot must still equal a full
+// scan of the memos, and the resumed run the uninterrupted one.
+func TestStaleSegmentsNeverApply(t *testing.T) {
+	cal, err := dataset.UniformCalibrated(150, 5, 2, NewRand(44))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := cal.Set.Items()
+	plan, err := faults.ParsePlan("removefail%*.ck-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ck")
+	config := func(crash int64) func(*Config) {
+		return func(c *Config) {
+			c.Checkpoint = CheckpointConfig{Path: path, Every: 16, FS: faults.NewInjector(faults.OS(), plan)}
+			c.Degrade = &DegradeConfig{}
+			if crash > 0 {
+				c.Chaos = &ChaosPlan{CrashAfter: crash}
+			}
+		}
+	}
+	want, err := statelessSession(t, cal, 23, func(c *Config) { c.Degrade = &DegradeConfig{} }).Run(context.Background(), MaxFind(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := checkSnapshots(t, path)
+	crashAt := (want.NaiveComparisons + want.ExpertComparisons) * 2 / 3
+	if _, err := statelessSession(t, cal, 23, config(crashAt)).Run(context.Background(), MaxFind(), items); !errors.Is(err, ErrInjectedCrash) {
+		t.Fatalf("crashed run: err = %v, want ErrInjectedCrash", err)
+	}
+	got, err := statelessSession(t, cal, 23, config(0)).ResumeWorkload(context.Background(), MaxFind(), path, items)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	check.requireExact(10)
+	resultsEqual(t, got, want)
+	if _, err := os.Stat(checkpoint.SegmentPath(path, 1)); err != nil {
+		t.Fatalf("no stale segment was left beside the final base: %v", err)
+	}
 }

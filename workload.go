@@ -9,7 +9,6 @@ import (
 	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/core"
 	"crowdmax/internal/degrade"
-	"crowdmax/internal/tournament"
 )
 
 // The registered workload kinds — the strings Session.Run stamps into
@@ -533,20 +532,4 @@ func recoverableScoreErr(err error) bool {
 	return !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded) &&
 		!errors.Is(err, ErrInjectedCrash)
-}
-
-// valueAnswers copies a value memo into the checkpoint's sorted form.
-func valueAnswers(vm *tournament.ValueMemo) []checkpoint.ValueAnswer {
-	if vm == nil {
-		return nil
-	}
-	entries := vm.Entries()
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]checkpoint.ValueAnswer, len(entries))
-	for i, e := range entries {
-		out[i] = checkpoint.ValueAnswer{ID: e.ID, Rep: e.Rep, Value: e.Value}
-	}
-	return out
 }
