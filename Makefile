@@ -20,10 +20,12 @@ test:
 # Same package lists as the CI race steps: the memo, breaker and trust
 # packages once at GOMAXPROCS=1 (every goroutine interleaved on a single P,
 # as on a 1-core host), then every concurrency-heavy package at 4 (real
-# parallelism).
+# parallelism), then the root package's sessions that drive one memo from
+# ParallelBatch and hedged-pool goroutines while checkpoints read it.
 race:
 	GOMAXPROCS=1 $(GO) test -race ./internal/tournament/... ./internal/dispatch/... ./internal/trust/...
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
+	GOMAXPROCS=4 $(GO) test -race -run 'TestIncrementalTablesUnderConcurrency' .
 
 # Mirror of .github/workflows/ci.yml: the test job's steps plus the
 # benchmark-smoke job. Green here means green there (modulo Go version).

@@ -108,26 +108,63 @@ func TestCompareBatchIntoUnmemoizedSteadyAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkMemoLookup(b *testing.B) {
+// benchMemoPairs is about the naive memo of one lib-mixed max job in
+// crowdbench (n=2000, un=8: 38.7k pairs).
+const benchMemoPairs = 40000
+
+// benchSink keeps the compiler from discarding measured calls.
+var benchSink any
+
+// growMemo stores pairs distinct pairs into a default-sized memo, so it
+// reaches that size by growing as a session's memo does.
+func growMemo(pairs int) *Memo {
 	m := NewMemo()
-	for i := 0; i < 4096; i++ {
+	for i := 0; i < pairs; i++ {
 		m.store(i, i+100000, i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Lookup(i%4096, i%4096+100000)
+	return m
+}
+
+// BenchmarkMemoLookup times hits and misses on a memo grown, not
+// pre-sized, to benchMemoPairs pairs.
+func BenchmarkMemoLookup(b *testing.B) {
+	m := growMemo(benchMemoPairs)
+	for _, c := range []struct {
+		name   string
+		offset int
+	}{{"hit", 100000}, {"miss", 200000}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				k := i % benchMemoPairs
+				if _, ok := m.Lookup(k, k+c.offset); ok {
+					hits++
+				}
+			}
+			benchSink = hits
+		})
 	}
 }
 
+// BenchmarkMemoStore times fresh stores into pre-sized headroom, and
+// growing a default-sized memo to benchMemoPairs pairs.
 func BenchmarkMemoStore(b *testing.B) {
-	m := NewMemoSized(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % (1 << 19)
-		m.store(k, k+1<<20, k)
-	}
+	b.Run("presized", func(b *testing.B) {
+		m := NewMemoSized(1 << 20)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % (1 << 19)
+			m.store(k, k+1<<20, k)
+		}
+	})
+	b.Run("grow40k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink = growMemo(benchMemoPairs)
+		}
+	})
 }
 
 func BenchmarkCompareBatchIntoMemoized(b *testing.B) {

@@ -3,6 +3,7 @@ package tournament
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crowdmax/internal/cost"
@@ -13,9 +14,11 @@ import (
 
 func TestMemoConcurrentAccess(t *testing.T) {
 	// Memo documents safety for concurrent use: goroutines racing to
-	// answer overlapping pairs must converge on one answer per pair, and
-	// the shared atomic ledger must account for every comparison exactly
-	// once (as a fresh charge or as a memo hit).
+	// answer overlapping pairs must converge on one answer per pair. Two
+	// goroutines that miss the same pair at once both really ask, so both
+	// are billed: the ledger charges exactly the asks the comparators saw,
+	// the memo holds exactly the distinct pairs asked, and every request is
+	// either a charge or a memo hit.
 	const goroutines = 32
 	const perGoroutine = 300
 	root := rng.New(1)
@@ -25,7 +28,12 @@ func TestMemoConcurrentAccess(t *testing.T) {
 	for i := range items {
 		items[i] = item.Item{ID: i, Value: float64(i) * 0.1}
 	}
-	var wg sync.WaitGroup
+	var (
+		asks  atomic.Int64
+		mu    sync.Mutex
+		asked = map[[2]int]bool{}
+		wg    sync.WaitGroup
+	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -34,7 +42,14 @@ func TestMemoConcurrentAccess(t *testing.T) {
 			// ledger; workers are documented single-goroutine.
 			r := root.ChildN("g", g)
 			w := worker.NewThreshold(10, 0, r) // all arbitrary: only memo makes it consistent
-			o := NewOracle(w, worker.Naive, ledger, memo)
+			counted := worker.Func(func(a, b item.Item) item.Item {
+				asks.Add(1)
+				mu.Lock()
+				asked[[2]int{min(a.ID, b.ID), max(a.ID, b.ID)}] = true
+				mu.Unlock()
+				return w.Compare(a, b)
+			})
+			o := NewOracle(counted, worker.Naive, ledger, memo)
 			for i := 0; i < perGoroutine; i++ {
 				a, b := items[i%10], items[(i+3)%10]
 				o.Compare(context.Background(), a, b)
@@ -42,14 +57,16 @@ func TestMemoConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if got := ledger.Comparisons(worker.Naive); got != asks.Load() {
+		t.Fatalf("charged %d comparisons but the comparators were asked %d times", got, asks.Load())
+	}
+	if memo.Len() != len(asked) {
+		t.Fatalf("memo holds %d pairs but %d distinct pairs were asked", memo.Len(), len(asked))
+	}
 	// Every request was either charged or a memo hit; no update was lost.
 	total := ledger.Comparisons(worker.Naive) + ledger.MemoHits(worker.Naive)
 	if want := int64(goroutines * perGoroutine); total != want {
 		t.Fatalf("charges+hits = %d, want %d", total, want)
-	}
-	if ledger.Comparisons(worker.Naive) != int64(memo.Len()) {
-		t.Fatalf("charged %d fresh comparisons but memo holds %d pairs",
-			ledger.Comparisons(worker.Naive), memo.Len())
 	}
 	// After the dust settles, answers are frozen.
 	o := NewOracle(worker.NewThreshold(10, 0, root.Child("final")), worker.Naive, nil, memo)

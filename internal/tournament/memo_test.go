@@ -41,10 +41,10 @@ func TestMemoSelfPair(t *testing.T) {
 	}
 }
 
-// TestMemoGrowth drives the table well past its initial capacity so the
-// append-only growth chain (new tables installed by CAS, old ones retained
-// and scanned newest-first) is exercised, then verifies every entry is still
-// served correctly.
+// TestMemoGrowth drives the table well past its initial capacity so growth
+// by rehash (each full table doubled, every entry rehashed into it and the
+// new table published in one pointer store) runs several times, then
+// verifies every entry is still served correctly.
 func TestMemoGrowth(t *testing.T) {
 	m := NewMemo()
 	const n = 300 // 300*299/2 = 44850 pairs ≫ the 1024-slot initial table
@@ -128,12 +128,12 @@ func TestMemoPanicsOnUnpackableID(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentFirstStoreWins hammers one table from many goroutines —
+// TestMemoConcurrentFirstStoreWins hammers one memo from many goroutines —
 // concurrent stores to overlapping keys with opposing winners, interleaved
-// lookups, enough keys to force growth mid-race — and then verifies global
-// consistency: every key holds one of the two proposed winners, and repeat
-// lookups are stable. Run under -race this also proves the CAS protocol
-// publishes entries safely.
+// lock-free lookups, enough keys to force rehash growth mid-race — and then
+// verifies global consistency: every key holds one of the two proposed
+// winners, and repeat lookups are stable. Run under -race this also proves
+// that entries and rehashed tables are published safely.
 func TestMemoConcurrentFirstStoreWins(t *testing.T) {
 	m := NewMemo()
 	const (

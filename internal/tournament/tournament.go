@@ -24,13 +24,13 @@
 // # Concurrency
 //
 // Memo, LossTracker, Budget, and Oracle's billing are safe for concurrent
-// use: the memo is a lock-free CAS table on packed uint64 keys, the loss
-// tracker is sharded across independently locked stripes, the budget is
-// mutex-guarded with all-or-nothing spending, and the ledger (cost.Ledger)
-// is atomic. An Oracle may therefore be shared by the goroutines of a
-// parallel batch evaluation provided its underlying worker.Comparator (or
-// dispatch.Backend) is itself safe for concurrent use — see
-// Oracle.ParallelBatch.
+// use: the memo is an open-addressed table on packed uint64 keys with
+// lock-free lookups and mutex-serialized stores, the loss tracker is
+// sharded across independently locked stripes, the budget is mutex-guarded
+// with all-or-nothing spending, and the ledger (cost.Ledger) is atomic. An
+// Oracle may therefore be shared by the goroutines of a parallel batch
+// evaluation provided its underlying worker.Comparator (or dispatch.Backend)
+// is itself safe for concurrent use — see Oracle.ParallelBatch.
 package tournament
 
 import (

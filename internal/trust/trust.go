@@ -91,17 +91,20 @@ type Graph struct {
 	cfg     Config
 	idx     map[string]int
 	names   []string
-	edges   map[[2]int]*edge
+	tie     []uint64 // seeded peeling tie-break hash per vertex
+	edges   [][]edge // edges[j][i] tallies the pair i < j
 	samples int64
+
+	// Extract's working buffers, reused across calls; guarded by mu.
+	w, deg           []float64
+	alive, core      []bool
+	removed          []int
+	agreeIn, totalIn []int64
 }
 
 // New returns an empty graph under cfg (defaults applied).
 func New(cfg Config) *Graph {
-	return &Graph{
-		cfg:   cfg.withDefaults(),
-		idx:   map[string]int{},
-		edges: map[[2]int]*edge{},
-	}
+	return &Graph{cfg: cfg.withDefaults(), idx: map[string]int{}}
 }
 
 // Config returns the graph's effective (defaulted) configuration.
@@ -138,10 +141,11 @@ func (g *Graph) Forget(name string) {
 	if !ok {
 		return
 	}
-	for key, e := range g.edges {
-		if key[0] == i || key[1] == i {
+	for j := range g.edges {
+		if j != i {
+			e := g.edgeLocked(i, j)
 			g.samples -= e.total
-			delete(g.edges, key)
+			*e = edge{}
 		}
 	}
 }
@@ -161,20 +165,16 @@ func (g *Graph) nodeLocked(name string) int {
 	i := len(g.names)
 	g.idx[name] = i
 	g.names = append(g.names, name)
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	g.tie = append(g.tie, splitmix(g.cfg.Seed^h.Sum64()))
+	g.edges = append(g.edges, make([]edge, i))
 	return i
 }
 
+// edgeLocked returns the tally of the pair of distinct vertices i and j.
 func (g *Graph) edgeLocked(i, j int) *edge {
-	if i > j {
-		i, j = j, i
-	}
-	key := [2]int{i, j}
-	e := g.edges[key]
-	if e == nil {
-		e = &edge{}
-		g.edges[key] = e
-	}
-	return e
+	return &g.edges[max(i, j)][min(i, j)]
 }
 
 // Extraction is one dense-core extraction: the expert-labelled core, pooled
@@ -217,39 +217,39 @@ func (g *Graph) Extract() Extraction {
 		return ext
 	}
 
-	// Clipped edge weights: agreement minus penalized disagreement, ≥ 0.
-	// A spammer's chance-level edges zero out; honest edges accumulate.
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	for key, e := range g.edges {
-		weight := float64(e.agree) - g.cfg.Penalty*float64(e.total-e.agree)
-		if weight <= 0 {
-			continue
+	// Clipped edge weights, as a dense n×n matrix (row i at w[i*n:]):
+	// agreement minus penalized disagreement, ≥ 0. A spammer's
+	// chance-level edges zero out; honest edges accumulate.
+	w := resize(&g.w, n*n)
+	for j, row := range g.edges {
+		w[j*n+j] = 0
+		for i, e := range row {
+			weight := float64(e.agree) - g.cfg.Penalty*float64(e.total-e.agree)
+			if weight <= 0 {
+				weight = 0
+			}
+			w[i*n+j], w[j*n+i] = weight, weight
 		}
-		w[key[0]][key[1]] = weight
-		w[key[1]][key[0]] = weight
 	}
 
 	// Charikar peeling: repeatedly remove the vertex of minimum weighted
 	// degree (ties broken by a seeded hash of the name, then the name) and
 	// keep the densest surviving set. O(n²) per removal — pools are tens of
 	// workers, not thousands.
-	alive := make([]bool, n)
-	deg := make([]float64, n)
+	alive, deg := resize(&g.alive, n), resize(&g.deg, n)
 	var totalW float64
 	for i := 0; i < n; i++ {
 		alive[i] = true
-		for j := 0; j < n; j++ {
-			deg[i] += w[i][j]
+		deg[i] = 0
+		for _, wij := range w[i*n : i*n+n] {
+			deg[i] += wij
 		}
 		totalW += deg[i]
 	}
 	totalW /= 2
 	aliveN := n
 	bestDensity, bestSize := -1.0, 0
-	removed := make([]int, 0, n)
+	removed := g.removed[:0]
 	for aliveN > 0 {
 		if d := totalW / float64(aliveN); d > bestDensity {
 			bestDensity, bestSize = d, aliveN
@@ -266,20 +266,22 @@ func (g *Graph) Extract() Extraction {
 		alive[min] = false
 		aliveN--
 		totalW -= deg[min]
-		for j := 0; j < n; j++ {
+		for j, wmj := range w[min*n : min*n+n] {
 			if alive[j] {
-				deg[j] -= w[min][j]
+				deg[j] -= wmj
 			}
 		}
 		removed = append(removed, min)
 	}
+	g.removed = removed
 	if bestDensity <= 0 {
 		// No positive-weight structure at all — nothing to stand behind.
 		return ext
 	}
 	// The best prefix is everything not yet removed when it was recorded:
 	// the last bestSize entries of the removal order.
-	core := make([]bool, n)
+	core := resize(&g.core, n)
+	clear(core)
 	for _, i := range removed[n-bestSize:] {
 		core[i] = true
 	}
@@ -293,29 +295,31 @@ func (g *Graph) Extract() Extraction {
 
 	// Pooled agreement against the core, per worker; intra-core and
 	// core↔outside pools feed the confidence margin.
-	agreeIn := make([]int64, n)
-	totalIn := make([]int64, n)
+	agreeIn, totalIn := resize(&g.agreeIn, n), resize(&g.totalIn, n)
+	clear(agreeIn)
+	clear(totalIn)
 	var coreAgree, coreTotal, outAgree, outTotal int64
-	for key, e := range g.edges {
-		i, j := key[0], key[1]
-		switch {
-		case core[i] && core[j]:
-			agreeIn[i] += e.agree
-			totalIn[i] += e.total
-			agreeIn[j] += e.agree
-			totalIn[j] += e.total
-			coreAgree += e.agree
-			coreTotal += e.total
-		case core[i]:
-			agreeIn[j] += e.agree
-			totalIn[j] += e.total
-			outAgree += e.agree
-			outTotal += e.total
-		case core[j]:
-			agreeIn[i] += e.agree
-			totalIn[i] += e.total
-			outAgree += e.agree
-			outTotal += e.total
+	for j, row := range g.edges {
+		for i, e := range row {
+			switch {
+			case core[i] && core[j]:
+				agreeIn[i] += e.agree
+				totalIn[i] += e.total
+				agreeIn[j] += e.agree
+				totalIn[j] += e.total
+				coreAgree += e.agree
+				coreTotal += e.total
+			case core[i]:
+				agreeIn[j] += e.agree
+				totalIn[j] += e.total
+				outAgree += e.agree
+				outTotal += e.total
+			case core[j]:
+				agreeIn[i] += e.agree
+				totalIn[i] += e.total
+				outAgree += e.agree
+				outTotal += e.total
+			}
 		}
 	}
 	ext.Scores = map[string]float64{}
@@ -344,20 +348,23 @@ func (g *Graph) Extract() Extraction {
 	return ext
 }
 
+// resize returns *buf resliced to length n, reallocating it when its
+// capacity falls short. Contents are not cleared.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // beforeLocked orders vertices i before j for peeling tie-breaks: by seeded
 // name hash, then by name. Callers hold g.mu.
 func (g *Graph) beforeLocked(i, j int) bool {
-	hi, hj := g.tieHashLocked(i), g.tieHashLocked(j)
-	if hi != hj {
-		return hi < hj
+	if g.tie[i] != g.tie[j] {
+		return g.tie[i] < g.tie[j]
 	}
 	return g.names[i] < g.names[j]
-}
-
-func (g *Graph) tieHashLocked(i int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(g.names[i]))
-	return splitmix(g.cfg.Seed ^ h.Sum64())
 }
 
 // splitmix is the SplitMix64 finalizer (mirrors internal/rng's mixer).
