@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/parallel/... ./internal/tournament/... ./internal/cost/..
 # measured total so genuine regressions fail without flaking on noise.
 COVER_FLOOR = 76.0
 
-.PHONY: build test race bench vet lint ci bench-smoke bench-test golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
+.PHONY: build test race bench vet lint ci bench-smoke bench-test golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover loc all clean
 
 all: build vet test
 
@@ -130,6 +130,13 @@ lint:
 	else \
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
+
+# Go line counts outside bench/ (a module of its own) and hidden
+# directories: non-test lines, then test lines.
+GO_FILES = find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go'
+loc:
+	@printf 'non-test Go lines: %s\n' $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)
+	@printf 'test Go lines:     %s\n' $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

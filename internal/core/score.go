@@ -11,53 +11,17 @@ import (
 	"crowdmax/internal/tournament"
 )
 
-// Aggregation selects how a crowd-scoring run combines the V cardinal votes
-// collected per element (Nordio et al., "Selecting the top-quality item
-// through crowd scoring").
-type Aggregation int
-
-const (
-	// AggTrimmedMean drops the top and bottom quarter of each element's
-	// votes and averages the rest — robust to a bounded fraction of
-	// spammer votes while keeping the precision of a mean. The default.
-	AggTrimmedMean Aggregation = iota
-	// AggMedian takes each element's median vote — the majority-style
-	// aggregate, maximally robust to outliers.
-	AggMedian
-)
-
-// String returns the aggregation's name.
-func (a Aggregation) String() string {
-	switch a {
-	case AggTrimmedMean:
-		return "trimmed-mean"
-	case AggMedian:
-		return "median"
-	default:
-		return fmt.Sprintf("aggregation(%d)", int(a))
-	}
-}
-
 // ScoreOptions configures Score.
 type ScoreOptions struct {
 	// Votes is the number of independent cardinal votes collected per
 	// element in phase 1; 0 defaults to 3.
 	Votes int
-	// Aggregation combines each element's votes into one score; the zero
-	// value is the trimmed mean.
-	Aggregation Aggregation
 	// U plays the role un(n) plays for the filter: the number of elements
 	// whose aggregated scores are statistically indistinguishable from the
-	// maximum's. It sizes the default shortlist (2·U − 1, mirroring the
-	// filter's candidate bound). Required ≥ 1 unless Shortlist is set.
+	// maximum's. It sizes the shortlist handed to the expert phase
+	// (2·U − 1, mirroring the filter's candidate bound, clamped to n).
+	// Required ≥ 1.
 	U int
-	// Shortlist overrides the number of top-scored elements handed to the
-	// expert phase; 0 derives 2·U − 1. Clamped to [1, n].
-	Shortlist int
-	// Phase2 selects the expert extraction algorithm over the shortlist.
-	Phase2 Phase2Algorithm
-	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
-	Randomized RandomizedOptions
 	// OnPhase, when set, is called at phase boundaries with the label
 	// ("phase1" after scoring, "done" after extraction) and the shortlist.
 	OnPhase func(phase string, survivors []item.Item)
@@ -86,11 +50,12 @@ type ScoreResult struct {
 	ScoresComplete bool
 }
 
-// Score is the crowd-scoring workload: phase 1 collects Votes independent
-// cardinal estimates per element from the naive class (value queries, billed
-// like naive comparisons), aggregates them robustly, and shortlists the top
-// scorers; phase 2 has experts extract the best element from the shortlist
-// with the usual pairwise machinery. It is the Nordio-et-al. alternative to
+// Score is the crowd-scoring workload (Nordio et al., "Selecting the
+// top-quality item through crowd scoring"): phase 1 collects Votes
+// independent cardinal estimates per element from the naive class (value
+// queries, billed like naive comparisons), aggregates each element's votes
+// by a trimmed mean, and shortlists the top scorers; phase 2 has experts
+// extract the best element from the shortlist with 2-MaxFind. It is the Nordio-et-al. alternative to
 // the comparison-based filter: the same two-phase shape, but phase 1 costs
 // Votes·n value queries instead of up to 4·n·un comparisons — cheaper when
 // un is large — at the price of a score-calibration assumption instead of a
@@ -113,19 +78,10 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 	if votes < 1 {
 		return ScoreResult{}, fmt.Errorf("core: Score requires Votes ≥ 1, got %d", votes)
 	}
-	shortlist := opt.Shortlist
-	if shortlist == 0 {
-		if opt.U < 1 {
-			return ScoreResult{}, fmt.Errorf("core: Score requires U ≥ 1 (or an explicit Shortlist), got U=%d", opt.U)
-		}
-		shortlist = 2*opt.U - 1
+	if opt.U < 1 {
+		return ScoreResult{}, fmt.Errorf("core: Score requires U ≥ 1, got U=%d", opt.U)
 	}
-	if shortlist < 1 {
-		return ScoreResult{}, fmt.Errorf("core: Score requires Shortlist ≥ 1, got %d", shortlist)
-	}
-	if shortlist > len(items) {
-		shortlist = len(items)
-	}
+	shortlist := min(2*opt.U-1, len(items))
 
 	sc := naive.Obs()
 	if sc == nil {
@@ -148,7 +104,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 		for i, it := range items {
 			v, err := naive.AskValue(ctx, it, rep)
 			if err != nil {
-				res.Scores = aggregateScores(items[:i], ballots[:i], opt.Aggregation, rep+1)
+				res.Scores = aggregateScores(items[:i], ballots[:i], rep+1)
 				if len(res.Scores) > 0 {
 					res.Best = res.Scores[0].Item
 				}
@@ -158,7 +114,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 		}
 		naive.Step()
 	}
-	res.Scores = aggregateScores(items, ballots, opt.Aggregation, votes)
+	res.Scores = aggregateScores(items, ballots, votes)
 	res.ScoresComplete = true
 	res.Shortlist = make([]item.Item, shortlist)
 	for i := 0; i < shortlist; i++ {
@@ -169,7 +125,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 	if sc != nil {
 		d := naive.LedgerSnapshot().Sub(n0)
 		sc.Event("score.phase1",
-			obs.Fs("aggregation", opt.Aggregation.String()),
+			obs.Fs("aggregation", "trimmed-mean"),
 			obs.Fi("n", int64(len(items))), obs.Fi("votes", int64(votes)),
 			obs.Fi("shortlist", int64(shortlist)),
 			obs.Fi("queries", d.TotalComparisons()), obs.Fi("steps", d.Steps))
@@ -183,7 +139,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 	if sc != nil {
 		e0 = expert.LedgerSnapshot()
 	}
-	best, err := RunPhase2(ctx, res.Shortlist, expert, opt.Phase2, opt.Randomized)
+	best, err := TwoMaxFind(ctx, res.Shortlist, expert)
 	if err != nil {
 		if best.ID != 0 || best.Value != 0 {
 			res.Best = best
@@ -194,7 +150,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 	if sc != nil {
 		d := expert.LedgerSnapshot().Sub(e0)
 		sc.Event("score.phase2",
-			obs.Fs("algo", opt.Phase2.String()), obs.Fi("shortlist", int64(shortlist)),
+			obs.Fs("algo", Phase2TwoMaxFind.String()), obs.Fi("shortlist", int64(shortlist)),
 			obs.Fi("comparisons", d.TotalComparisons()), obs.Fi("steps", d.Steps))
 	}
 	if opt.OnPhase != nil {
@@ -206,38 +162,31 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 // aggregateScores combines each element's collected votes into one score and
 // returns the elements sorted best-first (stable on ties, so equal scores
 // keep input order). Only elements with all `votes` ballots in are included.
-func aggregateScores(items []item.Item, ballots [][]float64, agg Aggregation, votes int) []ItemScore {
+func aggregateScores(items []item.Item, ballots [][]float64, votes int) []ItemScore {
 	out := make([]ItemScore, 0, len(items))
 	for i, it := range items {
 		if len(ballots[i]) < votes {
 			continue
 		}
-		out = append(out, ItemScore{Item: it, Score: aggregate(ballots[i], agg)})
+		out = append(out, ItemScore{Item: it, Score: trimmedMean(ballots[i])})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].Score > out[b].Score })
 	return out
 }
 
-// aggregate reduces one ballot to a score. The ballot is copied before
-// sorting; callers may keep appending to it.
-func aggregate(ballot []float64, agg Aggregation) float64 {
+// trimmedMean reduces one ballot to a score: it drops the top and bottom
+// quarter of the votes and averages the rest — robust to a bounded fraction
+// of spammer votes while keeping the precision of a mean. The ballot is
+// copied before sorting; callers may keep appending to it.
+func trimmedMean(ballot []float64) float64 {
 	vs := make([]float64, len(ballot))
 	copy(vs, ballot)
 	sort.Float64s(vs)
-	switch agg {
-	case AggMedian:
-		n := len(vs)
-		if n%2 == 1 {
-			return vs[n/2]
-		}
-		return (vs[n/2-1] + vs[n/2]) / 2
-	default: // AggTrimmedMean
-		trim := len(vs) / 4
-		vs = vs[trim : len(vs)-trim]
-		sum := 0.0
-		for _, v := range vs {
-			sum += v
-		}
-		return sum / float64(len(vs))
+	trim := len(vs) / 4
+	vs = vs[trim : len(vs)-trim]
+	sum := 0.0
+	for _, v := range vs {
+		sum += v
 	}
+	return sum / float64(len(vs))
 }

@@ -31,10 +31,10 @@ func TestScoreValidation(t *testing.T) {
 		t.Fatal("negative Votes accepted")
 	}
 	if _, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{}); err == nil {
-		t.Fatal("U=0 without Shortlist accepted")
+		t.Fatal("U=0 accepted")
 	}
-	if _, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{Shortlist: -2}); err == nil {
-		t.Fatal("negative Shortlist accepted")
+	if _, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{U: -2}); err == nil {
+		t.Fatal("negative U accepted")
 	}
 }
 
@@ -73,8 +73,8 @@ func TestScoreShortlistClampAndOverride(t *testing.T) {
 	r := rng.New(3)
 	s := dataset.Uniform(5, 0, 1, r)
 	no, eo := scoreOracles()
-	// Explicit Shortlist bypasses U; larger than n clamps to n.
-	res, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{Shortlist: 9})
+	// A 2·U − 1 shortlist larger than n clamps to n.
+	res, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{U: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,36 +151,26 @@ func TestScorePhase2Truncation(t *testing.T) {
 }
 
 func TestScoreAggregations(t *testing.T) {
-	// Trimmed mean drops len/4 from each end; median averages the middle
-	// pair on even ballots.
+	// The trimmed mean drops len/4 from each end and averages the rest.
 	cases := []struct {
 		ballot []float64
-		agg    Aggregation
 		want   float64
 	}{
-		{[]float64{0, 2, 100}, AggTrimmedMean, 34},   // trim 0: plain mean
-		{[]float64{0, 2, 100}, AggMedian, 2},         // outlier ignored
-		{[]float64{0, 1, 1, 100}, AggTrimmedMean, 1}, // trim 1 each end
-		{[]float64{0, 1, 3, 100}, AggMedian, 2},      // middle-pair average
-		{[]float64{5}, AggTrimmedMean, 5},
-		{[]float64{5}, AggMedian, 5},
+		{[]float64{0, 2, 100}, 34},   // trim 0: plain mean
+		{[]float64{0, 1, 1, 100}, 1}, // trim 1 each end
+		{[]float64{5}, 5},
 	}
 	for i, c := range cases {
-		if got := aggregate(c.ballot, c.agg); got != c.want {
-			t.Errorf("case %d (%s of %v): got %g want %g", i, c.agg, c.ballot, got, c.want)
+		if got := trimmedMean(c.ballot); got != c.want {
+			t.Errorf("case %d (trimmed mean of %v): got %g want %g", i, c.ballot, got, c.want)
 		}
-	}
-	if AggTrimmedMean.String() != "trimmed-mean" || AggMedian.String() != "median" {
-		t.Fatal("aggregation names wrong")
-	}
-	if Aggregation(9).String() != "aggregation(9)" {
-		t.Fatal("unknown aggregation name wrong")
 	}
 }
 
 func TestScoreMedianRobustToSpammerVotes(t *testing.T) {
 	// A valuer that answers garbage on one of five votes must not move the
-	// median-aggregated winner off the true maximum.
+	// aggregated winner off the true maximum: with five votes the trimmed
+	// mean drops the highest, which is the inflated one.
 	r := rng.New(6)
 	s := dataset.Uniform(25, 0, 1, r)
 	spam := worker.ValuerFunc(func(it item.Item, rep int) float64 {
@@ -191,11 +181,11 @@ func TestScoreMedianRobustToSpammerVotes(t *testing.T) {
 	})
 	no := tournament.NewOracle(worker.Truth, worker.Naive, nil, nil).WithValuer(spam)
 	eo := tournament.NewOracle(worker.Truth, worker.Expert, nil, nil)
-	res, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{Votes: 5, U: 2, Aggregation: AggMedian})
+	res, err := Score(context.Background(), s.Items(), no, eo, ScoreOptions{Votes: 5, U: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Rank(res.Best.ID) != 1 {
-		t.Fatalf("median aggregation lost the max to a spammer vote: rank %d", s.Rank(res.Best.ID))
+		t.Fatalf("trimmed-mean aggregation lost the max to a spammer vote: rank %d", s.Rank(res.Best.ID))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"crowdmax/internal/chaos"
 	"crowdmax/internal/dispatch"
@@ -27,15 +26,9 @@ type Signals struct {
 	// ActiveExperts is the expert pool's non-quarantined worker count, or
 	// -1 when no pool exposes one.
 	ActiveExperts int
-	// TrustConfidence is the worker pool's latest agreement-graph
-	// extraction confidence in [0, 1] (dispatch.Pool.TrustConfidence), or
-	// -1 when no graph scorer runs — rungs with MinTrust set refuse to run
-	// on a pool whose trust core has collapsed.
-	TrustConfidence float64
-	// HasDeadline reports whether the run context carries a deadline;
-	// DeadlineLeft is the time remaining when it does.
-	HasDeadline  bool
-	DeadlineLeft time.Duration
+	// DeadlinePassed reports that the run context's deadline has already
+	// passed; it blocks every rung that would spend comparisons.
+	DeadlinePassed bool
 	// Phase1Done reports whether the filter phase completed, and
 	// Candidates the size of its output. Filled by Run, not the sampler.
 	Phase1Done bool
@@ -45,23 +38,12 @@ type Signals struct {
 // Unconstrained returns a Signals sample carrying no information: budgets
 // unconstrained, pool size unknown, no deadline.
 func Unconstrained() Signals {
-	return Signals{ExpertRemaining: -1, NaiveRemaining: -1, ActiveExperts: -1, TrustConfidence: -1}
+	return Signals{ExpertRemaining: -1, NaiveRemaining: -1, ActiveExperts: -1}
 }
 
-// Config configures a Controller.
-type Config struct {
-	// Ladder is the quality ladder; defaults to DefaultLadder().
-	Ladder Ladder
-	// MaxAttempts is how many times a rung may fail before the controller
-	// stops retrying it. Defaults to 2.
-	MaxAttempts int
-	// Seed drives the controller's seeded choices (the shrunk rung's
-	// subset sample).
-	Seed uint64
-	// CmpLatency, when > 0, converts a rung's comparison cost estimate
-	// into wall time for the deadline precondition.
-	CmpLatency time.Duration
-}
+// maxAttempts is how many times a rung may fail before the controller stops
+// retrying it.
+const maxAttempts = 2
 
 // Decision is one entry of the controller's append-only decision log.
 type Decision struct {
@@ -99,9 +81,9 @@ func (d Decision) Direction() int {
 // it from one goroutine.
 type Controller struct {
 	mu       sync.Mutex
-	cfg      Config
-	failures []int
-	cur      int // ladder index of the current rung, -1 before the first decision
+	seed     uint64 // drives the shrunk rung's subset sample
+	failures [numRungs]int
+	cur      Rung // -1 before the first decision
 	seq      int
 	log      []Decision
 
@@ -110,69 +92,58 @@ type Controller struct {
 	halted     bool // a fatal error was reported; only best-so-far remains
 }
 
-// NewController validates cfg (defaults applied) and returns a fresh
-// controller positioned above the ladder's top rung.
-func NewController(cfg Config) (*Controller, error) {
-	if cfg.Ladder == nil {
-		cfg.Ladder = DefaultLadder()
-	}
-	if err := cfg.Ladder.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 2
-	}
-	return &Controller{cfg: cfg, failures: make([]int, len(cfg.Ladder)), cur: -1}, nil
+// NewController returns a fresh controller positioned above the ladder's
+// top rung; seed drives its seeded choices (the shrunk rung's subset).
+func NewController(seed uint64) *Controller {
+	return &Controller{seed: seed, cur: -1}
 }
-
-// Ladder returns the controller's validated ladder.
-func (c *Controller) Ladder() Ladder { return c.cfg.Ladder }
 
 // Decide picks the strongest eligible rung under sig, appends the decision
 // (with the skip reasons for every stronger rung) to the log, and returns
-// it. Decisions are deterministic in (ladder, signals, failure state) — an
-// upward recovery happens naturally when a previously blocked rung's
-// precondition clears, e.g. a quarantined expert pool heals past
-// MinExperts, as long as the rung has attempts left.
+// it. Decisions are deterministic in (signals, failure state) — an upward
+// recovery happens naturally when a previously blocked rung's precondition
+// clears, e.g. a quarantined expert pool heals, as long as the rung has
+// attempts left.
 func (c *Controller) Decide(point string, sig Signals) Rung {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var skipped []string
-	chosen := len(c.cfg.Ladder) - 1
-	for i, r := range c.cfg.Ladder {
-		if reason := c.blockedLocked(i, r, sig); reason != "" {
-			skipped = append(skipped, r.Name+": "+reason)
+	chosen := RungBestSoFar
+	for r := Rung(0); r < RungBestSoFar; r++ {
+		if reason := c.blockedLocked(r, sig); reason != "" {
+			skipped = append(skipped, r.String()+": "+reason)
 			continue
 		}
-		chosen = i
+		chosen = r
 		break
 	}
 	d := Decision{
 		Seq: c.seq, Point: point,
-		FromIndex: c.cur, ToIndex: chosen,
-		To:     c.cfg.Ladder[chosen].Name,
+		FromIndex: int(c.cur), ToIndex: int(chosen),
+		To:     chosen.String(),
 		Reason: strings.Join(skipped, "; "),
 	}
 	if c.cur >= 0 {
-		d.From = c.cfg.Ladder[c.cur].Name
+		d.From = c.cur.String()
 	}
 	c.seq++
 	c.log = append(c.log, d)
 	c.cur = chosen
-	return c.cfg.Ladder[chosen]
+	return chosen
 }
 
-// blockedLocked returns "" when rung i is eligible under sig, else the
-// reason it is not. Callers hold c.mu.
-func (c *Controller) blockedLocked(i int, r Rung, sig Signals) string {
-	if r.Kind == RungBestSoFar {
-		return "" // the terminal rung is always eligible
-	}
+// blockedLocked returns "" when rung r (not the terminal best-so-far, which
+// is always eligible) may run under sig, else the reason it may not. The
+// reasons are hashed into DecisionHash, which checkpoints carry, so every
+// string here must stay byte-for-byte stable — including the MinExperts
+// wording, which outlived the rung field it once named. The checks run in a
+// fixed order, and only the first that fails is recorded. Callers hold c.mu.
+func (c *Controller) blockedLocked(r Rung, sig Signals) string {
 	if c.halted {
 		return "run halted by a fatal error"
 	}
-	if c.failures[i] >= c.cfg.MaxAttempts {
-		return fmt.Sprintf("failed %d times", c.failures[i])
+	if c.failures[r] >= maxAttempts {
+		return fmt.Sprintf("failed %d times", c.failures[r])
 	}
 	if r.expert() && c.expertDead {
 		return "expert backend permanently failed"
@@ -183,33 +154,18 @@ func (c *Controller) blockedLocked(i int, r Rung, sig Signals) string {
 	if !sig.Phase1Done || sig.Candidates == 0 {
 		return "no candidate set (phase 1 incomplete)"
 	}
-	if r.MinExperts > 0 && sig.ActiveExperts >= 0 && sig.ActiveExperts < r.MinExperts {
-		return fmt.Sprintf("%d active experts < MinExperts %d", sig.ActiveExperts, r.MinExperts)
+	if r.expert() && sig.ActiveExperts == 0 {
+		return "0 active experts < MinExperts 1"
 	}
-	if r.MinTrust > 0 && sig.TrustConfidence >= 0 && sig.TrustConfidence < r.MinTrust {
-		return fmt.Sprintf("trust confidence %.2f < MinTrust %.2f", sig.TrustConfidence, r.MinTrust)
-	}
-	cost := r.CostEstimate(sig.Candidates)
 	remaining := sig.NaiveRemaining
 	if r.expert() {
 		remaining = sig.ExpertRemaining
 	}
-	if remaining >= 0 {
-		if remaining < cost {
-			return fmt.Sprintf("budget %d < cost estimate %d", remaining, cost)
-		}
-		if remaining < r.MinBudget {
-			return fmt.Sprintf("budget %d < MinBudget %d", remaining, r.MinBudget)
-		}
+	if cost := r.CostEstimate(sig.Candidates); remaining >= 0 && remaining < cost {
+		return fmt.Sprintf("budget %d < cost estimate %d", remaining, cost)
 	}
-	if sig.HasDeadline {
-		if sig.DeadlineLeft <= 0 {
-			return "deadline passed"
-		}
-		if c.cfg.CmpLatency > 0 && time.Duration(cost)*c.cfg.CmpLatency > sig.DeadlineLeft {
-			return fmt.Sprintf("cost estimate %d × %v exceeds deadline %v",
-				cost, c.cfg.CmpLatency, sig.DeadlineLeft)
-		}
+	if sig.DeadlinePassed {
+		return "deadline passed"
 	}
 	return ""
 }
@@ -223,12 +179,7 @@ func (c *Controller) blockedLocked(i int, r Rung, sig Signals) string {
 func (c *Controller) Report(r Rung, err error) (fatal bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, lr := range c.cfg.Ladder {
-		if lr.Name == r.Name {
-			c.failures[i]++
-			break
-		}
-	}
+	c.failures[r]++
 	switch {
 	// ErrCrash wraps ErrPermanent, so the crash test comes first: a crash
 	// models process death and must stay fatal even under degradation —
@@ -274,14 +225,14 @@ func (c *Controller) ReportPhase1(err error) (fatal bool) {
 func (c *Controller) Shrink(candidates []item.Item, remaining int64) []item.Item {
 	k := len(candidates)
 	if remaining >= 0 {
-		for k > 2 && shrunkCost(k) > remaining {
+		for k > 2 && RungExpert2MaxFind.CostEstimate(k) > remaining {
 			k--
 		}
 	}
 	if k >= len(candidates) {
 		return candidates
 	}
-	r := rng.New(c.cfg.Seed).Child("shrink")
+	r := rng.New(c.seed).Child("shrink")
 	idx := make([]int, len(candidates))
 	for i := range idx {
 		idx[i] = i
@@ -325,7 +276,7 @@ func (c *Controller) Snapshot() (rung string, logHash uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cur >= 0 {
-		rung = c.cfg.Ladder[c.cur].Name
+		rung = c.cur.String()
 	}
 	return rung, c.logHashLocked()
 }

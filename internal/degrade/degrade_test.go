@@ -5,21 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"crowdmax/internal/chaos"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/item"
 )
-
-func mustController(t *testing.T, cfg Config) *Controller {
-	t.Helper()
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 // healthy is a Signals sample under which every default rung is eligible.
 func healthy() Signals {
@@ -29,47 +19,77 @@ func healthy() Signals {
 	return sig
 }
 
-func TestLadderValidate(t *testing.T) {
-	cases := []struct {
-		name   string
-		ladder Ladder
-		bad    string
-	}{
-		{name: "default", ladder: DefaultLadder()},
-		{name: "empty", ladder: Ladder{}, bad: "empty"},
-		{name: "unnamed", ladder: Ladder{{Kind: RungBestSoFar}}, bad: "no name"},
-		{name: "duplicate", ladder: Ladder{
-			{Name: "x", Kind: RungNaiveMajority, Guarantee: GuaranteeDeltaN},
-			{Name: "x", Kind: RungBestSoFar},
-		}, bad: "duplicate"},
-		{name: "no terminal", ladder: Ladder{
-			{Name: "x", Kind: RungNaiveMajority, Guarantee: GuaranteeDeltaN},
-		}, bad: "best-so-far"},
-		{name: "overclaimed label", ladder: Ladder{
-			{Name: "x", Kind: RungNaiveMajority, Guarantee: Guarantee2DeltaE},
-			{Name: "end", Kind: RungBestSoFar},
-		}, bad: "stronger"},
-	}
-	for _, tc := range cases {
-		err := tc.ladder.Validate()
-		if tc.bad == "" {
-			if err != nil {
-				t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.bad) {
-			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.bad)
+func TestGuaranteeStrengthOrdersTheLadder(t *testing.T) {
+	for r := RungExpertRandomized; r <= RungBestSoFar; r++ {
+		if (r - 1).Guarantee().Strength() <= r.Guarantee().Strength() {
+			t.Fatalf("rung %q (%q) is not stronger than %q (%q)",
+				r-1, (r - 1).Guarantee(), r, r.Guarantee())
 		}
 	}
 }
 
-func TestGuaranteeStrengthOrdersTheLadder(t *testing.T) {
-	l := DefaultLadder()
-	for i := 1; i < len(l); i++ {
-		if l[i-1].Guarantee.Strength() <= l[i].Guarantee.Strength() {
-			t.Fatalf("rung %q (%q) is not stronger than %q (%q)",
-				l[i-1].Name, l[i-1].Guarantee, l[i].Name, l[i].Guarantee)
+// TestRungLabels pins each rung's name and label, and checks StrongestLabel
+// reads the same table: a rung's answer can never carry more than its
+// policy delivers.
+func TestRungLabels(t *testing.T) {
+	want := []struct {
+		name string
+		g    Guarantee
+	}{
+		{"expert-2maxfind", Guarantee2DeltaE},
+		{"expert-randomized", Guarantee3DeltaEWHP},
+		{"expert-shrunk", Guarantee2DeltaESubset},
+		{"naive-majority", GuaranteeDeltaN},
+		{"best-so-far", GuaranteeNone},
+	}
+	for r := RungExpert2MaxFind; r <= RungBestSoFar; r++ {
+		if r.String() != want[r].name || r.Guarantee() != want[r].g {
+			t.Errorf("rung %d = (%q, %q), want (%q, %q)", int(r), r, r.Guarantee(), want[r].name, want[r].g)
+		}
+		if g, ok := StrongestLabel(r.String()); !ok || g != r.Guarantee() {
+			t.Errorf("StrongestLabel(%q) = (%q, %v), want (%q, true)", r, g, ok, r.Guarantee())
+		}
+	}
+	for name, g := range map[string]Guarantee{
+		"expert-all-play-all": Guarantee2DeltaE,
+		"score-expert":        Guarantee2DeltaESubset,
+		"score-naive":         GuaranteeDeltaN,
+	} {
+		if got, ok := StrongestLabel(name); !ok || got != g {
+			t.Errorf("StrongestLabel(%q) = (%q, %v), want (%q, true)", name, got, ok, g)
+		}
+	}
+	if _, ok := StrongestLabel("expert-bogus"); ok {
+		t.Error("StrongestLabel accepted an unknown rung")
+	}
+	if r := numRungs; r.String() != "rung(5)" || r.Guarantee() != GuaranteeNone {
+		t.Errorf("out-of-range rung = (%q, %q), want (rung(5), best-so-far)", r, r.Guarantee())
+	}
+}
+
+// TestWorstCaseCoversEveryRung checks the reservation envelope: no rung's
+// cost estimate exceeds WorstCase for its worker class, and WorstCase is
+// attained by some rung.
+func TestWorstCaseCoversEveryRung(t *testing.T) {
+	for _, s := range []int{0, 1, 2, 7, 9, 31, 6400, 7999} {
+		naive, expert := WorstCase(s)
+		var hitN, hitE bool
+		for r := RungExpert2MaxFind; r <= RungBestSoFar; r++ {
+			c, bound := r.CostEstimate(s), naive
+			if r.expert() {
+				bound = expert
+			}
+			if c > bound {
+				t.Errorf("s=%d: %s estimates %d > WorstCase %d", s, r, c, bound)
+			}
+			if r.expert() {
+				hitE = hitE || c == expert
+			} else {
+				hitN = hitN || c == naive
+			}
+		}
+		if !hitN || !hitE {
+			t.Errorf("s=%d: WorstCase (%d, %d) is not any rung's estimate", s, naive, expert)
 		}
 	}
 }
@@ -100,14 +120,15 @@ func TestRungPreconditions(t *testing.T) {
 			s.ActiveExperts = 0
 			return s
 		}, want: "naive-majority"},
-		{name: "unknown pool size passes MinExperts", sig: func() Signals {
+		{name: "unknown pool size passes the active-expert check", sig: func() Signals {
 			s := healthy()
 			s.ActiveExperts = -1
 			return s
 		}, want: "expert-2maxfind"},
 		{name: "expert budget below full-set rungs falls to shrunk", sig: func() Signals {
 			s := healthy()
-			// 2-MaxFind over 9 needs 54; randomized needs 160·9 = 1440;
+			// 2-MaxFind over 9 needs 55 (the ceiling of 2·9^1.5 in floating
+			// point); randomized needs 160·9 = 1440;
 			// the shrunk rung's floor is a 2-element tournament (6).
 			s.ExpertRemaining = 40
 			return s
@@ -130,80 +151,17 @@ func TestRungPreconditions(t *testing.T) {
 		}, want: "best-so-far"},
 		{name: "deadline passed", sig: func() Signals {
 			s := healthy()
-			s.HasDeadline = true
-			s.DeadlineLeft = 0
+			s.DeadlinePassed = true
 			return s
 		}, want: "best-so-far"},
-		{name: "deadline without latency model passes", sig: func() Signals {
-			s := healthy()
-			s.HasDeadline = true
-			s.DeadlineLeft = time.Nanosecond
-			return s
-		}, want: "expert-2maxfind"},
 	}
 	for _, tc := range cases {
-		ctl := mustController(t, Config{})
+		ctl := NewController(0)
 		got := ctl.Decide("start", tc.sig())
-		if got.Name != tc.want {
+		if got.String() != tc.want {
 			t.Errorf("%s: Decide landed on %q, want %q (reason log: %s)",
-				tc.name, got.Name, tc.want, ctl.LastDecision().Reason)
+				tc.name, got, tc.want, ctl.LastDecision().Reason)
 		}
-	}
-}
-
-// TestMinTrustGatesExpertRungs checks the MinTrust precondition: a rung
-// demanding agreement-graph confidence is skipped while the extraction is
-// collapsed, but the gate only engages when a graph scorer actually exposes
-// the signal (TrustConfidence ≥ 0).
-func TestMinTrustGatesExpertRungs(t *testing.T) {
-	ladder := DefaultLadder()
-	for i := range ladder {
-		if ladder[i].expert() {
-			ladder[i].MinTrust = 0.5
-		}
-	}
-	cases := []struct {
-		name string
-		conf float64
-		want string
-	}{
-		{name: "no graph scorer: gate disarmed", conf: -1, want: "expert-2maxfind"},
-		{name: "collapsed trust blocks every expert rung", conf: 0.2, want: "naive-majority"},
-		{name: "boundary confidence passes", conf: 0.5, want: "expert-2maxfind"},
-		{name: "confident extraction passes", conf: 0.9, want: "expert-2maxfind"},
-	}
-	for _, tc := range cases {
-		ctl := mustController(t, Config{Ladder: ladder})
-		sig := healthy()
-		sig.TrustConfidence = tc.conf
-		got := ctl.Decide("start", sig)
-		if got.Name != tc.want {
-			t.Errorf("%s: Decide landed on %q, want %q (reason: %s)",
-				tc.name, got.Name, tc.want, ctl.LastDecision().Reason)
-		}
-	}
-}
-
-// TestDeadlineVsCostEstimate checks the CmpLatency precondition: a rung
-// whose estimated comparisons cannot finish before the deadline is skipped
-// in favor of a cheaper one.
-func TestDeadlineVsCostEstimate(t *testing.T) {
-	ctl := mustController(t, Config{CmpLatency: time.Millisecond})
-	sig := healthy()
-	sig.HasDeadline = true
-	// 2-MaxFind over 9 candidates estimates 55 comparisons = 55ms; the
-	// randomized rung estimates 1440; the shrunk rung's 2-element floor
-	// estimates 6.
-	sig.DeadlineLeft = 40 * time.Millisecond
-	if got := ctl.Decide("start", sig); got.Name != "expert-shrunk" {
-		t.Fatalf("40ms deadline: Decide landed on %q, want expert-shrunk (%s)",
-			got.Name, ctl.LastDecision().Reason)
-	}
-	// A deadline below every rung's estimate leaves only the terminal rung.
-	sig.DeadlineLeft = 3 * time.Millisecond
-	if got := ctl.Decide("error", sig); got.Kind != RungBestSoFar {
-		t.Fatalf("3ms deadline: Decide landed on %q, want best-so-far (%s)",
-			got.Name, ctl.LastDecision().Reason)
 	}
 }
 
@@ -249,8 +207,8 @@ func TestDowngradeTriggers(t *testing.T) {
 			want: "naive-majority",
 		},
 		{
-			// Quarantine below MinActive: the pool signal drops under the
-			// rung's MinExperts.
+			// Quarantine below MinActive: the pool signal reads no active
+			// expert.
 			name: "quarantine below MinActive",
 			err:  errUnavailable,
 			sig: func() Signals {
@@ -260,52 +218,39 @@ func TestDowngradeTriggers(t *testing.T) {
 			},
 			want: "naive-majority",
 		},
-		{
-			// Deadline shrank below the full-set rungs' cost estimates
-			// mid-run; only the cheap shrunk rung still fits.
-			name: "deadline below cost estimate",
-			err:  errUnavailable,
-			sig: func() Signals {
-				s := healthy()
-				s.HasDeadline = true
-				s.DeadlineLeft = 40 * time.Millisecond
-				return s
-			},
-			want: "expert-shrunk",
-		},
 	}
 	for _, tc := range cases {
-		ctl := mustController(t, Config{CmpLatency: time.Millisecond})
+		ctl := NewController(0)
 		first := ctl.Decide("start", healthy())
-		if first.Name != "expert-2maxfind" {
-			t.Fatalf("%s: first decision %q, want expert-2maxfind", tc.name, first.Name)
+		if first != RungExpert2MaxFind {
+			t.Fatalf("%s: first decision %q, want expert-2maxfind", tc.name, first)
 		}
 		if fatal := ctl.Report(first, tc.err); fatal {
 			t.Fatalf("%s: Report classified %v as fatal", tc.name, tc.err)
 		}
 		got := ctl.Decide("error", tc.sig())
-		if got.Name != tc.want {
+		if got.String() != tc.want {
 			t.Errorf("%s: post-failure decision %q, want %q (%s)",
-				tc.name, got.Name, tc.want, ctl.LastDecision().Reason)
+				tc.name, got, tc.want, ctl.LastDecision().Reason)
 		}
 	}
 }
 
 // TestMaxAttemptsExhaustsARung checks the attempt counter: a rung that
-// keeps failing transiently is abandoned after MaxAttempts tries.
+// keeps failing transiently is abandoned after its two tries.
 func TestMaxAttemptsExhaustsARung(t *testing.T) {
-	ctl := mustController(t, Config{MaxAttempts: 2})
+	ctl := NewController(0)
 	for i := 0; i < 2; i++ {
 		r := ctl.Decide("error", healthy())
-		if r.Name != "expert-2maxfind" {
-			t.Fatalf("attempt %d landed on %q, want expert-2maxfind", i, r.Name)
+		if r != RungExpert2MaxFind {
+			t.Fatalf("attempt %d landed on %q, want expert-2maxfind", i, r)
 		}
 		ctl.Report(r, dispatch.ErrBackendUnavailable)
 	}
 	r := ctl.Decide("error", healthy())
-	if r.Name != "expert-randomized" {
+	if r != RungExpertRandomized {
 		t.Fatalf("post-exhaustion decision %q, want expert-randomized (%s)",
-			r.Name, ctl.LastDecision().Reason)
+			r, ctl.LastDecision().Reason)
 	}
 	if dir := ctl.LastDecision().Direction(); dir >= 0 {
 		t.Fatalf("downgrade decision direction %d, want negative", dir)
@@ -316,18 +261,18 @@ func TestMaxAttemptsExhaustsARung(t *testing.T) {
 // quarantined pool becomes eligible again when the pool heals, and the
 // controller climbs back up.
 func TestUpwardRecovery(t *testing.T) {
-	ctl := mustController(t, Config{})
+	ctl := NewController(0)
 	sick := healthy()
 	sick.ActiveExperts = 0
-	if r := ctl.Decide("start", sick); r.Name != "naive-majority" {
-		t.Fatalf("sick pool decision %q, want naive-majority", r.Name)
+	if r := ctl.Decide("start", sick); r != RungNaiveMajority {
+		t.Fatalf("sick pool decision %q, want naive-majority", r)
 	}
 	healed := healthy()
 	healed.ActiveExperts = 3
 	r := ctl.Decide("error", healed)
-	if r.Name != "expert-2maxfind" {
+	if r != RungExpert2MaxFind {
 		t.Fatalf("healed pool decision %q, want expert-2maxfind (%s)",
-			r.Name, ctl.LastDecision().Reason)
+			r, ctl.LastDecision().Reason)
 	}
 	if dir := ctl.LastDecision().Direction(); dir <= 0 {
 		t.Fatalf("recovery decision direction %d, want positive", dir)
@@ -340,18 +285,18 @@ func TestFatalErrorsHaltTheLadder(t *testing.T) {
 		context.Canceled,
 		context.DeadlineExceeded,
 	} {
-		ctl := mustController(t, Config{})
+		ctl := NewController(0)
 		r := ctl.Decide("start", healthy())
 		if fatal := ctl.Report(r, err); !fatal {
 			t.Errorf("Report(%v) not fatal", err)
 		}
-		if next := ctl.Decide("error", healthy()); next.Kind != RungBestSoFar {
-			t.Errorf("post-fatal decision %q, want the terminal rung", next.Name)
+		if next := ctl.Decide("error", healthy()); next != RungBestSoFar {
+			t.Errorf("post-fatal decision %q, want the terminal rung", next)
 		}
 	}
 	// An injected crash wraps ErrPermanent; it must be classified as a
 	// crash (fatal), not as a dead backend (degradable).
-	ctl := mustController(t, Config{})
+	ctl := NewController(0)
 	r := ctl.Decide("start", healthy())
 	if !ctl.Report(r, chaos.ErrCrash) {
 		t.Fatal("ErrCrash (which wraps ErrPermanent) was not classified fatal")
@@ -360,7 +305,7 @@ func TestFatalErrorsHaltTheLadder(t *testing.T) {
 
 func TestDecisionLogAndHash(t *testing.T) {
 	walk := func() *Controller {
-		ctl := mustController(t, Config{})
+		ctl := NewController(0)
 		r := ctl.Decide("start", healthy())
 		ctl.Report(r, dispatch.ErrBudgetExhausted)
 		sig := healthy()
@@ -372,7 +317,7 @@ func TestDecisionLogAndHash(t *testing.T) {
 	if a.LogHash() != b.LogHash() {
 		t.Fatal("identical walks produced different log hashes")
 	}
-	other := mustController(t, Config{})
+	other := NewController(0)
 	other.Decide("start", healthy())
 	if a.LogHash() == other.LogHash() {
 		t.Fatal("different walks produced the same log hash")
@@ -395,7 +340,7 @@ func TestShrinkIsDeterministicAndBudgetSized(t *testing.T) {
 	for i := range cands {
 		cands[i] = item.Item{ID: i + 1, Value: float64(i)}
 	}
-	ctl := mustController(t, Config{Seed: 42})
+	ctl := NewController(42)
 
 	// Unconstrained: the full set comes back untouched.
 	if got := ctl.Shrink(cands, -1); len(got) != len(cands) {
@@ -424,5 +369,107 @@ func TestShrinkIsDeterministicAndBudgetSized(t *testing.T) {
 	// Even a starved budget keeps 2 elements — the smallest real tournament.
 	if got := ctl.Shrink(cands, 0); len(got) != 2 {
 		t.Fatalf("Shrink(0) returned %d candidates, want the 2-element floor", len(got))
+	}
+}
+
+// TestDecisionLogPinned pins every decision Reason the controller can write,
+// and the FNV hash of each walk's log, to literal values. DecisionHash rides
+// in checkpoints, so a change to any reason string — even a word — makes a
+// resumed run disagree with the log it was checkpointed under.
+func TestDecisionLogPinned(t *testing.T) {
+	errPermanent := fmt.Errorf("gone: %w", dispatch.ErrPermanent)
+	walks := []struct {
+		name    string
+		steps   func(ctl *Controller)
+		reasons []string // Reason of each decision, in order
+		hash    uint64
+	}{
+		{
+			name: "halted",
+			steps: func(ctl *Controller) {
+				ctl.Report(ctl.Decide("start", healthy()), chaos.ErrCrash)
+				ctl.Decide("error", healthy())
+			},
+			reasons: []string{"", "expert-2maxfind: run halted by a fatal error; expert-randomized: run halted by a fatal error; expert-shrunk: run halted by a fatal error; naive-majority: run halted by a fatal error"},
+			hash:    0x3573b414ba1e3511,
+		},
+		{
+			name: "failed twice",
+			steps: func(ctl *Controller) {
+				ctl.Report(ctl.Decide("start", healthy()), dispatch.ErrBackendUnavailable)
+				ctl.Report(ctl.Decide("error", healthy()), dispatch.ErrBackendUnavailable)
+				ctl.Decide("error", healthy())
+			},
+			reasons: []string{"", "", "expert-2maxfind: failed 2 times"},
+			hash:    0x71088d34776f47e3,
+		},
+		{
+			name: "expert then naive backend dead",
+			steps: func(ctl *Controller) {
+				ctl.Report(ctl.Decide("start", healthy()), errPermanent)
+				ctl.Report(ctl.Decide("error", healthy()), errPermanent)
+				ctl.Decide("error", healthy())
+			},
+			reasons: []string{"", "expert-2maxfind: expert backend permanently failed; expert-randomized: expert backend permanently failed; expert-shrunk: expert backend permanently failed", "expert-2maxfind: expert backend permanently failed; expert-randomized: expert backend permanently failed; expert-shrunk: expert backend permanently failed; naive-majority: naive backend permanently failed"},
+			hash:    0x689c15073a0bf6ca,
+		},
+		{
+			name: "phase 1 incomplete",
+			steps: func(ctl *Controller) {
+				sig := healthy()
+				sig.Phase1Done = false
+				ctl.Decide("phase1-failed", sig)
+			},
+			reasons: []string{"expert-2maxfind: no candidate set (phase 1 incomplete); expert-randomized: no candidate set (phase 1 incomplete); expert-shrunk: no candidate set (phase 1 incomplete); naive-majority: no candidate set (phase 1 incomplete)"},
+			hash:    0x39213b4995335dd2,
+		},
+		{
+			name: "no active experts",
+			steps: func(ctl *Controller) {
+				sig := healthy()
+				sig.ActiveExperts = 0
+				ctl.Decide("start", sig)
+			},
+			reasons: []string{"expert-2maxfind: 0 active experts < MinExperts 1; expert-randomized: 0 active experts < MinExperts 1; expert-shrunk: 0 active experts < MinExperts 1"},
+			hash:    0x53919003b70092d,
+		},
+		{
+			name: "budget below cost estimates",
+			steps: func(ctl *Controller) {
+				sig := healthy()
+				sig.ExpertRemaining = 40
+				ctl.Decide("start", sig)
+				sig.ExpertRemaining = 3
+				sig.NaiveRemaining = 35
+				ctl.Decide("error", sig)
+			},
+			reasons: []string{"expert-2maxfind: budget 40 < cost estimate 55; expert-randomized: budget 40 < cost estimate 1440", "expert-2maxfind: budget 3 < cost estimate 55; expert-randomized: budget 3 < cost estimate 1440; expert-shrunk: budget 3 < cost estimate 6; naive-majority: budget 35 < cost estimate 36"},
+			hash:    0x83c90b9797a016f0,
+		},
+		{
+			name: "deadline passed",
+			steps: func(ctl *Controller) {
+				sig := healthy()
+				sig.DeadlinePassed = true
+				ctl.Decide("start", sig)
+			},
+			reasons: []string{"expert-2maxfind: deadline passed; expert-randomized: deadline passed; expert-shrunk: deadline passed; naive-majority: deadline passed"},
+			hash:    0xc871aac768446800,
+		},
+	}
+	for _, w := range walks {
+		ctl := NewController(0)
+		w.steps(ctl)
+		log := ctl.Decisions()
+		var got []string
+		for _, d := range log {
+			got = append(got, d.Reason)
+		}
+		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", w.reasons) {
+			t.Errorf("%s: reasons\n got %q\nwant %q", w.name, got, w.reasons)
+		}
+		if h := ctl.LogHash(); h != w.hash {
+			t.Errorf("%s: LogHash = %#x, want %#x", w.name, h, w.hash)
+		}
 	}
 }

@@ -11,9 +11,8 @@ import (
 
 // Options configures a supervised Run.
 type Options struct {
-	// Un and TrackLosses configure the filter phase; see core.FilterOptions.
-	Un          int
-	TrackLosses bool
+	// Un configures the filter phase; see core.FilterOptions.
+	Un int
 	// Randomized configures the randomized rung; see core.RandomizedOptions.
 	Randomized core.RandomizedOptions
 	// Signals, when set, samples the live decision inputs before each
@@ -39,8 +38,9 @@ type Outcome struct {
 	// Phase1Complete reports whether the filter ran to completion — δn-or
 	// stronger labels are only honest when it did.
 	Phase1Complete bool
-	// Rung is the ladder rung that produced Best; Rung.Guarantee is the
-	// label the answer may carry.
+	// Rung is the ladder rung that produced Best; Rung.Guarantee() is the
+	// label the answer may carry. On a fatal return no rung completed, and
+	// Rung is RungBestSoFar.
 	Rung Rung
 	// Decisions is the controller's decision log; LogHash its FNV hash.
 	Decisions []Decision
@@ -79,13 +79,13 @@ func Run(ctx context.Context, items []item.Item, naive, expert *tournament.Oracl
 		return out, err
 	}
 
-	candidates, err := core.Filter(ctx, items, naive, core.FilterOptions{Un: opt.Un, TrackLosses: opt.TrackLosses})
+	candidates, err := core.Filter(ctx, items, naive, core.FilterOptions{Un: opt.Un})
 	if err == nil && len(candidates) == 0 {
 		err = fmt.Errorf("degrade: empty candidate set (un=%d underestimated?)", opt.Un)
 	}
 	if err != nil {
 		if ctl.ReportPhase1(err) {
-			decide("phase1-failed")
+			out.Rung = decide("phase1-failed")
 			return finish(fmt.Errorf("phase 1: %w", err))
 		}
 		// Phase 1 is not retried: its partial survivor state lives inside
@@ -103,7 +103,7 @@ func Run(ctx context.Context, items []item.Item, naive, expert *tournament.Oracl
 	point := "start"
 	for {
 		rung := decide(point)
-		if rung.Kind == RungBestSoFar {
+		if rung == RungBestSoFar {
 			// The terminal rung spends nothing and returns the leader the
 			// failed attempts left behind (possibly the zero Item).
 			out.Rung = rung
@@ -127,8 +127,8 @@ func Run(ctx context.Context, items []item.Item, naive, expert *tournament.Oracl
 			out.Best = best
 		}
 		if ctl.Report(rung, err) {
-			out.Rung = rung
-			return finish(fmt.Errorf("rung %s: %w", rung.Name, err))
+			out.Rung = RungBestSoFar
+			return finish(fmt.Errorf("rung %s: %w", rung, err))
 		}
 		point = "error"
 	}
@@ -136,7 +136,7 @@ func Run(ctx context.Context, items []item.Item, naive, expert *tournament.Oracl
 
 // runRung executes one rung's policy over the candidate set.
 func runRung(ctx context.Context, r Rung, candidates []item.Item, naive, expert *tournament.Oracle, ctl *Controller, sample func() Signals, opt Options) (item.Item, error) {
-	switch r.Kind {
+	switch r {
 	case RungExpert2MaxFind:
 		return core.TwoMaxFind(ctx, candidates, expert)
 	case RungExpertRandomized:
@@ -150,9 +150,7 @@ func runRung(ctx context.Context, r Rung, candidates []item.Item, naive, expert 
 			return item.Item{}, err
 		}
 		return res.TopByWins(), nil
-	case RungBestSoFar:
-		return item.Item{}, nil
 	default:
-		return item.Item{}, fmt.Errorf("degrade: unknown rung kind %d", int(r.Kind))
+		return item.Item{}, fmt.Errorf("degrade: rung %s runs no policy", r)
 	}
 }

@@ -3,6 +3,7 @@ package degrade
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -54,14 +55,14 @@ func runOracles(expertBackend dispatch.Backend) (naive, expert *tournament.Oracl
 
 func TestRunCleanPathStaysOnTopRung(t *testing.T) {
 	naive, expert, _ := runOracles(dispatch.NewSimulated(worker.Truth))
-	ctl := mustController(t, Config{})
+	ctl := NewController(0)
 	out, err := Run(context.Background(), testItems(40), naive, expert, ctl, Options{Un: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rung.Name != "expert-2maxfind" || out.Rung.Guarantee != Guarantee2DeltaE {
+	if out.Rung != RungExpert2MaxFind || out.Rung.Guarantee() != Guarantee2DeltaE {
 		t.Fatalf("clean run landed on %q (%q), want expert-2maxfind (2δe)",
-			out.Rung.Name, out.Rung.Guarantee)
+			out.Rung, out.Rung.Guarantee())
 	}
 	if out.Best.ID != 40 {
 		t.Fatalf("clean run returned item %d, want the maximum 40", out.Best.ID)
@@ -83,7 +84,7 @@ func TestRunExpertOutageDegradesToNaiveMajority(t *testing.T) {
 	led := cost.NewLedger()
 	naive := tournament.NewOracle(blurry(), worker.Naive, led, tournament.NewMemo())
 	expert := tournament.NewBackendOracle(dead, worker.Expert, led, tournament.NewMemo())
-	ctl := mustController(t, Config{MaxAttempts: 1})
+	ctl := NewController(0)
 	var phases []string
 	out, err := Run(context.Background(), testItems(40), naive, expert, ctl, Options{
 		Un:      3,
@@ -92,9 +93,9 @@ func TestRunExpertOutageDegradesToNaiveMajority(t *testing.T) {
 	if err != nil {
 		t.Fatalf("expert outage was not absorbed: %v", err)
 	}
-	if out.Rung.Name != "naive-majority" || out.Rung.Guarantee != GuaranteeDeltaN {
+	if out.Rung != RungNaiveMajority || out.Rung.Guarantee() != GuaranteeDeltaN {
 		t.Fatalf("outage run landed on %q (%q), want naive-majority (δn)",
-			out.Rung.Name, out.Rung.Guarantee)
+			out.Rung, out.Rung.Guarantee())
 	}
 	if !containsItem(out.Candidates, out.Best) {
 		t.Fatalf("outage run returned %+v, not a member of the candidate set %v", out.Best, out.Candidates)
@@ -119,7 +120,7 @@ func TestRunBudgetExhaustionDegrades(t *testing.T) {
 	expert := tournament.NewBackendOracle(dispatch.NewSimulated(worker.Truth), worker.Expert, led, tournament.NewMemo())
 	budget := dispatch.NewBudget(dispatch.Limits{MaxExpert: 4})
 	expert.WithBudget(budget)
-	ctl := mustController(t, Config{MaxAttempts: 1})
+	ctl := NewController(0)
 	out, err := Run(context.Background(), testItems(40), naive, expert, ctl, Options{
 		Un: 3,
 		Signals: func() Signals {
@@ -135,8 +136,8 @@ func TestRunBudgetExhaustionDegrades(t *testing.T) {
 	// 4 expert comparisons cannot pay any expert rung — even the shrunk
 	// rung's 2-element duel estimates 6 — so the controller goes straight
 	// to the naive majority without burning an attempt.
-	if out.Rung.Name != "naive-majority" {
-		t.Fatalf("starved run landed on %q, want naive-majority", out.Rung.Name)
+	if out.Rung != RungNaiveMajority {
+		t.Fatalf("starved run landed on %q, want naive-majority", out.Rung)
 	}
 	if !containsItem(out.Candidates, out.Best) {
 		t.Fatalf("starved run returned %+v, not a member of the candidate set %v", out.Best, out.Candidates)
@@ -160,10 +161,27 @@ func TestRunCrashStaysFatal(t *testing.T) {
 	naiveCrash := tournament.NewBackendOracle(
 		crash.Wrap(dispatch.NewSimulated(worker.Truth)), worker.Naive, cost.NewLedger(), tournament.NewMemo())
 	_ = naive
-	ctl := mustController(t, Config{})
-	_, err := Run(context.Background(), testItems(40), naiveCrash, expert, ctl, Options{Un: 3})
+	ctl := NewController(0)
+	out, err := Run(context.Background(), testItems(40), naiveCrash, expert, ctl, Options{Un: 3})
 	if err == nil || !errors.Is(err, chaos.ErrCrash) {
 		t.Fatalf("crash during phase 1: err = %v, want ErrCrash", err)
+	}
+	if out.Rung != RungBestSoFar {
+		t.Fatalf("crash during phase 1 reported rung %q, want best-so-far", out.Rung)
+	}
+
+	// A crash mid-phase-2 halts the rung that was running; the outcome must
+	// not name that rung, as no rung completed.
+	naive = tournament.NewOracle(blurry(), worker.Naive, cost.NewLedger(), tournament.NewMemo())
+	expertCrash := tournament.NewBackendOracle(
+		chaos.NewCrash(0).Wrap(dispatch.NewSimulated(worker.Truth)), worker.Expert, cost.NewLedger(), tournament.NewMemo())
+	out, err = Run(context.Background(), testItems(40), naive, expertCrash, NewController(0), Options{Un: 3})
+	if !errors.Is(err, chaos.ErrCrash) || !strings.HasPrefix(err.Error(), "rung expert-2maxfind: ") {
+		t.Fatalf("crash during phase 2: err = %v, want ErrCrash from expert-2maxfind", err)
+	}
+	if out.Rung != RungBestSoFar || !out.Phase1Complete {
+		t.Fatalf("crash during phase 2 reported rung %q (phase 1 complete %v), want best-so-far after phase 1",
+			out.Rung, out.Phase1Complete)
 	}
 }
 
@@ -174,14 +192,14 @@ func TestRunPhase1FailureFallsToBestSoFar(t *testing.T) {
 	led := cost.NewLedger()
 	naive := tournament.NewBackendOracle(dead, worker.Naive, led, tournament.NewMemo())
 	expert := tournament.NewOracle(worker.Truth, worker.Expert, led, tournament.NewMemo())
-	ctl := mustController(t, Config{})
+	ctl := NewController(0)
 	out, err := Run(context.Background(), testItems(40), naive, expert, ctl, Options{Un: 3})
 	if err != nil {
 		t.Fatalf("recoverable phase-1 failure surfaced an error: %v", err)
 	}
-	if out.Rung.Kind != RungBestSoFar || out.Rung.Guarantee != GuaranteeNone {
+	if out.Rung != RungBestSoFar || out.Rung.Guarantee() != GuaranteeNone {
 		t.Fatalf("phase-1 failure landed on %q (%q), want best-so-far (no guarantee)",
-			out.Rung.Name, out.Rung.Guarantee)
+			out.Rung, out.Rung.Guarantee())
 	}
 	if out.Phase1Complete {
 		t.Fatal("Phase1Complete true after a failed filter")
@@ -196,9 +214,12 @@ func TestRunCancellationStaysFatal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	naive, expert, _ := runOracles(dispatch.NewSimulated(worker.Truth))
-	ctl := mustController(t, Config{})
-	_, err := Run(ctx, testItems(40), naive, expert, ctl, Options{Un: 3})
+	ctl := NewController(0)
+	out, err := Run(ctx, testItems(40), naive, expert, ctl, Options{Un: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	if out.Rung != RungBestSoFar {
+		t.Fatalf("cancelled run reported rung %q, want best-so-far", out.Rung)
 	}
 }

@@ -523,18 +523,6 @@ func (p *Pool) Scorecards() []Scorecard {
 	return out
 }
 
-// TrustConfidence returns the latest graph extraction's confidence, or -1
-// when no graph scorer runs — the signal the degrade controller samples to
-// react to a collapsing trust core.
-func (p *Pool) TrustConfidence() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.graph == nil {
-		return -1
-	}
-	return p.ext.Confidence
-}
-
 // TrustExtraction returns the latest agreement-graph extraction (the zero
 // Extraction before the first one, or when no graph scorer runs).
 func (p *Pool) TrustExtraction() trust.Extraction {

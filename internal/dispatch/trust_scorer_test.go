@@ -68,8 +68,8 @@ func TestGraphScorerCatchesGoldAcingClique(t *testing.T) {
 			t.Fatalf("gold scorer produced trust fields for %q: %+v", c.Name, c)
 		}
 	}
-	if goldArm.TrustConfidence() != -1 {
-		t.Fatalf("gold scorer reported trust confidence %v, want -1", goldArm.TrustConfidence())
+	if ext := goldArm.TrustExtraction(); ext.Scores != nil || ext.Confidence != 0 {
+		t.Fatalf("gold scorer produced a trust extraction %+v, want none", ext)
 	}
 
 	// Arm 2: the agreement-graph scorer, same crowd, no gold set at all.
@@ -78,7 +78,7 @@ func TestGraphScorerCatchesGoldAcingClique(t *testing.T) {
 	graphArm := trustPool(t, 7)
 	graphArm.EnableHealth(HealthConfig{Scorer: ScorerGraph, DisagreeEvery: 2, Seed: 7})
 	driveTrust(t, graphArm, 600)
-	if conf := graphArm.TrustConfidence(); conf < graphVerdictFloor {
+	if conf := graphArm.TrustExtraction().Confidence; conf < graphVerdictFloor {
 		t.Fatalf("graph extraction confidence %v never cleared the verdict floor", conf)
 	}
 	ext := graphArm.TrustExtraction()

@@ -18,6 +18,7 @@ import (
 	"crowdmax"
 	"crowdmax/internal/core"
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/degrade"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/faults"
 	"crowdmax/internal/obs"
@@ -57,8 +58,6 @@ type TenantLimits struct {
 	// 0 = unlimited.
 	MaxCost float64
 }
-
-func (l TenantLimits) isZero() bool { return l == TenantLimits{} }
 
 // Options configures a Server.
 type Options struct {
@@ -240,24 +239,19 @@ func (s *Server) tenant(name string) *tenant {
 }
 
 // reservation computes the worst-case per-class comparison counts a job
-// could spend — the amount admission pre-charges. For a max-find, the naïve
-// side is the filter bound (Lemma 3) plus a full all-play-all over the
-// candidate-set bound (the naive-majority degradation rung); the expert side
-// is the larger of the 2-MaxFind bound (Theorem 1) and the randomized rung's
-// pessimistic estimate. A topk job reserves k such rounds (memo reuse makes
-// the actual spend far smaller; the refund covers the difference). A score
-// job's naïve side is its vote count (one value query per element per vote)
-// and its expert side the shortlist tournament. Every quality-ladder rung
-// spends within this envelope, so the refund at settlement is never
-// negative.
+// could spend — the amount admission pre-charges. For a max-find it is the
+// filter bound (Lemma 3) on the naïve side plus, per class, the costliest
+// quality-ladder rung over the candidate-set bound (degrade.WorstCase, the
+// same estimates the degrade controller holds against the budget). A topk
+// job reserves k such rounds (memo reuse makes the actual spend far smaller;
+// the refund covers the difference). A score job's naïve side is its vote
+// count (one value query per element per vote) and its expert side the
+// shortlist tournament. Every rung spends within this envelope, so the
+// refund at settlement is never negative.
 func reservation(sp JobSpec) (naive, expert int64) {
 	n, un := sp.size(), sp.Un
-	cs := int64(core.CandidateSetBound(un))
-	naive = int64(math.Ceil(core.Phase1UpperBound(n, un))) + cs*(cs-1)/2
-	expert = int64(math.Ceil(core.Phase2ExpertUpperBound(un)))
-	if alt := 160 * cs; alt > expert {
-		expert = alt
-	}
+	naive, expert = degrade.WorstCase(core.CandidateSetBound(un))
+	naive += int64(math.Ceil(core.Phase1UpperBound(n, un)))
 	switch sp.Mode {
 	case ModeTopK:
 		naive *= int64(sp.K)
@@ -538,11 +532,10 @@ func (s *Server) runJob(j *Job, resume bool) {
 	}
 
 	// The job's own deadline layers a timeout over the server context. The
-	// degrade controller sees it, but only a deadline that has already
-	// passed blocks a rung: sessions estimate no per-comparison latency, so
-	// the controller does not shed quality ahead of the deadline. An expiry
-	// that cuts the run off settles as "expired" with the partial spend
-	// billed.
+	// degrade controller samples only whether it has passed (a passed
+	// deadline blocks every paying rung); it has no latency model, so it
+	// never sheds quality ahead of the deadline. An expiry that cuts the
+	// run off settles as "expired" with the partial spend billed.
 	ctx := s.baseCtx
 	if d := j.Spec.DeadlineSeconds; d > 0 {
 		var cancel context.CancelFunc

@@ -456,3 +456,35 @@ func TestEventsCarryLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestReservationPinned pins the worst-case reservation admission charges
+// for each mode at a few instance shapes. The numbers are the filter bound
+// (Lemma 3) plus the most expensive quality-ladder rung over the candidate
+// set bound; a change to either moves what tenants are charged up front.
+func TestReservationPinned(t *testing.T) {
+	cases := []struct {
+		spec          JobSpec
+		naive, expert int64
+	}{
+		{spec: JobSpec{Mode: ModeMax, N: 60, Un: 4}, naive: 981, expert: 1120},
+		{spec: JobSpec{Mode: ModeMax, N: 500, Un: 8}, naive: 16105, expert: 2400},
+		{spec: JobSpec{Mode: ModeMax, N: 2000, Un: 16}, naive: 128465, expert: 4960},
+		// At |S| ≥ 6400 2-MaxFind's 2·|S|^1.5, not the randomized rung's
+		// 160·|S|, is the expert worst case.
+		{spec: JobSpec{Mode: ModeMax, N: 20000, Un: 4000}, naive: 351988001, expert: 1430816},
+		{spec: JobSpec{Mode: ModeTopK, K: 3, N: 60, Un: 4}, naive: 2943, expert: 3360},
+		{spec: JobSpec{Mode: ModeTopK, K: 3, N: 500, Un: 8}, naive: 48315, expert: 7200},
+		{spec: JobSpec{Mode: ModeTopK, K: 3, N: 2000, Un: 16}, naive: 385395, expert: 14880},
+		{spec: JobSpec{Mode: ModeScore, N: 60, Un: 4}, naive: 180, expert: 1120},
+		{spec: JobSpec{Mode: ModeScore, N: 500, Un: 8}, naive: 1500, expert: 2400},
+		{spec: JobSpec{Mode: ModeScore, Votes: 5, N: 60, Un: 4}, naive: 300, expert: 1120},
+		{spec: JobSpec{Mode: ModeScore, Votes: 5, N: 2000, Un: 16}, naive: 10000, expert: 4960},
+	}
+	for _, tc := range cases {
+		naive, expert := reservation(tc.spec)
+		if naive != tc.naive || expert != tc.expert {
+			t.Errorf("reservation(%s n=%d un=%d k=%d votes=%d) = (%d, %d), want (%d, %d)",
+				tc.spec.Mode, tc.spec.N, tc.spec.Un, tc.spec.K, tc.spec.Votes, naive, expert, tc.naive, tc.expert)
+		}
+	}
+}

@@ -297,12 +297,10 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 			p.EnableHealth(s.cfg.Health)
 		}
 	}
-	// The degrade controller's MinExperts precondition reads the expert
-	// pool's live active-worker count — and its MinTrust precondition the
-	// naïve pool's extraction confidence; grab both pools before hedge and
-	// checkpoint decorators hide them behind dispatch.Func wrappers.
+	// The degrade controller's expert rungs read the expert pool's live
+	// active-worker count; grab the pool before hedge and checkpoint
+	// decorators hide it behind dispatch.Func wrappers.
 	expertPool, _ := eb.(*WorkerPool)
-	naivePool, _ := nb.(*WorkerPool)
 	if d := s.cfg.Health.HedgeAfter; healthOn && d > 0 {
 		nb = dispatch.NewHedge(nb, d)
 		eb = dispatch.NewHedge(eb, d)
@@ -341,7 +339,6 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 		eo:         eo,
 		ck:         ck,
 		expertPool: expertPool,
-		naivePool:  naivePool,
 		hooks:      hooks,
 	}
 	// prepare runs before the start boundary so controllers and workload
@@ -377,17 +374,8 @@ func (s *Session) degradeOptions(ctx context.Context, env *runEnv, ropt core.Ran
 			if env.expertPool != nil {
 				sig.ActiveExperts = env.expertPool.ActiveWorkers()
 			}
-			// Trust confidence comes from whichever pool runs a graph
-			// scorer; phase-1 health lives on the naïve pool, so it wins.
-			if env.naivePool != nil {
-				sig.TrustConfidence = env.naivePool.TrustConfidence()
-			}
-			if sig.TrustConfidence < 0 && env.expertPool != nil {
-				sig.TrustConfidence = env.expertPool.TrustConfidence()
-			}
 			if dl, ok := ctx.Deadline(); ok {
-				sig.HasDeadline = true
-				sig.DeadlineLeft = time.Until(dl)
+				sig.DeadlinePassed = time.Until(dl) <= 0
 			}
 			return sig
 		},
@@ -412,7 +400,7 @@ func (s *Session) findMaxDegraded(ctx context.Context, env *runEnv, ctl *degrade
 	if err == nil && env.ck != nil {
 		err = env.ck.Err()
 	}
-	rung, guarantee := out.Rung.Name, out.Rung.Guarantee
+	rung, guarantee := out.Rung.String(), out.Rung.Guarantee()
 	if err != nil {
 		// A fatal error (crash, cancellation) means no rung completed; the
 		// partial leader carries no bound.

@@ -57,7 +57,6 @@ type runEnv struct {
 	no, eo     *Oracle
 	ck         *ckWriter
 	expertPool *WorkerPool
-	naivePool  *WorkerPool
 	hooks      *snapHooks
 	// ctl is the run-scoped degrade controller (max-find); per-round
 	// workloads register theirs through hooks instead.
@@ -119,12 +118,8 @@ func (maxFindWorkload) validate(cfg *Config, nItems int) error { return nil }
 
 func (maxFindWorkload) prepare(env *runEnv) error {
 	if env.s.cfg.Degrade != nil {
-		ctl, err := degrade.NewController(degrade.Config{Seed: env.r.Seed()})
-		if err != nil {
-			return err
-		}
-		env.ctl = ctl
-		env.hooks.setController(ctl)
+		env.ctl = degrade.NewController(env.r.Seed())
+		env.hooks.setController(env.ctl)
 	}
 	return nil
 }
@@ -325,11 +320,7 @@ rounds:
 		if s.cfg.Degrade != nil && len(remaining) > 1 {
 			// Each round gets a fresh controller: failure counts and ladder
 			// positions from one rank say nothing about the next.
-			ctl, err := degrade.NewController(degrade.Config{Seed: env.r.ChildN("topk-ctl", round).Seed()})
-			if err != nil {
-				runErr = err
-				break
-			}
+			ctl := degrade.NewController(env.r.ChildN("topk-ctl", round).Seed())
 			env.hooks.setController(ctl)
 			opt := s.degradeOptions(ctx, env, core.RandomizedOptions{R: env.r.ChildN("topk-phase2", round)})
 			out, err := degrade.Run(ctx, remaining, env.no, env.eo, ctl, opt)
@@ -338,16 +329,16 @@ rounds:
 				runErr = fmt.Errorf("round %d: %w", round+1, err)
 				break
 			}
-			if out.Rung.Guarantee == GuaranteeNone {
+			if out.Rung == degrade.RungBestSoFar {
 				// The round fell to the terminal rung: its leader carries no
 				// bound, and removing an unvouched winner would poison every
 				// later rank. Record what there is and stop.
 				if out.Best != (Item{}) {
-					record(RankedResult{Item: out.Best, Rung: out.Rung.Name, Guarantee: GuaranteeNone})
+					record(RankedResult{Item: out.Best, Rung: out.Rung.String(), Guarantee: GuaranteeNone})
 				}
 				break rounds
 			}
-			record(RankedResult{Item: out.Best, Rung: out.Rung.Name, Guarantee: out.Rung.Guarantee})
+			record(RankedResult{Item: out.Best, Rung: out.Rung.String(), Guarantee: out.Rung.Guarantee()})
 			continue
 		}
 		// Undegraded (or single-element) round: wrap core.TopK for its
