@@ -5,8 +5,10 @@ package crowdmax_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"crowdmax"
 	"crowdmax/internal/experiment"
 )
 
@@ -193,5 +195,66 @@ func BenchmarkBracketAccuracy(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSessionRun times one Session.Run job of each kind crowdbench's
+// lib-mixed workload runs, at its shape (n=2000, un=8): a max-find, a top-5,
+// and a max-find whose naive class is a 20-worker pool under the
+// agreement-graph scorer duplicating every second request. Each iteration
+// builds a fresh session (and pool), as a job does, so B/op and allocs/op
+// are bytes and allocations per job.
+func BenchmarkSessionRun(b *testing.B) {
+	const n, un, seed = 2000, 8, 5
+	set := crowdmax.UniformDataset(n, 0, 1, crowdmax.NewRand(seed).Child("data"))
+	dn, err := set.DeltaForU(un)
+	if err != nil {
+		b.Fatal(err)
+	}
+	de, err := set.DeltaForU(un / 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := set.Items()
+	for _, kind := range []string{"max", "topk", "pool"} {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := crowdmax.Config{
+					Naive:   &crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: seed}},
+					Expert:  &crowdmax.ThresholdWorker{Delta: de, Tie: crowdmax.HashTie{Seed: seed + 1}},
+					Un:      un,
+					Prices:  crowdmax.Prices{Naive: 1, Expert: 10},
+					Rand:    crowdmax.NewRand(seed),
+					Degrade: &crowdmax.DegradeConfig{},
+				}
+				w := crowdmax.MaxFind()
+				switch kind {
+				case "topk":
+					w = crowdmax.TopKWorkload(5)
+				case "pool":
+					workers := make([]crowdmax.PoolWorker, 20)
+					for k := range workers {
+						workers[k] = crowdmax.PoolWorker{
+							Name:    fmt.Sprintf("w%02d", k),
+							Backend: crowdmax.NewSimulatedBackend(&crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: seed + 2 + uint64(k)}}),
+						}
+					}
+					pool, err := crowdmax.NewWorkerPool(workers, seed)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.NaiveBackend = pool
+					cfg.Health = crowdmax.HealthConfig{Scorer: crowdmax.ScorerGraph, DisagreeEvery: 2, Seed: seed}
+				}
+				sess, err := crowdmax.NewSession(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sess.Run(context.Background(), w, items); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

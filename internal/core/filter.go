@@ -34,8 +34,9 @@ type FilterOptions struct {
 
 // filterState carries one filter run's per-iteration working set. The
 // survivor buffers are arena-style: allocated once from the input size and
-// swapped between iterations, so the iteration loop itself allocates only
-// the tournament bookkeeping.
+// swapped between iterations, and the group tournaments share one retained
+// scratch, so once the first group has sized the buffers the iteration loop
+// allocates nothing (Appendix A loss recording aside).
 type filterState struct {
 	un, g   int
 	tracker *tournament.LossTracker
@@ -46,6 +47,11 @@ type filterState struct {
 	tops []item.Item // each group's top-wins element (underestimation fallback)
 	iter int
 	gi   int
+
+	// round is every group tournament's working storage, retained across
+	// groups and iterations; each tournament's Result.Wins aliases it, so
+	// applyGroup must consume the result before the next group plays.
+	round tournament.RoundScratch
 }
 
 // applyGroup folds one group's tournament result into the iteration state:
@@ -195,7 +201,7 @@ func filterGroups(ctx context.Context, naive *tournament.Oracle, st *filterState
 				st.next = append(st.next, group...)
 				continue
 			}
-			res, err := tournament.RoundRobinWith(ctx, group, naive, opts)
+			res, err := st.round.RoundRobin(ctx, group, naive, opts)
 			if err != nil {
 				// Partial result: the survivors of the last completed
 				// iteration (the current iteration's partial progress is

@@ -3,6 +3,8 @@ package dispatch
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -245,8 +247,9 @@ type Pool struct {
 	reinstates int64
 
 	// graph is the agreement graph behind the graph/hybrid scorers (nil
-	// under ScorerGold); ext is its latest extraction and sinceExtract the
-	// observations accumulated since, toward Trust.ExtractEvery.
+	// under ScorerGold); ext is its latest extraction, refilled in place,
+	// and sinceExtract the observations accumulated since, toward
+	// Trust.ExtractEvery.
 	graph        *trust.Graph
 	ext          trust.Extraction
 	sinceExtract int
@@ -400,7 +403,7 @@ func (p *Pool) sampleDisagreement(ctx context.Context, w *poolWorker, req Reques
 		p.sinceExtract++
 		if p.sinceExtract >= p.cfg.Trust.ExtractEvery {
 			p.sinceExtract = 0
-			p.ext = p.graph.Extract()
+			p.graph.ExtractInto(&p.ext)
 			for _, ww := range p.workers {
 				p.maybeQuarantineLocked(ww)
 			}
@@ -523,19 +526,16 @@ func (p *Pool) Scorecards() []Scorecard {
 	return out
 }
 
-// TrustExtraction returns the latest agreement-graph extraction (the zero
-// Extraction before the first one, or when no graph scorer runs).
+// TrustExtraction returns a copy of the latest agreement-graph extraction
+// (the zero Extraction before the first one, or when no graph scorer runs).
+// Core and Scores are cloned: the pool refills its own extraction in place,
+// so the copy stays as it was when later duplicates trigger extractions.
 func (p *Pool) TrustExtraction() trust.Extraction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ext := p.ext
-	if ext.Scores != nil {
-		scores := make(map[string]float64, len(ext.Scores))
-		for k, v := range ext.Scores {
-			scores[k] = v
-		}
-		ext.Scores = scores
-	}
+	ext.Core = slices.Clone(ext.Core)
+	ext.Scores = maps.Clone(ext.Scores)
 	return ext
 }
 

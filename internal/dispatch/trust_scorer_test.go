@@ -2,8 +2,11 @@ package dispatch
 
 import (
 	"context"
+	"maps"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crowdmax/internal/item"
@@ -299,5 +302,84 @@ func TestHalfOpenBreakerConcurrentReprobe(t *testing.T) {
 	c2, e2, r2 := replay()
 	if !reflect.DeepEqual(c1, c2) || e1 != e2 || r1 != r2 {
 		t.Fatalf("sequential replay diverged:\n%+v e=%d r=%d\n%+v e=%d r=%d", c1, e1, r1, c2, e2, r2)
+	}
+}
+
+// TestTrustExtractionDoesNotAlias: the pool refills its extraction in place,
+// so the copy TrustExtraction hands out must own its Core and Scores — later
+// duplicates that trigger further extractions must not change it.
+func TestTrustExtractionDoesNotAlias(t *testing.T) {
+	p := trustPool(t, 7)
+	p.EnableHealth(HealthConfig{Scorer: ScorerGraph, DisagreeEvery: 2, Seed: 7})
+	driveTrust(t, p, 40) // 20 duplicates: one extraction
+	early := p.TrustExtraction()
+	if len(early.Core) == 0 || len(early.Scores) == 0 {
+		t.Fatalf("no extraction after 40 answers: %+v", early)
+	}
+	want := early
+	want.Core = slices.Clone(early.Core)
+	want.Scores = maps.Clone(early.Scores)
+
+	driveTrust(t, p, 600)
+	late := p.TrustExtraction()
+	if reflect.DeepEqual(late, want) {
+		t.Fatalf("extraction never changed (%+v): the check below would prove nothing", late)
+	}
+	if !reflect.DeepEqual(early, want) {
+		t.Fatalf("an earlier TrustExtraction changed under later extractions:\n got %+v\nwant %+v", early, want)
+	}
+}
+
+// TestTrustExtractionConcurrentReaders reads TrustExtraction and Scorecards,
+// walking every copied Core entry and score, while Answer goroutines keep
+// extracting in place. Under -race (both GOMAXPROCS legs) a copy that
+// aliased the pool's storage is a reported race.
+func TestTrustExtractionConcurrentReaders(t *testing.T) {
+	p := trustPool(t, 7)
+	p.EnableHealth(HealthConfig{Scorer: ScorerGraph, DisagreeEvery: 2, Seed: 7})
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 300; i++ {
+				if _, err := p.Answer(context.Background(), req(it(10, 1), it(11, 2))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var seen atomic.Int64
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				ext := p.TrustExtraction()
+				var sum float64
+				for _, name := range ext.Core {
+					sum += ext.Scores[name]
+				}
+				for _, c := range p.Scorecards() {
+					sum += c.TrustScore
+				}
+				if sum != 0 {
+					seen.Add(1)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if seen.Load() == 0 {
+		t.Fatal("readers never saw an extraction")
 	}
 }

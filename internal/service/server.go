@@ -245,9 +245,11 @@ func (s *Server) tenant(name string) *tenant {
 // same estimates the degrade controller holds against the budget). A topk
 // job reserves k such rounds (memo reuse makes the actual spend far smaller;
 // the refund covers the difference). A score job's naïve side is its vote
-// count (one value query per element per vote) and its expert side the
-// shortlist tournament. Every rung spends within this envelope, so the
-// refund at settlement is never negative.
+// count (one value query per element per vote) and its expert side 2-MaxFind
+// over its min(2·un − 1, n) shortlist, the only expert work a score run does
+// (its score-naive fallback only cuts that extraction short). Every rung
+// spends within this envelope, so the refund at settlement is never
+// negative.
 func reservation(sp JobSpec) (naive, expert int64) {
 	n, un := sp.size(), sp.Un
 	naive, expert = degrade.WorstCase(core.CandidateSetBound(un))
@@ -262,6 +264,7 @@ func reservation(sp JobSpec) (naive, expert int64) {
 			votes = 3 // engine default
 		}
 		naive = int64(n) * votes
+		expert = degrade.RungExpert2MaxFind.CostEstimate(min(core.CandidateSetBound(un), n))
 	}
 	return naive, expert
 }
@@ -433,18 +436,27 @@ func uniformSet(n int, r *crowdmax.Rand) *crowdmax.Set {
 	return dataset.Uniform(n, 0, 1, r)
 }
 
-// session builds the job's Session: deterministic threshold workers with
-// order-independent hash tie-breaking (the resume invariant), per-job
-// checkpointing, graceful degradation, and progress hooks feeding the
-// job's event stream.
+// session builds the job's Session from sessionConfig.
 func (s *Server) session(j *Job, set *crowdmax.Set, scope *obs.Scope) (*crowdmax.Session, error) {
-	dn, err := set.DeltaForU(min(j.Spec.Un, set.Len()))
+	cfg, err := s.sessionConfig(j, set, scope)
 	if err != nil {
 		return nil, err
 	}
+	return crowdmax.NewSession(cfg)
+}
+
+// sessionConfig is the job's session configuration: deterministic threshold
+// workers with order-independent hash tie-breaking (the resume invariant),
+// per-job checkpointing, graceful degradation, and progress hooks feeding
+// the job's event stream.
+func (s *Server) sessionConfig(j *Job, set *crowdmax.Set, scope *obs.Scope) (crowdmax.Config, error) {
+	dn, err := set.DeltaForU(min(j.Spec.Un, set.Len()))
+	if err != nil {
+		return crowdmax.Config{}, err
+	}
 	de, err := set.DeltaForU(min(j.Spec.Ue, set.Len()))
 	if err != nil {
-		return nil, err
+		return crowdmax.Config{}, err
 	}
 	var naive crowdmax.Comparator = &crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: j.Spec.Seed}}
 	var expert crowdmax.Comparator = &crowdmax.ThresholdWorker{Delta: de, Tie: crowdmax.HashTie{Seed: j.Spec.Seed + 1}}
@@ -460,7 +472,7 @@ func (s *Server) session(j *Job, set *crowdmax.Set, scope *obs.Scope) (*crowdmax
 		// reproduce identical votes.
 		valuer = crowdmax.NoisyValuer{Sigma: dn, Seed: j.Spec.Seed + 2}
 	}
-	return crowdmax.NewSession(crowdmax.Config{
+	return crowdmax.Config{
 		Naive:  naive,
 		Expert: expert,
 		Valuer: valuer,
@@ -488,7 +500,7 @@ func (s *Server) session(j *Job, set *crowdmax.Set, scope *obs.Scope) (*crowdmax
 			scope.Event("degrade", obs.Fs("point", d.Point), obs.Fs("from", d.From),
 				obs.Fs("to", d.To), obs.Fi("dir", int64(d.Direction())))
 		},
-	})
+	}, nil
 }
 
 // runJob executes one admitted job to a terminal or interrupted state. It

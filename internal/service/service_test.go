@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -458,9 +459,11 @@ func TestEventsCarryLifecycle(t *testing.T) {
 }
 
 // TestReservationPinned pins the worst-case reservation admission charges
-// for each mode at a few instance shapes. The numbers are the filter bound
-// (Lemma 3) plus the most expensive quality-ladder rung over the candidate
-// set bound; a change to either moves what tenants are charged up front.
+// for each mode at a few instance shapes. For max and topk the numbers are
+// the filter bound (Lemma 3) plus the most expensive quality-ladder rung over
+// the candidate set bound; a score job reserves its votes and 2-MaxFind over
+// its shortlist (⌈2·7^1.5⌉ = 38 expert comparisons at un=4). A change to
+// either moves what tenants are charged up front.
 func TestReservationPinned(t *testing.T) {
 	cases := []struct {
 		spec          JobSpec
@@ -475,16 +478,90 @@ func TestReservationPinned(t *testing.T) {
 		{spec: JobSpec{Mode: ModeTopK, K: 3, N: 60, Un: 4}, naive: 2943, expert: 3360},
 		{spec: JobSpec{Mode: ModeTopK, K: 3, N: 500, Un: 8}, naive: 48315, expert: 7200},
 		{spec: JobSpec{Mode: ModeTopK, K: 3, N: 2000, Un: 16}, naive: 385395, expert: 14880},
-		{spec: JobSpec{Mode: ModeScore, N: 60, Un: 4}, naive: 180, expert: 1120},
-		{spec: JobSpec{Mode: ModeScore, N: 500, Un: 8}, naive: 1500, expert: 2400},
-		{spec: JobSpec{Mode: ModeScore, Votes: 5, N: 60, Un: 4}, naive: 300, expert: 1120},
-		{spec: JobSpec{Mode: ModeScore, Votes: 5, N: 2000, Un: 16}, naive: 10000, expert: 4960},
+		{spec: JobSpec{Mode: ModeScore, N: 60, Un: 4}, naive: 180, expert: 38},
+		{spec: JobSpec{Mode: ModeScore, N: 500, Un: 8}, naive: 1500, expert: 117},
+		{spec: JobSpec{Mode: ModeScore, Votes: 5, N: 60, Un: 4}, naive: 300, expert: 38},
+		{spec: JobSpec{Mode: ModeScore, Votes: 5, N: 2000, Un: 16}, naive: 10000, expert: 346},
 	}
 	for _, tc := range cases {
 		naive, expert := reservation(tc.spec)
 		if naive != tc.naive || expert != tc.expert {
 			t.Errorf("reservation(%s n=%d un=%d k=%d votes=%d) = (%d, %d), want (%d, %d)",
 				tc.spec.Mode, tc.spec.N, tc.spec.Un, tc.spec.K, tc.spec.Votes, naive, expert, tc.naive, tc.expert)
+		}
+	}
+}
+
+// TestScoreSpendWithinReservation checks that a score job never spends more
+// expert comparisons than admission reserved for it, over a few seeds and
+// shapes (a shortlist clamped to n included): served jobs on the
+// score-expert rung, and the same sessions with the experts failing
+// mid-extraction, which settle on the score-naive fallback.
+func TestScoreSpendWithinReservation(t *testing.T) {
+	s := testServer(t, t.TempDir(), nil)
+	defer s.Drain(context.Background())
+	for _, shape := range []JobSpec{
+		{Mode: ModeScore, N: 60, Un: 4},
+		{Mode: ModeScore, Votes: 5, N: 200, Un: 8},
+		{Mode: ModeScore, N: 9, Un: 6}, // shortlist clamped to n
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			spec := shape
+			spec.Seed = seed
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatalf("Submit %+v: %v", spec, err)
+			}
+			waitTerminal(t, j, 30*time.Second)
+			res, ok := j.Result()
+			if j.State() != StateDone || !ok {
+				t.Fatalf("%+v: state %q err %q", spec, j.State(), j.Err())
+			}
+			if res.Rung != "score-expert" || res.ExpertComparisons == 0 {
+				t.Fatalf("%+v: rung %q with %d expert comparisons, want score-expert with some", spec, res.Rung, res.ExpertComparisons)
+			}
+			if res.ExpertComparisons > j.ReservedExpert || res.NaiveComparisons > j.ReservedNaive {
+				t.Errorf("%+v: spend (%d, %d) exceeds reservation (%d, %d)", spec,
+					res.NaiveComparisons, res.ExpertComparisons, j.ReservedNaive, j.ReservedExpert)
+			}
+
+			// The fallback: the job's own session, experts out from a few
+			// comparisons into the extraction (the clock counts votes too).
+			if err := spec.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			votes := max(spec.Votes, 3)
+			for _, into := range []int{1, 4} {
+				set := buildSet(spec)
+				cfg, err := s.sessionConfig(&Job{ID: "fallback", Spec: spec}, set, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Checkpoint = crowdmax.CheckpointConfig{}
+				plan, err := crowdmax.ParseChaosPlan(fmt.Sprintf("expert-outage:1.0@%d+", spec.N*votes+into))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Chaos = &plan
+				sess, err := crowdmax.NewSession(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := workloadOf(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := sess.Run(context.Background(), w, set.Items())
+				if err != nil {
+					t.Fatalf("%+v outage after %d: %v", spec, into, err)
+				}
+				if out.Rung != "score-naive" {
+					t.Fatalf("%+v outage after %d: rung %q, want score-naive", spec, into, out.Rung)
+				}
+				if _, re := reservation(spec); out.ExpertComparisons > re {
+					t.Errorf("%+v outage after %d: %d expert comparisons exceed the %d reserved", spec, into, out.ExpertComparisons, re)
+				}
+			}
 		}
 	}
 }

@@ -49,7 +49,9 @@ func (s *BatchScratch) markSeen(k uint64) bool {
 // one call when it implements BatchComparator, element-wise otherwise —
 // and exactly one logical step is billed when anything is actually sent.
 // It allocates the winners slice and working buffers per call; loops that
-// batch every round use CompareBatchInto with retained buffers instead.
+// batch every round use CompareBatchInto with retained buffers instead, as
+// RoundScratch.RoundRobin does (the filter keeps one scratch per run) and
+// the bracket loop with its own BatchScratch.
 func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item.Item, error) {
 	winners := make([]item.Item, len(pairs))
 	var s BatchScratch

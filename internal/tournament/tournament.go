@@ -449,6 +449,19 @@ type RoundRobinOpts struct {
 	RecordLosers bool
 }
 
+// RoundScratch is the working storage of round-robin tournaments — pair
+// list, winners, batch buffers and Result.Wins — retained across calls to
+// its RoundRobin method, so a caller playing tournament after tournament
+// (the filter's groups) allocates nothing once the buffers have grown. The
+// zero value is ready to use. A RoundScratch must not be shared by
+// concurrent calls.
+type RoundScratch struct {
+	pairs   [][2]item.Item
+	winners []item.Item
+	batch   BatchScratch
+	wins    []int
+}
+
 // RoundRobin plays an all-play-all tournament among items using the oracle:
 // every unordered pair is compared exactly once. The whole tournament is
 // submitted as one batch of independent comparisons — a single logical step
@@ -461,25 +474,34 @@ func RoundRobin(ctx context.Context, items []item.Item, o *Oracle) (Result, erro
 
 // RoundRobinWith is RoundRobin with options.
 func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
+	return new(RoundScratch).RoundRobin(ctx, items, o, opts)
+}
+
+// RoundRobin is RoundRobinWith playing in the scratch's retained buffers.
+// The returned Result.Wins aliases the scratch: it is valid only until the
+// next call on s.
+func (s *RoundScratch) RoundRobin(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
 	n := len(items)
 	if m := obs.Active(); m != nil {
 		m.ObserveGroup(n)
 	}
 	// Every unordered pair, in the canonical (i, j), i < j order.
-	pairs := make([][2]item.Item, 0, n*(n-1)/2)
+	pairs := slices.Grow(s.pairs[:0], n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			pairs = append(pairs, [2]item.Item{items[i], items[j]})
 		}
 	}
-	winners, err := o.CompareBatch(ctx, pairs)
-	if err != nil {
+	s.pairs = pairs
+	winners := resize(&s.winners, len(pairs))
+	if err := o.CompareBatchInto(ctx, pairs, winners, &s.batch); err != nil {
 		return Result{}, err
 	}
 	r := Result{
 		Items: items,
-		Wins:  make([]int, n),
+		Wins:  resize(&s.wins, n),
 	}
+	clear(r.Wins)
 	if opts.RecordLosers {
 		r.Losers = make([][]int, n)
 	}
@@ -501,6 +523,16 @@ func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts Roun
 		}
 	}
 	return r, nil
+}
+
+// resize returns *buf resliced to length n, reallocating it when its
+// capacity falls short. Contents are not cleared.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // PivotPass compares pivot x against every element of candidates (skipping x

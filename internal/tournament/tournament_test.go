@@ -2,6 +2,7 @@ package tournament
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,34 @@ func TestRoundRobinTruthRanking(t *testing.T) {
 	}
 	if res.MinByWins().ID != 2 {
 		t.Errorf("MinByWins = %d, want 2", res.MinByWins().ID)
+	}
+}
+
+// TestRoundScratchReuseMatchesFresh plays groups of shrinking and growing
+// size in one retained scratch: every Result must equal a fresh
+// RoundRobinWith's, so no win count or winner carries over between groups.
+func TestRoundScratchReuseMatchesFresh(t *testing.T) {
+	r := rng.New(5)
+	var s RoundScratch
+	for _, n := range []int{32, 5, 20, 1, 32} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = r.Float64()
+		}
+		its := items(vals...)
+		got, err := s.RoundRobin(context.Background(), its, truthOracle(nil, NewMemo()), RoundRobinOpts{RecordLosers: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustRRWith(t, its, truthOracle(nil, nil), RoundRobinOpts{RecordLosers: true})
+		if !slices.Equal(got.Wins, want.Wins) {
+			t.Fatalf("n=%d: reused scratch wins %v, fresh %v", n, got.Wins, want.Wins)
+		}
+		for i := range got.Losers {
+			if !slices.Equal(got.Losers[i], want.Losers[i]) {
+				t.Fatalf("n=%d: reused scratch losers[%d] %v, fresh %v", n, i, got.Losers[i], want.Losers[i])
+			}
+		}
 	}
 }
 

@@ -225,7 +225,8 @@ func sameExtraction(got, want Extraction) error {
 // reference, and requires every extraction along the way to be
 // bit-identical: same core, same scores, same Density and Confidence bits.
 // Penalties off 1 make the float weights inexact, so a change in the order
-// degrees are summed would show.
+// degrees are summed would show. ExtractInto, refilling one Extraction for
+// the whole history, must match too.
 func TestExtractMatchesMapReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := rng.New(uint64(1000 + trial))
@@ -235,6 +236,7 @@ func TestExtractMatchesMapReference(t *testing.T) {
 			MinSamples: 1 + trial%5,
 		}
 		g, ref := New(cfg), newRefGraph(cfg)
+		var into Extraction
 		workers := 2 + r.Intn(24)
 		// Each worker agrees with the others at its own rate; a few share
 		// a rate exactly, so equal degrees and tie-breaks come up.
@@ -257,8 +259,13 @@ func TestExtractMatchesMapReference(t *testing.T) {
 				ref.Observe(name(i), name(j), agreed)
 			}
 			if s%37 == 0 || s == steps-1 {
-				if err := sameExtraction(g.Extract(), ref.Extract()); err != nil {
+				want := ref.Extract()
+				if err := sameExtraction(g.Extract(), want); err != nil {
 					t.Fatalf("trial %d step %d: %v", trial, s, err)
+				}
+				g.ExtractInto(&into)
+				if err := sameExtraction(into, want); err != nil {
+					t.Fatalf("trial %d step %d, in place: %v", trial, s, err)
 				}
 			}
 		}

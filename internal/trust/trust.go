@@ -24,7 +24,11 @@
 // densest subgraph. Everyone outside the core is scored by pooled agreement
 // weight into the core; the extraction also carries a confidence signal
 // (core/outside separation scaled by sample sufficiency) that gates verdicts
-// while the graph is still thin and feeds the degrade controller.
+// while the graph is still thin.
+//
+// A dispatch pool extracts every few duplicates for a whole job, so
+// ExtractInto refills a caller-owned Extraction in place: on a graph whose
+// vertex set has stopped growing it allocates nothing.
 //
 // Determinism: observations are order-independent (per-pair counters), and
 // peeling breaks ties by a seeded hash of the worker name, so the same
@@ -34,7 +38,9 @@ package trust
 import (
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -91,6 +97,7 @@ type Graph struct {
 	cfg     Config
 	idx     map[string]int
 	names   []string
+	byName  []int    // vertex indices in name order, kept by nodeLocked
 	tie     []uint64 // seeded peeling tie-break hash per vertex
 	edges   [][]edge // edges[j][i] tallies the pair i < j
 	samples int64
@@ -165,6 +172,10 @@ func (g *Graph) nodeLocked(name string) int {
 	i := len(g.names)
 	g.idx[name] = i
 	g.names = append(g.names, name)
+	at, _ := slices.BinarySearchFunc(g.byName, name, func(v int, name string) int {
+		return strings.Compare(g.names[v], name)
+	})
+	g.byName = slices.Insert(g.byName, at, i)
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	g.tie = append(g.tie, splitmix(g.cfg.Seed^h.Sum64()))
@@ -209,12 +220,25 @@ func (x Extraction) InCore(name string) bool {
 // Extract runs greedy peeling on the current graph and returns the densest
 // core with scores and confidence. Deterministic in (observations, seed).
 func (g *Graph) Extract() Extraction {
+	var ext Extraction
+	g.ExtractInto(&ext)
+	return ext
+}
+
+// ExtractInto is Extract writing into *ext, reusing the storage of its Core
+// slice and Scores map: every field is overwritten, and the map is cleared
+// and refilled rather than replaced. Once ext has held an extraction of the
+// same graph and no vertex has been added since, the call allocates nothing.
+// Whoever hands ext's Core or Scores on must copy them first, since the next
+// ExtractInto into the same ext overwrites both.
+func (g *Graph) ExtractInto(ext *Extraction) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	clear(ext.Scores)
+	*ext = Extraction{Core: ext.Core[:0], Scores: ext.Scores, Samples: g.samples}
 	n := len(g.names)
-	ext := Extraction{Samples: g.samples}
 	if n == 0 {
-		return ext
+		return
 	}
 
 	// Clipped edge weights, as a dense n×n matrix (row i at w[i*n:]):
@@ -276,7 +300,7 @@ func (g *Graph) Extract() Extraction {
 	g.removed = removed
 	if bestDensity <= 0 {
 		// No positive-weight structure at all — nothing to stand behind.
-		return ext
+		return
 	}
 	// The best prefix is everything not yet removed when it was recorded:
 	// the last bestSize entries of the removal order.
@@ -285,12 +309,11 @@ func (g *Graph) Extract() Extraction {
 	for _, i := range removed[n-bestSize:] {
 		core[i] = true
 	}
-	for i := 0; i < n; i++ {
+	for _, i := range g.byName {
 		if core[i] {
 			ext.Core = append(ext.Core, g.names[i])
 		}
 	}
-	sort.Strings(ext.Core)
 	ext.Density = bestDensity
 
 	// Pooled agreement against the core, per worker; intra-core and
@@ -322,7 +345,9 @@ func (g *Graph) Extract() Extraction {
 			}
 		}
 	}
-	ext.Scores = map[string]float64{}
+	if ext.Scores == nil {
+		ext.Scores = map[string]float64{}
+	}
 	for i := 0; i < n; i++ {
 		if totalIn[i] >= int64(g.cfg.MinSamples) {
 			ext.Scores[g.names[i]] = float64(agreeIn[i]) / float64(totalIn[i])
@@ -330,7 +355,7 @@ func (g *Graph) Extract() Extraction {
 	}
 
 	if bestSize < g.cfg.MinCore || coreTotal == 0 {
-		return ext // Scores stand, but confidence (and verdicts) do not.
+		return // Scores stand, but confidence (and verdicts) do not.
 	}
 	coreRate := float64(coreAgree) / float64(coreTotal)
 	// The baseline the core must separate from: observed outside agreement,
@@ -345,7 +370,6 @@ func (g *Graph) Extract() Extraction {
 	margin := 2 * (coreRate - baseline)
 	sufficiency := float64(coreTotal) / float64(g.cfg.MinSamples*bestSize)
 	ext.Confidence = clamp01(margin) * clamp01(sufficiency)
-	return ext
 }
 
 // resize returns *buf resliced to length n, reallocating it when its

@@ -8,6 +8,10 @@ import (
 	"crowdmax/internal/rng"
 )
 
+// raceEnabled is set by race_test.go in -race builds, whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
 // feed records nSamples observations between random worker pairs, with
 // agreement probabilities given by kind: honest↔honest workers agree with
 // probability pHonest, clique↔clique members always agree, any mixed pair
@@ -166,5 +170,27 @@ func TestInCore(t *testing.T) {
 		if got := x.InCore(tc.name); got != tc.want {
 			t.Errorf("InCore(%s) = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestExtractIntoWarmZeroAllocs: once an Extraction has held an extraction
+// of a 20-worker graph, refilling it in place allocates nothing — the dispatch
+// pool's steady state, which extracts every few duplicates for a whole job.
+func TestExtractIntoWarmZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g := New(Config{Seed: 3})
+	feed(g, rng.New(3), 2000, 14, 3, 3)
+	var ext Extraction
+	g.ExtractInto(&ext)
+	if len(ext.Core) == 0 || len(ext.Scores) == 0 {
+		t.Fatalf("warm-up extraction is empty: %+v", ext)
+	}
+	if n := testing.AllocsPerRun(50, func() { g.ExtractInto(&ext) }); n != 0 {
+		t.Fatalf("warm ExtractInto allocates %.1f per call, want 0", n)
+	}
+	if err := sameExtraction(ext, g.Extract()); err != nil {
+		t.Fatalf("in-place extraction differs from Extract: %v", err)
 	}
 }
