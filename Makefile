@@ -31,11 +31,13 @@ race:
 # benchmark-smoke job. Green here means green there (modulo Go version).
 ci: vet lint build test race cover bench-smoke bench-test golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke
 
-# The parallel engine once, and one Session.Run job of each kind lib-mixed
-# runs (max, top-5, pool at n=2000, un=8) with its bytes and allocations.
+# The parallel engine once, one Session.Run job of each kind lib-mixed runs
+# (max, top-5, pool at n=2000, un=8) with its bytes and allocations, and the
+# dense memo's hit, miss and fill at n=2000.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig3Parallel -benchtime=1x ./internal/experiment
 	$(GO) test -run='^$$' -bench=BenchmarkSessionRun -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^BenchmarkMemo$$' -benchtime=1x ./internal/tournament
 
 # crowdbench's own tests: every workload once, end to end, with its pinned
 # digests. bench/ is a module of its own, so `go test ./...` at the root

@@ -198,6 +198,10 @@ func BenchmarkBracketAccuracy(b *testing.B) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds, whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
 // BenchmarkSessionRun times one Session.Run job of each kind crowdbench's
 // lib-mixed workload runs, at its shape (n=2000, un=8): a max-find, a top-5,
 // and a max-find whose naive class is a 20-worker pool under the
@@ -205,56 +209,86 @@ func BenchmarkBracketAccuracy(b *testing.B) {
 // builds a fresh session (and pool), as a job does, so B/op and allocs/op
 // are bytes and allocations per job.
 func BenchmarkSessionRun(b *testing.B) {
-	const n, un, seed = 2000, 8, 5
+	for _, kind := range []string{"max", "topk", "pool"} {
+		b.Run(kind, func(b *testing.B) {
+			job := sessionRunJob(b, kind, 2000)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				job()
+			}
+		})
+	}
+}
+
+// TestSessionRunAllocsBounded is the allocation gate of a whole job: each
+// BenchmarkSessionRun kind allocates about as often at n=4000 as at
+// n=2000. Group tournaments reuse one scratch and the memo carves its rows
+// from doubling slabs, so doubling n may add only a few growth steps
+// (memo slabs, map and slice growth) — never one allocation per item or
+// per group, of which n=2000 already has 2000 and 63.
+func TestSessionRunAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, kind := range []string{"max", "topk", "pool"} {
+		small := testing.AllocsPerRun(2, sessionRunJob(t, kind, 2000))
+		large := testing.AllocsPerRun(2, sessionRunJob(t, kind, 4000))
+		t.Logf("%s: %v allocations per job at n=2000, %v at n=4000", kind, small, large)
+		if large > small+24 {
+			t.Errorf("%s job allocates %v times at n=2000 but %v at n=4000, want at most 24 more", kind, small, large)
+		}
+	}
+}
+
+// sessionRunJob returns one lib-mixed-shaped job of the given kind over n
+// uniform items (un=8); each call builds a fresh session (and pool), as a
+// job does.
+func sessionRunJob(tb testing.TB, kind string, n int) func() {
+	const un, seed = 8, 5
 	set := crowdmax.UniformDataset(n, 0, 1, crowdmax.NewRand(seed).Child("data"))
 	dn, err := set.DeltaForU(un)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	de, err := set.DeltaForU(un / 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	items := set.Items()
-	for _, kind := range []string{"max", "topk", "pool"} {
-		b.Run(kind, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := crowdmax.Config{
-					Naive:   &crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: seed}},
-					Expert:  &crowdmax.ThresholdWorker{Delta: de, Tie: crowdmax.HashTie{Seed: seed + 1}},
-					Un:      un,
-					Prices:  crowdmax.Prices{Naive: 1, Expert: 10},
-					Rand:    crowdmax.NewRand(seed),
-					Degrade: &crowdmax.DegradeConfig{},
-				}
-				w := crowdmax.MaxFind()
-				switch kind {
-				case "topk":
-					w = crowdmax.TopKWorkload(5)
-				case "pool":
-					workers := make([]crowdmax.PoolWorker, 20)
-					for k := range workers {
-						workers[k] = crowdmax.PoolWorker{
-							Name:    fmt.Sprintf("w%02d", k),
-							Backend: crowdmax.NewSimulatedBackend(&crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: seed + 2 + uint64(k)}}),
-						}
-					}
-					pool, err := crowdmax.NewWorkerPool(workers, seed)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg.NaiveBackend = pool
-					cfg.Health = crowdmax.HealthConfig{Scorer: crowdmax.ScorerGraph, DisagreeEvery: 2, Seed: seed}
-				}
-				sess, err := crowdmax.NewSession(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sess.Run(context.Background(), w, items); err != nil {
-					b.Fatal(err)
+	return func() {
+		cfg := crowdmax.Config{
+			Naive:   &crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: seed}},
+			Expert:  &crowdmax.ThresholdWorker{Delta: de, Tie: crowdmax.HashTie{Seed: seed + 1}},
+			Un:      un,
+			Prices:  crowdmax.Prices{Naive: 1, Expert: 10},
+			Rand:    crowdmax.NewRand(seed),
+			Degrade: &crowdmax.DegradeConfig{},
+		}
+		w := crowdmax.MaxFind()
+		switch kind {
+		case "topk":
+			w = crowdmax.TopKWorkload(5)
+		case "pool":
+			workers := make([]crowdmax.PoolWorker, 20)
+			for k := range workers {
+				workers[k] = crowdmax.PoolWorker{
+					Name:    fmt.Sprintf("w%02d", k),
+					Backend: crowdmax.NewSimulatedBackend(&crowdmax.ThresholdWorker{Delta: dn, Tie: crowdmax.HashTie{Seed: seed + 2 + uint64(k)}}),
 				}
 			}
-		})
+			pool, err := crowdmax.NewWorkerPool(workers, seed)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cfg.NaiveBackend = pool
+			cfg.Health = crowdmax.HealthConfig{Scorer: crowdmax.ScorerGraph, DisagreeEvery: 2, Seed: seed}
+		}
+		sess, err := crowdmax.NewSession(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := sess.Run(context.Background(), w, items); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }

@@ -177,8 +177,8 @@ func run(ctx context.Context) error {
 	}
 
 	ledger := crowdmax.NewLedger()
-	no := crowdmax.NewOracle(naive, crowdmax.Naive, ledger, crowdmax.NewMemo())
-	eo := crowdmax.NewOracle(expert, crowdmax.Expert, ledger, crowdmax.NewMemo())
+	no := crowdmax.NewOracle(naive, crowdmax.Naive, ledger, crowdmax.NewMemo(set.Len()))
+	eo := crowdmax.NewOracle(expert, crowdmax.Expert, ledger, crowdmax.NewMemo(set.Len()))
 	if *budget > 0 {
 		b := crowdmax.NewBudget(crowdmax.BudgetLimits{
 			MaxCost: *budget,

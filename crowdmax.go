@@ -154,11 +154,14 @@ type FindMaxResult = core.FindMaxResult
 // optionally memoizing answers (Appendix A optimization).
 type Oracle = tournament.Oracle
 
-// Memo caches comparison answers per worker class.
+// Memo caches comparison answers per worker class: the n × n table of
+// Appendix A over item IDs [0, n).
 type Memo = tournament.Memo
 
-// NewMemo returns an empty memo table.
-func NewMemo() *Memo { return tournament.NewMemo() }
+// NewMemo returns an empty memo table over item IDs [0, n) — the dense IDs
+// a dataset's Items carry; pass the set's Len. Comparing an item whose ID
+// lies outside the range through a memoized oracle panics.
+func NewMemo(n int) *Memo { return tournament.NewMemo(n) }
 
 // NewOracle binds a comparator of the given class to a ledger; memo may be
 // nil to disable memoization. Call Oracle.ParallelBatch to evaluate batch

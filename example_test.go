@@ -50,7 +50,7 @@ func ExampleFilter() {
 	ledger := crowdmax.NewLedger()
 	naive := crowdmax.NewOracle(
 		crowdmax.NewThresholdWorker(cal.DeltaN, 0, r.Child("w")),
-		crowdmax.Naive, ledger, crowdmax.NewMemo())
+		crowdmax.Naive, ledger, crowdmax.NewMemo(cal.Set.Len()))
 	candidates, err := crowdmax.Filter(context.Background(), cal.Set.Items(), naive, crowdmax.FilterOptions{Un: 8})
 	if err != nil {
 		log.Fatal(err)

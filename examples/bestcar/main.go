@@ -64,7 +64,7 @@ func main() {
 	fmt.Println("\nfor contrast, a \"simulated expert\" (majority of 7 crowd answers):")
 	simulated := majorityOf(world, r.Child("sim"), 7)
 	ledger := crowdmax.NewLedger()
-	so := crowdmax.NewOracle(simulated, crowdmax.Expert, ledger, crowdmax.NewMemo())
+	so := crowdmax.NewOracle(simulated, crowdmax.Expert, ledger, crowdmax.NewMemo(set.Len()))
 	simBest, err := crowdmax.TwoMaxFind(context.Background(), res.Candidates, so)
 	if err != nil {
 		log.Fatal(err)

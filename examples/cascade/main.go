@@ -43,7 +43,7 @@ func main() {
 		ledgers[i] = crowdmax.NewLedger()
 		w := crowdmax.NewThresholdWorker(deltas[i], 0, r.ChildN("tier", i))
 		levels[i] = crowdmax.Level{
-			Oracle: crowdmax.NewOracle(w, crowdmax.Class(i), ledgers[i], crowdmax.NewMemo()),
+			Oracle: crowdmax.NewOracle(w, crowdmax.Class(i), ledgers[i], crowdmax.NewMemo(set.Len())),
 			U:      us[i],
 		}
 	}
@@ -74,7 +74,7 @@ func main() {
 	// Contrast: hand the professional the whole input.
 	direct := crowdmax.NewLedger()
 	pw := crowdmax.NewThresholdWorker(deltas[2], 0, r.Child("direct"))
-	po := crowdmax.NewOracle(pw, crowdmax.Expert, direct, crowdmax.NewMemo())
+	po := crowdmax.NewOracle(pw, crowdmax.Expert, direct, crowdmax.NewMemo(set.Len()))
 	best, err := crowdmax.TwoMaxFind(context.Background(), set.Items(), po)
 	if err != nil {
 		log.Fatal(err)

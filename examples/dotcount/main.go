@@ -51,7 +51,7 @@ func main() {
 	// tournament round is submitted as one platform batch (one logical
 	// step in the Section 3 execution model).
 	ledger := crowdmax.NewLedger()
-	naive := crowdmax.NewOracle(plat.BatchComparator(21), crowdmax.Naive, ledger, crowdmax.NewMemo())
+	naive := crowdmax.NewOracle(plat.BatchComparator(21), crowdmax.Naive, ledger, crowdmax.NewMemo(set.Len()))
 	candidates, err := crowdmax.Filter(context.Background(), set.Items(), naive, crowdmax.FilterOptions{Un: 5})
 	if err != nil {
 		log.Fatal(err)
@@ -64,7 +64,7 @@ func main() {
 	// Phase 2: no real experts needed — for this task a "simulated
 	// expert" (majority of 7 fresh answers) suffices, exactly the paper's
 	// Table 1 finding.
-	expert := crowdmax.NewOracle(plat.BatchComparator(7), crowdmax.Expert, ledger, crowdmax.NewMemo())
+	expert := crowdmax.NewOracle(plat.BatchComparator(7), crowdmax.Expert, ledger, crowdmax.NewMemo(set.Len()))
 	best, err := crowdmax.TwoMaxFind(context.Background(), candidates, expert)
 	if err != nil {
 		log.Fatal(err)

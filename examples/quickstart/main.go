@@ -50,7 +50,7 @@ func main() {
 	// Baseline: run 2-MaxFind with experts over the whole input.
 	ledger := crowdmax.NewLedger()
 	eo := crowdmax.NewOracle(crowdmax.NewThresholdWorker(cal.DeltaE, 0, r.Child("e2")),
-		crowdmax.Expert, ledger, crowdmax.NewMemo())
+		crowdmax.Expert, ledger, crowdmax.NewMemo(set.Len()))
 	best, err := crowdmax.TwoMaxFind(context.Background(), set.Items(), eo)
 	if err != nil {
 		log.Fatal(err)

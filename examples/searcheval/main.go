@@ -75,7 +75,7 @@ func main() {
 
 		// The paper's negative result: a naive-only 2-MaxFind is not
 		// reliable for this task.
-		no := crowdmax.NewOracle(world.Worker(qr.Child("naiveonly")), crowdmax.Naive, nil, crowdmax.NewMemo())
+		no := crowdmax.NewOracle(world.Worker(qr.Child("naiveonly")), crowdmax.Naive, nil, crowdmax.NewMemo(set.Len()))
 		naiveBest, err := crowdmax.TwoMaxFind(context.Background(), set.Items(), no)
 		if err != nil {
 			log.Fatal(err)

@@ -95,8 +95,8 @@ func TestFacadeFindMaxFreeFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := NewLedger()
-	no := NewOracle(NewThresholdWorker(cal.DeltaN, 0, r.Child("n")), Naive, ledger, NewMemo())
-	eo := NewOracle(NewThresholdWorker(cal.DeltaE, 0, r.Child("e")), Expert, ledger, NewMemo())
+	no := NewOracle(NewThresholdWorker(cal.DeltaN, 0, r.Child("n")), Naive, ledger, NewMemo(cal.Set.Len()))
+	eo := NewOracle(NewThresholdWorker(cal.DeltaE, 0, r.Child("e")), Expert, ledger, NewMemo(cal.Set.Len()))
 	res, err := FindMax(context.Background(), cal.Set.Items(), no, eo, FindMaxOptions{Un: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +183,8 @@ func TestFacadePlateauWorld(t *testing.T) {
 func TestFacadeTopKAndRankByWins(t *testing.T) {
 	r := NewRand(7)
 	set := UniformDataset(200, 0, 1, r.Child("data"))
-	no := NewOracle(worker.Truth, Naive, nil, NewMemo())
-	eo := NewOracle(worker.Truth, Expert, nil, NewMemo())
+	no := NewOracle(worker.Truth, Naive, nil, NewMemo(set.Len()))
+	eo := NewOracle(worker.Truth, Expert, nil, NewMemo(set.Len()))
 	top, err := TopK(context.Background(), set.Items(), no, eo, TopKOptions{K: 3, U: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestFilterAllocsConstant(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &worker.Threshold{Delta: cal.DeltaN, Tie: worker.HashTie{Seed: 11}}
-		o := tournament.NewOracle(w, worker.Naive, cost.NewLedger(), tournament.NewMemo())
+		o := tournament.NewOracle(w, worker.Naive, cost.NewLedger(), tournament.NewMemo(n))
 		items := cal.Set.Items()
 		run := func() {
 			if _, err := Filter(context.Background(), items, o, FilterOptions{Un: un}); err != nil {

@@ -49,7 +49,7 @@ func BenchmarkFilter(b *testing.B) {
 					w := &worker.Threshold{Delta: cal.DeltaN, Tie: worker.RandomTie{R: r}, R: r}
 					var memo *tournament.Memo
 					if variant.memo {
-						memo = tournament.NewMemo()
+						memo = tournament.NewMemo(n)
 					}
 					o := tournament.NewOracle(w, worker.Naive, ledger, memo)
 					if _, err := Filter(context.Background(), items, o, FilterOptions{Un: 10, TrackLosses: variant.trackLosses}); err != nil {

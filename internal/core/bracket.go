@@ -54,22 +54,23 @@ func TournamentMax(ctx context.Context, items []item.Item, o *tournament.Oracle,
 	copy(round, items)
 	// Arena-style: the pair, winner, and survivor buffers are sized once
 	// from the first (largest) round and reused by every later round, as is
-	// the batch scratch — the loop itself allocates nothing.
-	pairs := make([][2]item.Item, 0, len(round)/2*rep)
-	winners := make([]item.Item, 0, len(round)/2*rep)
+	// the batch scratch — the loop itself allocates nothing. Pairs and
+	// winners are indices into the round.
+	pairs := make([][2]int32, 0, len(round)/2*rep)
+	winners := make([]int32, 0, len(round)/2*rep)
 	next := make([]item.Item, 0, (len(round)+1)/2)
 	var scratch tournament.BatchScratch
 	for len(round) > 1 {
 		// One logical step per round: all matches (with all their
 		// repetitions) are independent.
 		pairs = pairs[:0]
-		for i := 0; i+1 < len(round); i += 2 {
+		for i := int32(0); i+1 < int32(len(round)); i += 2 {
 			for v := 0; v < rep; v++ {
-				pairs = append(pairs, [2]item.Item{round[i], round[i+1]})
+				pairs = append(pairs, [2]int32{i, i + 1})
 			}
 		}
 		winners = winners[:len(pairs)]
-		if err := o.CompareBatchInto(ctx, pairs, winners, &scratch); err != nil {
+		if err := o.CompareBatchInto(ctx, round, pairs, winners, &scratch); err != nil {
 			return round[0], err
 		}
 		next = next[:0]
@@ -77,7 +78,7 @@ func TournamentMax(ctx context.Context, items []item.Item, o *tournament.Oracle,
 		for i := 0; i+1 < len(round); i += 2 {
 			votesA := 0
 			for v := 0; v < rep; v++ {
-				if winners[p].ID == round[i].ID {
+				if winners[p] == int32(i) {
 					votesA++
 				}
 				p++

@@ -23,7 +23,7 @@ func TestTournamentMaxValidation(t *testing.T) {
 	if _, err := TournamentMax(context.Background(), s.Items(), o, BracketOptions{Repetitions: 2}); err == nil {
 		t.Fatal("even repetitions accepted")
 	}
-	memoized := tournament.NewOracle(worker.Truth, worker.Naive, nil, tournament.NewMemo())
+	memoized := tournament.NewOracle(worker.Truth, worker.Naive, nil, tournament.NewMemo(s.Len()))
 	if _, err := TournamentMax(context.Background(), s.Items(), memoized, BracketOptions{Repetitions: 3}); err == nil {
 		t.Fatal("memoized oracle with repetitions accepted")
 	}

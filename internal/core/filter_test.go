@@ -192,7 +192,7 @@ func TestFilterWithMemoizedOracle(t *testing.T) {
 	}
 	l := cost.NewLedger()
 	w := &worker.Threshold{Delta: cal.DeltaN, Tie: worker.RandomTie{R: r}, R: r}
-	o := tournament.NewOracle(w, worker.Naive, l, tournament.NewMemo())
+	o := tournament.NewOracle(w, worker.Naive, l, tournament.NewMemo(cal.Set.Len()))
 	out, err := Filter(context.Background(), cal.Set.Items(), o, FilterOptions{Un: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -106,8 +106,8 @@ func newSchedRig(seed uint64, n, un int, wrapNaive func(worker.Comparator) worke
 	ew := &worker.Threshold{Delta: deltaE, Tie: worker.RandomTie{R: r.Child("expert")}, R: r.Child("ew")}
 	return &schedRig{
 		ledger: ledger,
-		naive:  tournament.NewOracle(&recorder{inner: nw, class: worker.Naive, log: log}, worker.Naive, ledger, tournament.NewMemo()),
-		expert: tournament.NewOracle(&recorder{inner: ew, class: worker.Expert, log: log}, worker.Expert, ledger, tournament.NewMemo()),
+		naive:  tournament.NewOracle(&recorder{inner: nw, class: worker.Naive, log: log}, worker.Naive, ledger, tournament.NewMemo(n)),
+		expert: tournament.NewOracle(&recorder{inner: ew, class: worker.Expert, log: log}, worker.Expert, ledger, tournament.NewMemo(n)),
 		prices: cost.Prices{Naive: 1, Expert: 25},
 		items:  cal.Set.Items(),
 		r:      r,

@@ -135,7 +135,7 @@ func TestTopKMemoizationSavesAcrossRounds(t *testing.T) {
 		ledger := cost.NewLedger()
 		var nm, em *tournament.Memo
 		if memoize {
-			nm, em = tournament.NewMemo(), tournament.NewMemo()
+			nm, em = tournament.NewMemo(cal.Set.Len()), tournament.NewMemo(cal.Set.Len())
 		}
 		nw := &worker.Threshold{Delta: cal.DeltaN, Tie: worker.RandomTie{R: rr.Child("n")}, R: rr.Child("n")}
 		ew := &worker.Threshold{Delta: cal.DeltaE, Tie: worker.RandomTie{R: rr.Child("e")}, R: rr.Child("e")}

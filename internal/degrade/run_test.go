@@ -15,6 +15,9 @@ import (
 	"crowdmax/internal/worker"
 )
 
+// testMemoN sizes the tests' memos for testItems(40), whose IDs run 1..40.
+const testMemoN = 41
+
 func testItems(n int) []item.Item {
 	items := make([]item.Item, n)
 	for i := range items {
@@ -48,8 +51,8 @@ func (f *failAfter) Answer(ctx context.Context, req dispatch.Request) (dispatch.
 
 func runOracles(expertBackend dispatch.Backend) (naive, expert *tournament.Oracle, led *cost.Ledger) {
 	led = cost.NewLedger()
-	naive = tournament.NewOracle(worker.Truth, worker.Naive, led, tournament.NewMemo())
-	expert = tournament.NewBackendOracle(expertBackend, worker.Expert, led, tournament.NewMemo())
+	naive = tournament.NewOracle(worker.Truth, worker.Naive, led, tournament.NewMemo(testMemoN))
+	expert = tournament.NewBackendOracle(expertBackend, worker.Expert, led, tournament.NewMemo(testMemoN))
 	return naive, expert, led
 }
 
@@ -82,8 +85,8 @@ func TestRunExpertOutageDegradesToNaiveMajority(t *testing.T) {
 	// so the filter keeps a real candidate set and phase 2 has work to lose.
 	dead := &failAfter{inner: dispatch.NewSimulated(worker.Truth), n: 1, err: dispatch.ErrBackendUnavailable}
 	led := cost.NewLedger()
-	naive := tournament.NewOracle(blurry(), worker.Naive, led, tournament.NewMemo())
-	expert := tournament.NewBackendOracle(dead, worker.Expert, led, tournament.NewMemo())
+	naive := tournament.NewOracle(blurry(), worker.Naive, led, tournament.NewMemo(testMemoN))
+	expert := tournament.NewBackendOracle(dead, worker.Expert, led, tournament.NewMemo(testMemoN))
 	ctl := NewController(0)
 	var phases []string
 	out, err := Run(context.Background(), testItems(40), naive, expert, ctl, Options{
@@ -116,8 +119,8 @@ func TestRunExpertOutageDegradesToNaiveMajority(t *testing.T) {
 
 func TestRunBudgetExhaustionDegrades(t *testing.T) {
 	led := cost.NewLedger()
-	naive := tournament.NewOracle(blurry(), worker.Naive, led, tournament.NewMemo())
-	expert := tournament.NewBackendOracle(dispatch.NewSimulated(worker.Truth), worker.Expert, led, tournament.NewMemo())
+	naive := tournament.NewOracle(blurry(), worker.Naive, led, tournament.NewMemo(testMemoN))
+	expert := tournament.NewBackendOracle(dispatch.NewSimulated(worker.Truth), worker.Expert, led, tournament.NewMemo(testMemoN))
 	budget := dispatch.NewBudget(dispatch.Limits{MaxExpert: 4})
 	expert.WithBudget(budget)
 	ctl := NewController(0)
@@ -159,7 +162,7 @@ func TestRunCrashStaysFatal(t *testing.T) {
 	crash := chaos.NewCrash(5)
 	naive, expert, _ := runOracles(dispatch.NewSimulated(worker.Truth))
 	naiveCrash := tournament.NewBackendOracle(
-		crash.Wrap(dispatch.NewSimulated(worker.Truth)), worker.Naive, cost.NewLedger(), tournament.NewMemo())
+		crash.Wrap(dispatch.NewSimulated(worker.Truth)), worker.Naive, cost.NewLedger(), tournament.NewMemo(testMemoN))
 	_ = naive
 	ctl := NewController(0)
 	out, err := Run(context.Background(), testItems(40), naiveCrash, expert, ctl, Options{Un: 3})
@@ -172,9 +175,9 @@ func TestRunCrashStaysFatal(t *testing.T) {
 
 	// A crash mid-phase-2 halts the rung that was running; the outcome must
 	// not name that rung, as no rung completed.
-	naive = tournament.NewOracle(blurry(), worker.Naive, cost.NewLedger(), tournament.NewMemo())
+	naive = tournament.NewOracle(blurry(), worker.Naive, cost.NewLedger(), tournament.NewMemo(testMemoN))
 	expertCrash := tournament.NewBackendOracle(
-		chaos.NewCrash(0).Wrap(dispatch.NewSimulated(worker.Truth)), worker.Expert, cost.NewLedger(), tournament.NewMemo())
+		chaos.NewCrash(0).Wrap(dispatch.NewSimulated(worker.Truth)), worker.Expert, cost.NewLedger(), tournament.NewMemo(testMemoN))
 	out, err = Run(context.Background(), testItems(40), naive, expertCrash, NewController(0), Options{Un: 3})
 	if !errors.Is(err, chaos.ErrCrash) || !strings.HasPrefix(err.Error(), "rung expert-2maxfind: ") {
 		t.Fatalf("crash during phase 2: err = %v, want ErrCrash from expert-2maxfind", err)
@@ -190,8 +193,8 @@ func TestRunPhase1FailureFallsToBestSoFar(t *testing.T) {
 	// candidate set; the only honest outcome is best-so-far with no error.
 	dead := &failAfter{inner: dispatch.NewSimulated(worker.Truth), n: 3, err: dispatch.ErrBackendUnavailable}
 	led := cost.NewLedger()
-	naive := tournament.NewBackendOracle(dead, worker.Naive, led, tournament.NewMemo())
-	expert := tournament.NewOracle(worker.Truth, worker.Expert, led, tournament.NewMemo())
+	naive := tournament.NewBackendOracle(dead, worker.Naive, led, tournament.NewMemo(testMemoN))
+	expert := tournament.NewOracle(worker.Truth, worker.Expert, led, tournament.NewMemo(testMemoN))
 	ctl := NewController(0)
 	out, err := Run(context.Background(), testItems(40), naive, expert, ctl, Options{Un: 3})
 	if err != nil {

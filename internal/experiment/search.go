@@ -127,7 +127,7 @@ func SearchEval(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 		for _, un := range cfg.Uns {
 			r := qr.ChildN("un", un)
 			sc := obs.Trial(trialLabel("search", qi, un), r.Seed())
-			naive := tournament.NewOracle(world.Worker(r.Child("naive")), worker.Naive, nil, tournament.NewMemo()).WithObs(sc)
+			naive := tournament.NewOracle(world.Worker(r.Child("naive")), worker.Naive, nil, tournament.NewMemo(set.Len())).WithObs(sc)
 			candidates, err := core.Filter(ctx, set.Items(), naive, core.FilterOptions{Un: un})
 			if err != nil {
 				return err
@@ -139,7 +139,7 @@ func SearchEval(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 				}
 			}
 			ew := &worker.Threshold{Delta: cfg.DeltaE, Tie: worker.RandomTie{R: r.Child("exp")}, R: r.Child("exp")}
-			eo := tournament.NewOracle(ew, worker.Expert, nil, tournament.NewMemo()).WithObs(sc)
+			eo := tournament.NewOracle(ew, worker.Expert, nil, tournament.NewMemo(set.Len())).WithObs(sc)
 			best, err := core.RunPhase2(ctx, candidates, eo, core.Phase2TwoMaxFind, core.RandomizedOptions{})
 			if err != nil {
 				return err
@@ -155,7 +155,7 @@ func SearchEval(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 
 		for run := 0; run < cfg.NaiveRuns; run++ {
 			r := qr.ChildN("naiveonly", run)
-			naive := tournament.NewOracle(world.Worker(r), worker.Naive, nil, tournament.NewMemo()).
+			naive := tournament.NewOracle(world.Worker(r), worker.Naive, nil, tournament.NewMemo(set.Len())).
 				WithObs(obs.Trial(trialLabel("search-naive", qi, run), r.Seed()))
 			best, err := core.TwoMaxFind(ctx, set.Items(), naive)
 			if err != nil {

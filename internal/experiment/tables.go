@@ -161,7 +161,7 @@ func crowdRun(ctx context.Context, items []item.Item, gold []item.Item, world *w
 
 	ledger := cost.NewLedger()
 	sc := obs.Trial("crowd", r.Seed())
-	naive := tournament.NewOracle(plat.BatchComparator(cfg.NaiveVotes), worker.Naive, ledger, tournament.NewMemo()).WithObs(sc)
+	naive := tournament.NewOracle(plat.BatchComparator(cfg.NaiveVotes), worker.Naive, ledger, tournament.NewMemo(len(items))).WithObs(sc)
 	survivors, err = core.Filter(ctx, items, naive, core.FilterOptions{Un: cfg.Un})
 	if err != nil {
 		return nil, nil, err
@@ -169,7 +169,7 @@ func crowdRun(ctx context.Context, items []item.Item, gold []item.Item, world *w
 
 	// "Last round": all-play-all among the survivors, judged by simulated
 	// experts, ranked by wins (stable on ties).
-	expert := tournament.NewOracle(plat.BatchComparator(cfg.ExpertVotes), worker.Expert, ledger, tournament.NewMemo()).WithObs(sc)
+	expert := tournament.NewOracle(plat.BatchComparator(cfg.ExpertVotes), worker.Expert, ledger, tournament.NewMemo(len(items))).WithObs(sc)
 	ranking, err = core.RankByWins(ctx, survivors, expert)
 	if err != nil {
 		return nil, nil, err

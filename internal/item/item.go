@@ -19,7 +19,8 @@ import (
 // human-readable description (a car model, an image name, a search result).
 type Item struct {
 	// ID identifies the item within its Set. IDs are dense indices
-	// 0..n−1 assigned by NewSet and used to key memoization tables.
+	// 0..n−1 assigned by NewSet; they index the rows and cells of the
+	// n × n memoization tables, which are sized by the largest ID.
 	ID int
 	// Value is v(e), the ground-truth value of the element.
 	Value float64

@@ -31,9 +31,11 @@ type BatchScratch struct {
 	seen   map[uint64]struct{}
 }
 
-// markSeen records the pair key, reporting whether it was already present.
-// The map is lazily created and reused (cleared) across calls.
-func (s *BatchScratch) markSeen(k uint64) bool {
+// markSeen records the unordered ID pair (a, b), reporting whether it was
+// already present. The map is lazily created and reused (cleared) across
+// calls.
+func (s *BatchScratch) markSeen(a, b int) bool {
+	k := uint64(min(a, b))<<32 | uint64(max(a, b))
 	if s.seen == nil {
 		s.seen = make(map[uint64]struct{})
 	}
@@ -44,28 +46,18 @@ func (s *BatchScratch) markSeen(k uint64) bool {
 	return false
 }
 
-// CompareBatch answers a batch of comparisons: memoized pairs are served
-// for free, the remainder is forwarded to the underlying comparator — in
-// one call when it implements BatchComparator, element-wise otherwise —
-// and exactly one logical step is billed when anything is actually sent.
-// It allocates the winners slice and working buffers per call; loops that
-// batch every round use CompareBatchInto with retained buffers instead, as
-// RoundScratch.RoundRobin does (the filter keeps one scratch per run) and
-// the bracket loop with its own BatchScratch.
-func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item.Item, error) {
-	winners := make([]item.Item, len(pairs))
-	var s BatchScratch
-	if err := o.CompareBatchInto(ctx, pairs, winners, &s); err != nil {
-		return nil, err
-	}
-	return winners, nil
-}
-
-// CompareBatchInto is CompareBatch writing into caller-owned storage:
-// winners must have len(pairs) slots, and scratch provides the working
-// buffers, reused across calls. With every pair memoized — the steady state
-// of repeated tournaments — the call performs no allocation at all
-// (asserted by the allocs/op benchmarks).
+// CompareBatchInto answers a batch of comparisons among items: pairs[k]
+// names its two elements by index into items, and winners[k] receives the
+// index of the winner (pairs[k][0] or pairs[k][1]), so winners must have
+// len(pairs) slots. Memoized pairs are served for free, looked up by item
+// ID without copying an item; the remainder is forwarded to the underlying
+// comparator — in one call when it implements BatchComparator, element-wise
+// otherwise — and exactly one logical step is billed when anything is
+// actually sent. scratch provides the working buffers, reused across calls:
+// with every pair memoized — the steady state of repeated tournaments — the
+// call performs no allocation at all (asserted by the allocs/op tests).
+// RoundScratch.RoundRobin, PivotPass and the bracket loop all batch through
+// it.
 //
 // A batch submitted to a BatchComparator is pre-charged against the budget
 // all-or-nothing, so a hard cap is never exceeded even by a platform batch;
@@ -83,7 +75,7 @@ func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item
 // paid comparisons and one for the memo hits, instead of one per pair, so
 // the cost of an attached scope is negligible and the cost of a detached
 // one (the default) is a nil check.
-func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, winners []item.Item, s *BatchScratch) error {
+func (o *Oracle) CompareBatchInto(ctx context.Context, items []item.Item, pairs [][2]int32, winners []int32, s *BatchScratch) error {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -92,8 +84,8 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 	s.todo = s.todo[:0]
 	for i, p := range pairs {
 		if o.memo != nil {
-			if w, ok := o.memo.Lookup(p[0].ID, p[1].ID); ok {
-				winners[i] = pick(p, w)
+			if w, ok := o.memo.Lookup(items[p[0]].ID, items[p[1]].ID); ok {
+				winners[i] = pick(items, p, w)
 				continue
 			}
 		}
@@ -111,38 +103,39 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 		o.ledger.Step()
 	}
 	if bc, ok := o.cmp.(BatchComparator); ok && o.backend == nil {
-		return o.comparePlatform(bc, pairs, hits, winners, s)
+		return o.comparePlatform(bc, items, pairs, hits, winners, s)
 	}
 	if o.batchWorkers > 1 && len(s.todo) > 1 {
-		paid, dupHits, err := o.compareParallel(ctx, pairs, winners, s)
+		paid, dupHits, err := o.compareParallel(ctx, items, pairs, winners, s)
 		o.observeBatch(paid, hits+dupHits)
 		return err
 	}
 	var paid int64
 	for _, i := range s.todo {
 		p := pairs[i]
+		a, b := &items[p[0]], &items[p[1]]
 		// A duplicate may have been memoized by an earlier element of
 		// this same batch.
 		if o.memo != nil {
-			if w, ok := o.memo.Lookup(p[0].ID, p[1].ID); ok {
+			if w, ok := o.memo.Lookup(a.ID, b.ID); ok {
 				if o.ledger != nil {
 					o.ledger.MemoHit(o.class)
 				}
 				hits++
-				winners[i] = pick(p, w)
+				winners[i] = pick(items, p, w)
 				continue
 			}
 		}
-		w, err := o.ask(ctx, p[0], p[1])
+		w, err := o.ask(ctx, *a, *b)
 		if err != nil {
 			o.observeBatch(paid, hits)
 			return err
 		}
 		paid++
 		if o.memo != nil {
-			o.memo.store(p[0].ID, p[1].ID, w.ID)
+			o.memo.store(a.ID, b.ID, w.ID)
 		}
-		winners[i] = w
+		winners[i] = pick(items, p, w.ID)
 	}
 	o.observeBatch(paid, hits)
 	return nil
@@ -152,23 +145,23 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 // BatchComparator in one platform call, deduplicating repeated pairs when
 // memoization is enabled. The whole platform batch is admitted or refused
 // as a unit: a budget that cannot cover it refuses before anything is sent.
-func (o *Oracle) comparePlatform(bc BatchComparator, pairs [][2]item.Item, hits int64, winners []item.Item, s *BatchScratch) error {
+// Only the pairs actually sent are built as item pairs.
+func (o *Oracle) comparePlatform(bc BatchComparator, items []item.Item, pairs [][2]int32, hits int64, winners []int32, s *BatchScratch) error {
 	s.sub, s.subIdx, s.dups = s.sub[:0], s.subIdx[:0], s.dups[:0]
 	if o.memo == nil {
-		for _, i := range s.todo {
-			s.sub = append(s.sub, pairs[i])
-		}
 		s.subIdx = append(s.subIdx, s.todo...)
 	} else {
 		clear(s.seen)
 		for _, i := range s.todo {
-			if s.markSeen(packKey(pairs[i][0].ID, pairs[i][1].ID)) {
+			if s.markSeen(items[pairs[i][0]].ID, items[pairs[i][1]].ID) {
 				s.dups = append(s.dups, i)
 				continue
 			}
-			s.sub = append(s.sub, pairs[i])
 			s.subIdx = append(s.subIdx, i)
 		}
+	}
+	for _, i := range s.subIdx {
+		s.sub = append(s.sub, [2]item.Item{items[pairs[i][0]], items[pairs[i][1]]})
 	}
 	if o.budget != nil {
 		if err := o.budget.Spend(o.class, int64(len(s.sub))); err != nil {
@@ -181,19 +174,25 @@ func (o *Oracle) comparePlatform(bc BatchComparator, pairs [][2]item.Item, hits 
 	}
 	for j, i := range s.subIdx {
 		if o.memo != nil {
-			o.memo.store(pairs[i][0].ID, pairs[i][1].ID, res[j].ID)
+			o.memo.store(s.sub[j][0].ID, s.sub[j][1].ID, res[j].ID)
 		}
-		winners[i] = res[j]
+		winners[i] = pick(items, pairs[i], res[j].ID)
 	}
+	o.serveDups(items, pairs, winners, s)
+	o.observeBatch(int64(len(s.subIdx)), hits+int64(len(s.dups)))
+	return nil
+}
+
+// serveDups answers the batch's in-batch duplicates from the memo, which
+// the pairs they repeat have just filled, and bills them as memo hits.
+func (o *Oracle) serveDups(items []item.Item, pairs [][2]int32, winners []int32, s *BatchScratch) {
 	if o.ledger != nil && len(s.dups) > 0 {
 		o.ledger.MemoHitN(o.class, int64(len(s.dups)))
 	}
 	for _, i := range s.dups {
-		w, _ := o.memo.Lookup(pairs[i][0].ID, pairs[i][1].ID)
-		winners[i] = pick(pairs[i], w)
+		w, _ := o.memo.Lookup(items[pairs[i][0]].ID, items[pairs[i][1]].ID)
+		winners[i] = pick(items, pairs[i], w)
 	}
-	o.observeBatch(int64(len(s.subIdx)), hits+int64(len(s.dups)))
-	return nil
 }
 
 // observeBatch records one batch's aggregate counts on the attached
@@ -221,14 +220,14 @@ func (o *Oracle) observeBatch(paid, hits int64) {
 // dispatch seam as Compare (ctx check, budget pre-charge, backend), so a
 // cancelled or exhausted run stops promptly; parallel.For reports the error
 // of the lowest failing index.
-func (o *Oracle) compareParallel(ctx context.Context, pairs [][2]item.Item, winners []item.Item, s *BatchScratch) (paid, dupHits int64, err error) {
+func (o *Oracle) compareParallel(ctx context.Context, items []item.Item, pairs [][2]int32, winners []int32, s *BatchScratch) (paid, dupHits int64, err error) {
 	sub := s.todo
 	s.dups = s.dups[:0]
 	if o.memo != nil {
 		s.subIdx = s.subIdx[:0]
 		clear(s.seen)
 		for _, i := range s.todo {
-			if s.markSeen(packKey(pairs[i][0].ID, pairs[i][1].ID)) {
+			if s.markSeen(items[pairs[i][0]].ID, items[pairs[i][1]].ID) {
 				s.dups = append(s.dups, i)
 				continue
 			}
@@ -239,33 +238,29 @@ func (o *Oracle) compareParallel(ctx context.Context, pairs [][2]item.Item, winn
 	var nPaid atomic.Int64
 	err = parallel.For(o.batchWorkers, len(sub), func(j int) error {
 		i := sub[j]
-		p := pairs[i]
-		w, askErr := o.ask(ctx, p[0], p[1])
+		a, b := &items[pairs[i][0]], &items[pairs[i][1]]
+		w, askErr := o.ask(ctx, *a, *b)
 		if askErr != nil {
 			return askErr
 		}
 		nPaid.Add(1)
 		if o.memo != nil {
-			o.memo.store(p[0].ID, p[1].ID, w.ID)
+			o.memo.store(a.ID, b.ID, w.ID)
 		}
-		winners[i] = w
+		winners[i] = pick(items, pairs[i], w.ID)
 		return nil
 	})
 	if err != nil {
 		return nPaid.Load(), 0, err
 	}
-	if o.ledger != nil && len(s.dups) > 0 {
-		o.ledger.MemoHitN(o.class, int64(len(s.dups)))
-	}
-	for _, i := range s.dups {
-		w, _ := o.memo.Lookup(pairs[i][0].ID, pairs[i][1].ID)
-		winners[i] = pick(pairs[i], w)
-	}
+	o.serveDups(items, pairs, winners, s)
 	return nPaid.Load(), int64(len(s.dups)), nil
 }
 
-func pick(p [2]item.Item, winnerID int) item.Item {
-	if winnerID == p[0].ID {
+// pick returns the index of the pair's element whose ID is winnerID: the
+// first element when it matches, the second otherwise.
+func pick(items []item.Item, p [2]int32, winnerID int) int32 {
+	if winnerID == items[p[0]].ID {
 		return p[0]
 	}
 	return p[1]

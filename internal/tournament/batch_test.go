@@ -33,7 +33,7 @@ func (r *recordingBatcher) CompareBatch(pairs [][2]item.Item) []item.Item {
 func TestCompareBatchEmpty(t *testing.T) {
 	l := cost.NewLedger()
 	o := NewOracle(worker.Truth, worker.Naive, l, nil)
-	got, err := o.CompareBatch(context.Background(), nil)
+	got, err := compareItemPairs(context.Background(), o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCompareBatchSequentialFallback(t *testing.T) {
 		{it2(0, 1), it2(1, 2)},
 		{it2(2, 9), it2(3, 4)},
 	}
-	winners, err := o.CompareBatch(context.Background(), pairs)
+	winners, err := compareItemPairs(context.Background(), o, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCompareBatchUsesBatchComparator(t *testing.T) {
 		{it2(2, 9), it2(3, 4)},
 		{it2(4, 5), it2(5, 6)},
 	}
-	winners, err := o.CompareBatch(context.Background(), pairs)
+	winners, err := compareItemPairs(context.Background(), o, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCompareBatchUsesBatchComparator(t *testing.T) {
 func TestCompareBatchMemoServesRepeats(t *testing.T) {
 	rb := &recordingBatcher{}
 	l := cost.NewLedger()
-	o := NewOracle(rb, worker.Naive, l, NewMemo())
+	o := NewOracle(rb, worker.Naive, l, NewMemo(6))
 	pairs := [][2]item.Item{{it2(0, 1), it2(1, 2)}}
 	mustBatch(t, o, pairs)
 	// Second batch fully memoized: no step, no forwarding, a memo hit.
@@ -109,7 +109,7 @@ func TestCompareBatchMemoServesRepeats(t *testing.T) {
 func TestCompareBatchDedupesWithinBatch(t *testing.T) {
 	rb := &recordingBatcher{}
 	l := cost.NewLedger()
-	o := NewOracle(rb, worker.Naive, l, NewMemo())
+	o := NewOracle(rb, worker.Naive, l, NewMemo(6))
 	p := [2]item.Item{it2(0, 1), it2(1, 2)}
 	rev := [2]item.Item{it2(1, 2), it2(0, 1)}
 	winners := mustBatch(t, o, [][2]item.Item{p, p, rev})
@@ -144,7 +144,7 @@ func TestCompareBatchMixedSequentialDuplicates(t *testing.T) {
 	// Sequential fallback + memo: the second copy within one batch is a
 	// memo hit.
 	l := cost.NewLedger()
-	o := NewOracle(worker.Truth, worker.Naive, l, NewMemo())
+	o := NewOracle(worker.Truth, worker.Naive, l, NewMemo(6))
 	p := [2]item.Item{it2(0, 1), it2(1, 2)}
 	winners := mustBatch(t, o, [][2]item.Item{p, p})
 	if winners[0].ID != 1 || winners[1].ID != 1 {
@@ -188,13 +188,34 @@ func TestRoundRobinConsistencyBatchVsSequential(t *testing.T) {
 
 func it2(id int, v float64) item.Item { return item.Item{ID: id, Value: v} }
 
-// mustBatch runs CompareBatch under a background context and fails the test
-// on error.
+// mustBatch runs compareItemPairs under a background context and fails the
+// test on error.
 func mustBatch(t *testing.T, o *Oracle, pairs [][2]item.Item) []item.Item {
 	t.Helper()
-	winners, err := o.CompareBatch(context.Background(), pairs)
+	winners, err := compareItemPairs(context.Background(), o, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return winners
+}
+
+// compareItemPairs batches pairs of items through CompareBatchInto: pair k
+// becomes the index pair (2k, 2k+1) over the pairs' elements laid out in
+// order, and the winning indices are mapped back to items.
+func compareItemPairs(ctx context.Context, o *Oracle, pairs [][2]item.Item) ([]item.Item, error) {
+	items := make([]item.Item, 0, 2*len(pairs))
+	idx := make([][2]int32, len(pairs))
+	for k, p := range pairs {
+		items = append(items, p[0], p[1])
+		idx[k] = [2]int32{int32(2 * k), int32(2*k + 1)}
+	}
+	winners := make([]int32, len(pairs))
+	if err := o.CompareBatchInto(ctx, items, idx, winners, new(BatchScratch)); err != nil {
+		return nil, err
+	}
+	out := make([]item.Item, len(pairs))
+	for k, w := range winners {
+		out[k] = items[w]
+	}
+	return out, nil
 }

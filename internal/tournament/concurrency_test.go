@@ -22,12 +22,12 @@ func TestMemoConcurrentAccess(t *testing.T) {
 	const goroutines = 32
 	const perGoroutine = 300
 	root := rng.New(1)
-	memo := NewMemo()
 	ledger := cost.NewLedger()
 	items := make([]item.Item, 10)
 	for i := range items {
 		items[i] = item.Item{ID: i, Value: float64(i) * 0.1}
 	}
+	memo := NewMemo(len(items))
 	var (
 		asks  atomic.Int64
 		mu    sync.Mutex
@@ -103,8 +103,8 @@ func TestParallelBatchConcurrentOracles(t *testing.T) {
 	}
 	ledger := cost.NewLedger()
 	w := &worker.Threshold{Delta: 100, Tie: worker.HashTie{Seed: 42}}
-	o := NewOracle(w, worker.Expert, ledger, NewMemo()).ParallelBatch(4)
-	want, err := o.CompareBatch(context.Background(), pairs)
+	o := NewOracle(w, worker.Expert, ledger, NewMemo(len(items))).ParallelBatch(4)
+	want, err := compareItemPairs(context.Background(), o, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestParallelBatchConcurrentOracles(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := o.CompareBatch(context.Background(), pairs)
+			got, err := compareItemPairs(context.Background(), o, pairs)
 			if err != nil {
 				t.Error(err)
 				return

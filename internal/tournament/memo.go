@@ -2,121 +2,105 @@ package tournament
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 )
 
-// Memo caches the first answer to every unordered pair for one worker class
-// — the n × n comparison table of Appendix A — as one open-addressed hash
-// table of packed uint64 entries (both 31-bit item IDs, a winner bit and an
-// occupancy bit).
+// Memo caches the first answer to every unordered pair of item IDs in
+// [0, n) for one worker class — literally the n × n comparison table of
+// Appendix A, folded to its upper triangle. Each pair (lo, hi), lo ≤ hi,
+// owns a 2-bit cell: one bit marks the pair answered, the other says the
+// higher ID won.
 //
-// Lookups are lock-free and allocation-free: one atomic pointer load and
-// one linear probe of atomic words. Stores and growth serialize on one
-// mutex: a store probes under it and publishes its entry with one atomic
-// store. When a store would lift the table past ¾ load, the storer first
-// builds a table of twice the capacity, rehashes every entry into it and
-// publishes it with one atomic pointer store. A lookup still holding the
-// older table sees every entry that table ever held, so no answer is lost
-// or changes; stores only follow paid comparisons, so the mutex is never
-// on the memo-hit path.
+// Row lo holds the cells for hi ≥ lo and is installed on its first store:
+// its words are carved from slabs that double in size, and the row's
+// position is published into rows[lo] by compare-and-swap. A memo that
+// touches few items stays small — an expert memo's 2·un − 1 rows fit in
+// the first slab, 24 KB with the row index at n = 2000 — and a full table
+// costs a logarithmic number of allocations.
 //
-// The first store for a pair wins: a later or concurrent store of the same
-// pair finds the frozen entry under the lock and leaves it alone, without
-// allocating. Two goroutines that miss the same pair at once both really
-// ask the crowd — both are billed — and both then serve the one frozen
-// answer.
+// Lookups are lock-free and allocation-free: the row's descriptor, its
+// slab (one of a few, hot in cache) and the cell's word are three loads.
+// A store is a compare-and-swap loop on the cell's word, so the first
+// store for a pair wins: a later or concurrent store of the same pair finds
+// the answered bit set and leaves the cell alone. Two goroutines that miss
+// the same pair at once both really ask the crowd — both are billed — and
+// both then serve the one frozen answer.
+//
+// Item IDs are dense indices (see item.Item.ID); an ID outside [0, n)
+// panics.
 type Memo struct {
-	table atomic.Pointer[memoTable]
-	mu    sync.Mutex // serializes stores and growth
-	n     int        // stored pairs; guarded by mu
+	n        int
+	triangle int64           // words of the whole triangle, the most the slabs need
+	rows     []atomic.Uint64 // per lo: row descriptor + 1 (slab, word offset); 0 until installed
+	cur      atomic.Int64    // index of the slab rows are carved from
+	slabs    [memoMaxSlabs]atomic.Pointer[memoSlab]
+	carved   atomic.Int64 // words of installed rows
+	count    atomic.Int64 // stored pairs
 }
 
-// memoTable is the memo's open-addressed table. Slots hold packed entries;
-// zero means empty. Occupancy stays at most ¾, so a probe always ends at an
-// empty slot.
-type memoTable struct {
-	mask  uint64 // len(slots) − 1 (capacity is a power of two)
-	slots []atomic.Uint64
+// memoSlab is a block of row words; used counts the words claimed so far
+// (it may run past len(words) when the last claims did not fit).
+type memoSlab struct {
+	words []atomic.Uint64
+	used  atomic.Int64
 }
 
-// Packed entry layout (single uint64):
-//
-//	bits 63..33  lo ID (the smaller of the pair, 31 bits)
-//	bits 32..2   hi ID (the larger of the pair, 31 bits)
-//	bit  1       winner-is-hi
-//	bit  0       occupied (keeps every entry non-zero, even pair (0, 1))
 const (
-	memoIDLimit   = 1 << 31
-	memoKeyMask   = ^uint64(3)
-	memoWinnerBit = uint64(2)
-	memoLiveBit   = uint64(1)
+	memoIDLimit = 1 << 31
 
-	// memoMinSlots is the initial table capacity of NewMemo; each growth
-	// doubles it.
-	memoMinSlots = 1 << 10
+	memoAnswered = 1 // cell bit: the pair is answered
+	memoHiWon    = 2 // cell bit: the higher ID won
+
+	// A row descriptor packs its slab index above memoOffBits bits of word
+	// offset into the slab.
+	memoOffBits = 56
+	memoOffMask = 1<<memoOffBits - 1
+
+	// memoFirstSlabRows is the number of full-length rows the first slab
+	// holds: an expert memo's few rows fit in it.
+	memoFirstSlabRows = 16
+
+	// memoMaxSlabs bounds the doubling slabs: the first holds at least 16
+	// words, so 64 of them outgrow the 2^56-word triangle of n = 2^31.
+	memoMaxSlabs = 64
 )
 
-// NewMemo returns an empty memo table with the default initial capacity.
-func NewMemo() *Memo { return NewMemoSized(0) }
-
-// NewMemoSized returns an empty memo pre-sized for about pairs distinct
-// entries, avoiding growth when the caller can bound the number of
-// comparisons up front. pairs ≤ 0 selects the default initial capacity.
-func NewMemoSized(pairs int) *Memo {
-	slots := memoMinSlots
-	for slots*3/4 < pairs {
-		slots *= 2
+// NewMemo returns an empty memo over item IDs [0, n). It allocates only the
+// row index; rows are carved on first touch.
+func NewMemo(n int) *Memo {
+	if n < 0 || n > memoIDLimit {
+		panic(fmt.Sprintf("tournament: memo size must be in [0, 2^31], got %d", n))
 	}
-	m := &Memo{}
-	m.table.Store(newMemoTable(slots))
-	return m
+	// Row lo spans ⌈(n − lo)/32⌉ words: summed over lo, q = ⌊n/32⌋ full
+	// blocks of 32 rows and r = n mod 32 rows of q + 1 words.
+	q, r := int64(n/32), int64(n%32)
+	return &Memo{n: n, triangle: 16*q*(q+1) + r*(q+1), rows: make([]atomic.Uint64, n)}
 }
 
-func newMemoTable(slots int) *memoTable {
-	return &memoTable{mask: uint64(slots - 1), slots: make([]atomic.Uint64, slots)}
+// rowWords is the number of words row lo spans: one 2-bit cell per
+// hi ∈ [lo, n), 32 cells a word.
+func (m *Memo) rowWords(lo int) int { return (m.n - lo + 31) >> 5 }
+
+// cell locates the pair's cell: its row, the row's descriptor (0 when the
+// row is not installed yet), the word index within the row and the bit
+// shift within the word.
+func (m *Memo) cell(a, b int) (lo int, d uint64, word, shift int) {
+	if uint(a) >= uint(m.n) || uint(b) >= uint(m.n) {
+		m.outOfRange(a, b)
+	}
+	lo, hi := min(a, b), max(a, b)
+	c := hi - lo
+	return lo, m.rows[lo].Load(), c >> 5, 2 * (c & 31)
 }
 
-// packKey orders the pair and packs it into the key bits of an entry.
-func packKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	if a < 0 || b >= memoIDLimit {
-		panic(fmt.Sprintf("tournament: memo item IDs must be in [0, 2^31), got (%d, %d)", a, b))
-	}
-	return uint64(a)<<33 | uint64(b)<<2
+func (m *Memo) outOfRange(a, b int) {
+	panic(fmt.Sprintf("tournament: memo item IDs must be in [0, %d) (the memo's n), got (%d, %d)", m.n, a, b))
 }
 
-// memoHash avalanches the key bits; cheap and uniform (SplitMix64 finalizer).
-func memoHash(k uint64) uint64 {
-	k ^= k >> 30
-	k *= 0xbf58476d1ce4e5b9
-	k ^= k >> 27
-	k *= 0x94d049bb133111eb
-	return k ^ k>>31
-}
-
-// probe returns the slot holding key k, or the empty slot where k belongs,
-// and the word found there (zero when k is absent).
-func (t *memoTable) probe(k uint64) (*atomic.Uint64, uint64) {
-	for i := memoHash(k); ; i++ {
-		s := &t.slots[i&t.mask]
-		if e := s.Load(); e == 0 || e&memoKeyMask == k {
-			return s, e
-		}
-	}
-}
-
-// entryWinner decodes an entry's winner ID given its key.
-func entryWinner(e uint64) int {
-	lo := int(e >> 33)
-	hi := int(e >> 2 & (memoIDLimit - 1))
-	if e&memoWinnerBit != 0 {
-		return hi
-	}
-	return lo
+// word returns the row word a descriptor and word index name.
+func (m *Memo) word(d uint64, i int) *atomic.Uint64 {
+	d--
+	return &m.slabs[d>>memoOffBits].Load().words[int(d&memoOffMask)+i]
 }
 
 // Lookup returns the frozen winner ID for the unordered pair (a, b), or
@@ -124,73 +108,111 @@ func entryWinner(e uint64) int {
 // just the pairs paid since their last snapshot instead of rescanning the
 // whole table. Safe for concurrent use.
 func (m *Memo) Lookup(a, b int) (winner int, ok bool) {
-	if _, e := m.table.Load().probe(packKey(a, b)); e != 0 {
-		return entryWinner(e), true
+	_, d, w, shift := m.cell(a, b)
+	if d == 0 {
+		return 0, false
 	}
-	return 0, false
+	c := m.word(d, w).Load() >> shift
+	if c&memoAnswered == 0 {
+		return 0, false
+	}
+	if c&memoHiWon != 0 {
+		return max(a, b), true
+	}
+	return min(a, b), true
 }
 
-// store records the winner ID for the pair. The first stored entry for a
-// pair is frozen: a later or concurrent answer does not overwrite it.
+// store records the winner ID for the pair; any winner other than the
+// higher ID records the lower. The first stored answer for a pair is
+// frozen: a later or concurrent answer does not overwrite it.
 func (m *Memo) store(a, b, winner int) {
-	k := packKey(a, b)
-	e := k | memoLiveBit
-	if hi := int(k >> 2 & (memoIDLimit - 1)); winner == hi && a != b {
-		e |= memoWinnerBit
+	lo, d, w, shift := m.cell(a, b)
+	if d == 0 {
+		d = m.install(lo)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.table.Load()
-	s, cur := t.probe(k)
-	if cur != 0 {
-		return // frozen by an earlier store
+	c := uint64(memoAnswered)
+	if winner == max(a, b) && a != b {
+		c |= memoHiWon
 	}
-	if m.n+1 > len(t.slots)*3/4 {
-		t = t.grow()
-		m.table.Store(t)
-		s, _ = t.probe(k)
-	}
-	s.Store(e)
-	m.n++
-}
-
-// grow returns a table of twice t's capacity holding every entry of t.
-// Callers hold Memo.mu, so t does not change while it is copied.
-func (t *memoTable) grow() *memoTable {
-	g := newMemoTable(2 * len(t.slots))
-	for i := range t.slots {
-		if e := t.slots[i].Load(); e != 0 {
-			s, _ := g.probe(e & memoKeyMask)
-			s.Store(e)
+	c <<= shift
+	word := m.word(d, w)
+	for {
+		old := word.Load()
+		if old>>shift&memoAnswered != 0 {
+			return // frozen by an earlier store
+		}
+		if word.CompareAndSwap(old, old|c) {
+			m.count.Add(1)
+			return
 		}
 	}
-	return g
+}
+
+// install carves row lo from the current slab — moving on to the next
+// when it is full — and publishes it by compare-and-swap; it returns the
+// row's descriptor. A racing installer that loses the swap adopts the
+// winner's row; the words it claimed stay unused.
+func (m *Memo) install(lo int) uint64 {
+	need := int64(m.rowWords(lo))
+	for {
+		i := m.cur.Load()
+		s := m.slabs[i].Load()
+		if s == nil {
+			m.slabs[i].CompareAndSwap(nil, m.newSlab(int(i), need))
+			continue
+		}
+		if off := s.used.Add(need) - need; off+need <= int64(len(s.words)) {
+			d := uint64(i)<<memoOffBits | uint64(off) + 1
+			if m.rows[lo].CompareAndSwap(0, d) {
+				m.carved.Add(need)
+				return d
+			}
+			return m.rows[lo].Load()
+		}
+		m.cur.CompareAndSwap(i, i+1)
+	}
+}
+
+// newSlab allocates slab i: twice its predecessor (memoFirstSlabRows
+// full-length rows for the first), but no more than the rows not yet
+// installed span, and never less than the need words of the row that opens
+// it.
+func (m *Memo) newSlab(i int, need int64) *memoSlab {
+	size := int64(memoFirstSlabRows * m.rowWords(0))
+	if i > 0 {
+		size = 2 * int64(len(m.slabs[i-1].Load().words))
+	}
+	return &memoSlab{words: make([]atomic.Uint64, max(min(size, m.triangle-m.carved.Load()), need))}
 }
 
 // Len returns the number of cached pairs.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
+func (m *Memo) Len() int { return int(m.count.Load()) }
 
-// Entries returns every cached (a, b, winner) triple with a ≤ b, sorted by
-// (a, b) — the deterministic serialization order the checkpoint codec
-// requires. Safe for concurrent use (entries are atomic snapshots). The
-// packed entries are sorted as integers: their layout puts the lower ID in
-// the top bits and the higher ID below it, so integer order is (a, b) order.
+// Entries returns every cached (a, b, winner) triple with a ≤ b in (a, b)
+// order — the deterministic serialization order the checkpoint codec
+// requires — by walking the rows in order. Safe for concurrent use (cells
+// are read from atomic words).
 func (m *Memo) Entries() [][3]int {
-	var packed []uint64
-	t := m.table.Load()
-	for i := range t.slots {
-		if e := t.slots[i].Load(); e != 0 {
-			packed = append(packed, e)
+	out := make([][3]int, 0, m.Len())
+	for lo := range m.rows {
+		d := m.rows[lo].Load()
+		if d == 0 {
+			continue
 		}
-	}
-	slices.Sort(packed)
-	out := make([][3]int, len(packed))
-	for i, e := range packed {
-		out[i] = [3]int{int(e >> 33), int(e >> 2 & (memoIDLimit - 1)), entryWinner(e)}
+		for w := range m.rowWords(lo) {
+			v := m.word(d, w).Load()
+			for c := w << 5; v != 0; c, v = c+1, v>>2 {
+				if v&memoAnswered == 0 {
+					continue
+				}
+				hi := lo + c
+				winner := lo
+				if v&memoHiWon != 0 {
+					winner = hi
+				}
+				out = append(out, [3]int{lo, hi, winner})
+			}
+		}
 	}
 	return out
 }

@@ -24,8 +24,8 @@
 // # Concurrency
 //
 // Memo, LossTracker, Budget, and Oracle's billing are safe for concurrent
-// use: the memo is an open-addressed table on packed uint64 keys with
-// lock-free lookups and mutex-serialized stores, the loss tracker is
+// use: the memo is a triangle of 2-bit cells with lock-free lookups and
+// compare-and-swap stores, the loss tracker is
 // sharded across independently locked stripes, the budget is mutex-guarded
 // with all-or-nothing spending, and the ledger (cost.Ledger) is atomic. An
 // Oracle may therefore be shared by the goroutines of a parallel batch
@@ -66,7 +66,7 @@ const (
 // The oracle's own bookkeeping (ledger, memo, budget) is safe for
 // concurrent use; whether concurrent Compare calls are safe overall depends
 // solely on the underlying comparator or backend. See ParallelBatch for the
-// opt-in that lets CompareBatch exploit this.
+// opt-in that lets CompareBatchInto exploit this.
 type Oracle struct {
 	cmp          worker.Comparator
 	backend      dispatch.Backend
@@ -133,8 +133,9 @@ func (o *Oracle) WithValueMemo(m *ValueMemo) *Oracle {
 }
 
 // ParallelBatch opts the oracle into evaluating the non-memoized remainder
-// of each CompareBatch concurrently on up to workers goroutines (workers ≤ 0
-// selects runtime.GOMAXPROCS(0)); it returns the oracle for chaining.
+// of each CompareBatchInto concurrently on up to workers goroutines
+// (workers ≤ 0 selects runtime.GOMAXPROCS(0)); it returns the oracle for
+// chaining.
 //
 // The caller asserts that the underlying comparator is stateless-safe: its
 // Compare must be callable from multiple goroutines and its answers must not
@@ -453,11 +454,12 @@ type RoundRobinOpts struct {
 // list, winners, batch buffers and Result.Wins — retained across calls to
 // its RoundRobin method, so a caller playing tournament after tournament
 // (the filter's groups) allocates nothing once the buffers have grown. The
+// pairs and winners are pointer-free indices into the group's items. The
 // zero value is ready to use. A RoundScratch must not be shared by
 // concurrent calls.
 type RoundScratch struct {
-	pairs   [][2]item.Item
-	winners []item.Item
+	pairs   [][2]int32
+	winners []int32
 	batch   BatchScratch
 	wins    []int
 }
@@ -487,14 +489,14 @@ func (s *RoundScratch) RoundRobin(ctx context.Context, items []item.Item, o *Ora
 	}
 	// Every unordered pair, in the canonical (i, j), i < j order.
 	pairs := slices.Grow(s.pairs[:0], n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, [2]item.Item{items[i], items[j]})
+	for i := int32(0); i < int32(n); i++ {
+		for j := i + 1; j < int32(n); j++ {
+			pairs = append(pairs, [2]int32{i, j})
 		}
 	}
 	s.pairs = pairs
 	winners := resize(&s.winners, len(pairs))
-	if err := o.CompareBatchInto(ctx, pairs, winners, &s.batch); err != nil {
+	if err := o.CompareBatchInto(ctx, items, pairs, winners, &s.batch); err != nil {
 		return Result{}, err
 	}
 	r := Result{
@@ -508,7 +510,7 @@ func (s *RoundScratch) RoundRobin(ctx context.Context, items []item.Item, o *Ora
 	p := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if winners[p].ID == items[i].ID {
+			if winners[p] == int32(i) {
 				r.Wins[i]++
 				if opts.RecordLosers {
 					r.Losers[j] = append(r.Losers[j], items[i].ID)
@@ -546,14 +548,22 @@ func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Orac
 	if len(candidates) == 0 {
 		return nil, nil, nil
 	}
-	pairs := make([][2]item.Item, 0, len(candidates))
-	for _, c := range candidates {
+	// The pairs index into candidates; x is found there (2-MaxFind draws it
+	// from the candidates) or appended to a copy.
+	items := candidates
+	xi := slices.Index(candidates, x)
+	if xi < 0 {
+		items = append(candidates[:len(candidates):len(candidates)], x)
+		xi = len(candidates)
+	}
+	pairs := make([][2]int32, 0, len(candidates))
+	for i, c := range candidates {
 		if c.ID != x.ID {
-			pairs = append(pairs, [2]item.Item{x, c})
+			pairs = append(pairs, [2]int32{int32(xi), int32(i)})
 		}
 	}
-	winners, err := o.CompareBatch(ctx, pairs)
-	if err != nil {
+	winners := make([]int32, len(pairs))
+	if err := o.CompareBatchInto(ctx, items, pairs, winners, new(BatchScratch)); err != nil {
 		return nil, nil, err
 	}
 	survivors = make([]item.Item, 0, len(candidates))
@@ -563,7 +573,7 @@ func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Orac
 			survivors = append(survivors, c)
 			continue
 		}
-		if winners[p].ID == x.ID {
+		if winners[p] == int32(xi) {
 			eliminated = append(eliminated, c.ID)
 		} else {
 			survivors = append(survivors, c)

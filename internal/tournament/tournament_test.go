@@ -76,7 +76,7 @@ func TestRoundScratchReuseMatchesFresh(t *testing.T) {
 			vals[i] = r.Float64()
 		}
 		its := items(vals...)
-		got, err := s.RoundRobin(context.Background(), its, truthOracle(nil, NewMemo()), RoundRobinOpts{RecordLosers: true})
+		got, err := s.RoundRobin(context.Background(), its, truthOracle(nil, NewMemo(n)), RoundRobinOpts{RecordLosers: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestTopTiesBrokenByInputOrder(t *testing.T) {
 
 func TestMemoAvoidsRepeatBilling(t *testing.T) {
 	l := cost.NewLedger()
-	memo := NewMemo()
+	memo := NewMemo(4)
 	o := truthOracle(l, memo)
 	its := items(1, 2, 3, 4)
 	mustRR(t, its, o)
@@ -170,7 +170,7 @@ func TestMemoConsistentAnswers(t *testing.T) {
 	// must freeze the first one.
 	r := rng.New(1)
 	w := worker.NewThreshold(100, 0, r) // everything under threshold
-	memo := NewMemo()
+	memo := NewMemo(2)
 	o := NewOracle(w, worker.Naive, cost.NewLedger(), memo)
 	a, b := item.Item{ID: 0, Value: 1}, item.Item{ID: 1, Value: 2}
 	first := mustCompare(t, o, a, b)
@@ -232,6 +232,24 @@ func TestPivotPassKeepsWinners(t *testing.T) {
 		if s.Value < 5 {
 			t.Fatalf("element %v should have been eliminated", s)
 		}
+	}
+}
+
+func TestPivotPassPivotOutsideCandidates(t *testing.T) {
+	// A pivot that is not among the candidates is compared against all of
+	// them and is not itself added to the survivors.
+	its := items(5, 1, 9, 3, 7)
+	x := item.Item{ID: 5, Value: 6}
+	l := cost.NewLedger()
+	surv, elim := mustPivot(t, x, its, truthOracle(l, NewMemo(6)))
+	if len(surv) != 2 || surv[0].ID != 2 || surv[1].ID != 4 {
+		t.Fatalf("survivors = %v, want items 2 and 4", surv)
+	}
+	if !slices.Equal(elim, []int{0, 1, 3}) {
+		t.Fatalf("eliminated = %v, want [0 1 3]", elim)
+	}
+	if l.Naive() != 5 {
+		t.Fatalf("comparisons = %d, want 5", l.Naive())
 	}
 }
 
@@ -309,7 +327,7 @@ func TestWinsPlusLossesProperty(t *testing.T) {
 
 func TestMemoizedAccessor(t *testing.T) {
 	plain := NewOracle(worker.Truth, worker.Naive, nil, nil)
-	memoized := NewOracle(worker.Truth, worker.Naive, nil, NewMemo())
+	memoized := NewOracle(worker.Truth, worker.Naive, nil, NewMemo(0))
 	if plain.Memoized() || !memoized.Memoized() {
 		t.Fatal("Memoized accessor wrong")
 	}

@@ -99,13 +99,19 @@ type Graph struct {
 	names   []string
 	byName  []int    // vertex indices in name order, kept by nodeLocked
 	tie     []uint64 // seeded peeling tie-break hash per vertex
+	rank    []int    // rank[i] is vertex i's position in tie-break order
 	edges   [][]edge // edges[j][i] tallies the pair i < j
 	samples int64
 
+	// w holds the clipped edge weights as a mirrored matrix, row i at
+	// w[i*stride:]; the stride doubles as vertices arrive.
+	w      []float64
+	stride int
+
 	// Extract's working buffers, reused across calls; guarded by mu.
-	w, deg           []float64
-	alive, core      []bool
-	removed          []int
+	deg              []float64
+	core             []bool
+	live, removed    []int
 	agreeIn, totalIn []int64
 }
 
@@ -130,12 +136,26 @@ func (g *Graph) Observe(a, b string, agreed bool) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e := g.edgeLocked(g.nodeLocked(a), g.nodeLocked(b))
+	i, j := g.nodeLocked(a), g.nodeLocked(b)
+	e := g.edgeLocked(i, j)
 	e.total++
 	if agreed {
 		e.agree++
 	}
 	g.samples++
+	g.w[i*g.stride+j] = g.weight(*e)
+	g.w[j*g.stride+i] = g.w[i*g.stride+j]
+}
+
+// weight is an edge's clipped weight: agreement minus penalized
+// disagreement, ≥ 0. A spammer's chance-level edges zero out; honest edges
+// accumulate.
+func (g *Graph) weight(e edge) float64 {
+	w := float64(e.agree) - g.cfg.Penalty*float64(e.total-e.agree)
+	if w <= 0 {
+		return 0
+	}
+	return w
 }
 
 // Forget erases every edge touching name — the fresh start a reinstated
@@ -153,6 +173,7 @@ func (g *Graph) Forget(name string) {
 			e := g.edgeLocked(i, j)
 			g.samples -= e.total
 			*e = edge{}
+			g.w[i*g.stride+j], g.w[j*g.stride+i] = 0, 0
 		}
 	}
 }
@@ -179,7 +200,24 @@ func (g *Graph) nodeLocked(name string) int {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	g.tie = append(g.tie, splitmix(g.cfg.Seed^h.Sum64()))
+	r := 0
+	for v := range i {
+		if g.beforeLocked(v, i) {
+			r++
+		} else {
+			g.rank[v]++
+		}
+	}
+	g.rank = append(g.rank, r)
 	g.edges = append(g.edges, make([]edge, i))
+	if i == g.stride {
+		stride := max(8, 2*g.stride)
+		w := make([]float64, stride*stride)
+		for j := range i {
+			copy(w[j*stride:j*stride+i], g.w[j*g.stride:])
+		}
+		g.w, g.stride = w, stride
+	}
 	return i
 }
 
@@ -241,59 +279,40 @@ func (g *Graph) ExtractInto(ext *Extraction) {
 		return
 	}
 
-	// Clipped edge weights, as a dense n×n matrix (row i at w[i*n:]):
-	// agreement minus penalized disagreement, ≥ 0. A spammer's
-	// chance-level edges zero out; honest edges accumulate.
-	w := resize(&g.w, n*n)
-	for j, row := range g.edges {
-		w[j*n+j] = 0
-		for i, e := range row {
-			weight := float64(e.agree) - g.cfg.Penalty*float64(e.total-e.agree)
-			if weight <= 0 {
-				weight = 0
-			}
-			w[i*n+j], w[j*n+i] = weight, weight
-		}
-	}
-
-	// Charikar peeling: repeatedly remove the vertex of minimum weighted
-	// degree (ties broken by a seeded hash of the name, then the name) and
-	// keep the densest surviving set. O(n²) per removal — pools are tens of
-	// workers, not thousands.
-	alive, deg := resize(&g.alive, n), resize(&g.deg, n)
+	// Charikar peeling over the clipped weights Observe and Forget keep
+	// current: repeatedly remove the vertex of minimum weighted degree
+	// (ties broken by tie-break rank: a seeded hash of the name, then the
+	// name) and keep the densest surviving set. O(n) per removal over the
+	// swap-removed live list — pools are tens of workers, not thousands.
+	deg, live := resize(&g.deg, n), resize(&g.live, n)
 	var totalW float64
 	for i := 0; i < n; i++ {
-		alive[i] = true
+		live[i] = i
 		deg[i] = 0
-		for _, wij := range w[i*n : i*n+n] {
+		for _, wij := range g.w[i*g.stride : i*g.stride+n] {
 			deg[i] += wij
 		}
 		totalW += deg[i]
 	}
 	totalW /= 2
-	aliveN := n
 	bestDensity, bestSize := -1.0, 0
 	removed := g.removed[:0]
-	for aliveN > 0 {
-		if d := totalW / float64(aliveN); d > bestDensity {
-			bestDensity, bestSize = d, aliveN
+	for len(live) > 0 {
+		if d := totalW / float64(len(live)); d > bestDensity {
+			bestDensity, bestSize = d, len(live)
 		}
-		min := -1
-		for i := 0; i < n; i++ {
-			if !alive[i] {
-				continue
-			}
-			if min < 0 || deg[i] < deg[min] || (deg[i] == deg[min] && g.beforeLocked(i, min)) {
-				min = i
+		k := 0
+		for x, i := range live {
+			if m := live[k]; deg[i] < deg[m] || (deg[i] == deg[m] && g.rank[i] < g.rank[m]) {
+				k = x
 			}
 		}
-		alive[min] = false
-		aliveN--
+		min := live[k]
+		live[k] = live[len(live)-1]
+		live = live[:len(live)-1]
 		totalW -= deg[min]
-		for j, wmj := range w[min*n : min*n+n] {
-			if alive[j] {
-				deg[j] -= wmj
-			}
+		for _, j := range live {
+			deg[j] -= g.w[min*g.stride+j]
 		}
 		removed = append(removed, min)
 	}
@@ -383,7 +402,8 @@ func resize[T any](buf *[]T, n int) []T {
 }
 
 // beforeLocked orders vertices i before j for peeling tie-breaks: by seeded
-// name hash, then by name. Callers hold g.mu.
+// name hash, then by name. nodeLocked ranks each new vertex by it. Callers
+// hold g.mu.
 func (g *Graph) beforeLocked(i, j int) bool {
 	if g.tie[i] != g.tie[j] {
 		return g.tie[i] < g.tie[j]

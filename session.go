@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -222,7 +223,11 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 	var naiveMemo, expertMemo *Memo
 	var valueMemo *tournament.ValueMemo
 	if !s.cfg.DisableMemoization {
-		naiveMemo, expertMemo = NewMemo(), NewMemo()
+		n, err := memoSize(items, resume)
+		if err != nil {
+			return Result{}, err
+		}
+		naiveMemo, expertMemo = NewMemo(n), NewMemo(n)
 		valueMemo = tournament.NewValueMemo()
 	}
 	var budget *Budget
@@ -356,6 +361,29 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 		s.cfg.OnPhase("start", nil)
 	}
 	return w.run(ctx, env)
+}
+
+// memoSize returns the item-ID range [0, n) a run's memo tables cover: one
+// past the largest ID among its items. It refuses IDs the tables cannot
+// key, and checkpoint answers about items outside the range.
+func memoSize(items []Item, resume *checkpoint.State) (int, error) {
+	n := 0
+	for _, it := range items {
+		if it.ID < 0 || it.ID > math.MaxInt32 {
+			return 0, fmt.Errorf("crowdmax: item ID %d outside [0, 2^31): memo tables key items by dense IDs", it.ID)
+		}
+		n = max(n, it.ID+1)
+	}
+	if resume != nil {
+		for _, table := range [][]checkpoint.PairAnswer{resume.NaiveMemo, resume.ExpertMemo} {
+			for _, e := range table {
+				if e.A < 0 || e.A >= int64(n) || e.B < 0 || e.B >= int64(n) {
+					return 0, fmt.Errorf("crowdmax: checkpoint answer for pair (%d, %d) names an item outside the run's IDs [0, %d)", e.A, e.B, n)
+				}
+			}
+		}
+	}
+	return n, nil
 }
 
 // degradeOptions builds the degrade.Run options a supervised run shares

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/core"
 	"crowdmax/internal/dataset"
 	"crowdmax/internal/item"
@@ -158,7 +159,7 @@ func TestFacadeAlgorithmsUsable(t *testing.T) {
 	r := NewRand(8)
 	set := NewSet([]float64{3, 1, 4, 1.5, 9, 2.6})
 	ledger := NewLedger()
-	o := NewOracle(worker.Truth, Expert, ledger, NewMemo())
+	o := NewOracle(worker.Truth, Expert, ledger, NewMemo(set.Len()))
 	best, err := TwoMaxFind(context.Background(), set.Items(), o)
 	if err != nil {
 		t.Fatal(err)
@@ -208,5 +209,37 @@ func TestFacadeEstimation(t *testing.T) {
 	}
 	if un < 1 {
 		t.Fatalf("un estimate = %d", un)
+	}
+}
+
+// TestSessionMemoSizedByItemIDs: a run sizes its memos to one past the
+// largest item ID, so sparse IDs work; a negative ID, or a checkpoint
+// answer naming an item outside the run's IDs, is an error, not a panic.
+func TestSessionMemoSizedByItemIDs(t *testing.T) {
+	cal, err := dataset.UniformCalibrated(60, 3, 2, NewRand(4).Child("data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := statelessSession(t, cal, 4, nil)
+	dense := cal.Set.Items()
+	sparse := make([]Item, len(dense))
+	for i, it := range dense {
+		sparse[i] = it
+		sparse[i].ID = 10_000 + 3*it.ID
+	}
+	got, err := s.FindMax(sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Best.ID < 10_000 || (got.Best.ID-10_000)%3 != 0 || got.NaiveComparisons == 0 {
+		t.Fatalf("sparse IDs: best %d after %d naive comparisons", got.Best.ID, got.NaiveComparisons)
+	}
+	sparse[5].ID = -1
+	if _, err := s.FindMax(sparse); err == nil {
+		t.Fatal("negative item ID accepted")
+	}
+	resume := &checkpoint.State{ExpertMemo: []checkpoint.PairAnswer{{A: 3, B: 60, Winner: 3}}}
+	if _, err := memoSize(dense, resume); err == nil {
+		t.Fatal("checkpoint answer for item 60 of a 60-item run accepted")
 	}
 }

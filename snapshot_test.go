@@ -134,7 +134,7 @@ func warmWriter(t *testing.T, size int, fsys *sizeFS) (*ckWriter, *Memo) {
 	for i := range items {
 		items[i] = Item{ID: i, Value: float64(i)}
 	}
-	naive, expert := NewMemo(), NewMemo()
+	naive, expert := NewMemo(len(items)), NewMemo(len(items))
 	for a, b, i := 0, 1, 0; i < size; i++ {
 		naive.Prime(a, b, b)
 		if b++; b == len(items) {
@@ -461,10 +461,10 @@ func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memo := NewMemo()
+		memo := NewMemo(len(items))
 		ledger := NewLedger()
 		build := s.checkpointState(MaxFindKind, items, 6, ledger, nil, &snapHooks{})
-		w := newCkWriter(CheckpointConfig{Path: path, Every: 8}, memo, NewMemo(), nil, nil, build)
+		w := newCkWriter(CheckpointConfig{Path: path, Every: 8}, memo, NewMemo(len(items)), nil, nil, build)
 		o := NewOracle(naive, Naive, ledger, memo).
 			WithBackend(w.wrap(dispatch.NewHedge(pool, time.Microsecond), Naive)).
 			ParallelBatch(4)

@@ -79,8 +79,8 @@ func TestRunMaxFindEquivalent(t *testing.T) {
 				naive := &ThresholdWorker{Delta: cal.DeltaN, Tie: HashTie{Seed: seed}}
 				expert := &ThresholdWorker{Delta: cal.DeltaE, Tie: HashTie{Seed: seed + 1}}
 				ledger := NewLedger()
-				no := NewOracle(naive, Naive, ledger, NewMemo())
-				eo := NewOracle(expert, Expert, ledger, NewMemo())
+				no := NewOracle(naive, Naive, ledger, NewMemo(len(items)))
+				eo := NewOracle(expert, Expert, ledger, NewMemo(len(items)))
 				switch variant {
 				case "budget":
 					b := NewBudget(lim)
