@@ -37,6 +37,7 @@ ci: vet lint build test race cover bench-smoke bench-test golden chaos-smoke soa
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig3Parallel -benchtime=1x ./internal/experiment
 	$(GO) test -run='^$$' -bench=BenchmarkSessionRun -benchtime=1x .
+	$(GO) test -run='^$$' -bench=BenchmarkSessionCheckpoint -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkMemo$$' -benchtime=1x ./internal/tournament
 
 # crowdbench's own tests: every workload once, end to end, with its pinned
@@ -73,6 +74,8 @@ chaos-smoke:
 	$(GO) test -run 'TestAdversarySweepRetentionWithHealth' ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzSegmentReplay -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzSealedSegment -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzSealedBase -fuzztime 10s ./internal/checkpoint
 
 # Graceful-degradation soak: the same steps as the CI soak-smoke job. A run
 # whose expert backend dies mid-phase-2 must complete on the naive-majority

@@ -40,3 +40,25 @@ func BenchmarkEncoderEncode(b *testing.B) {
 		e.Encode(s)
 	}
 }
+
+// BenchmarkEncoderWalk is BenchmarkEncoderEncode with the table streamed
+// through a PairWalk, as a checkpointing run's bases are from its memos.
+func BenchmarkEncoderWalk(b *testing.B) {
+	s := memoState(500, 7000)
+	t := s.NaiveMemo
+	live := &Live{
+		Naive: func(yield func(a, b int, bWon bool)) {
+			for _, e := range t {
+				yield(int(e.A), int(e.B), e.Winner == e.B)
+			}
+		},
+		Expert:   func(func(a, b int, bWon bool)) {},
+		Counters: func(*State) {},
+	}
+	var e Encoder
+	b.ReportAllocs()
+	b.SetBytes(int64(len(e.encode(s, live))))
+	for i := 0; i < b.N; i++ {
+		e.encode(s, live)
+	}
+}

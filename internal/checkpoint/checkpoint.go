@@ -28,23 +28,26 @@
 // readers observe either the previous complete snapshot or the new one.
 //
 // Version 4 stores each pair-memo table as varint deltas over its (A, B)
-// order: per pair, the step in A (the first pair's A is absolute), then B
-// relative to the new A — or to the previous B when A repeats — shifted
-// left one bit, with the low bit set when the winner is B. A typical pair
-// takes about 2 bytes instead of the 24 of the fixed-width version 3
-// layout. Versions 2 and 3 still decode.
+// order (see pairStream): a typical pair takes about 2 bytes instead of
+// the 24 of the fixed-width version 3 layout. A running session's base
+// streams its tables straight from the memos (see Live). Versions 2 and 3
+// still decode.
 //
 // # Base and segments
 //
 // A checkpointing run (see Writer) keeps its snapshots as a chain: a full
 // v4 snapshot at the path, the base, and delta segments beside it at
 // "<path>-1", "<path>-2", … (SegmentPath). A segment has its own envelope
-// (magic "CMSG") around the same v4 payload, but its tables hold only the
-// answers paid since the previous snapshot and its survivor list is empty
-// (survivors change only at boundaries, which write a base). Ahead of the
-// payload it carries its sequence number, the CRC-32C of the base it
-// extends and the CRC-32C of its predecessor (the base, for segment 1), so
-// a segment left by an earlier chain at the same path never applies.
+// (magic "CMSG"). It starts with its sequence number, the CRC-32C of the
+// base it extends and the CRC-32C of its predecessor (the base, for
+// segment 1), so a segment left by an earlier chain at the same path never
+// applies. Version 2, which Writer writes, then holds only what changed
+// since its predecessor: the phase, rung, decision hash, workload blob and
+// budget cost when they differ, the ledger and budget counters that moved
+// as varint deltas, and the answers paid since the previous snapshot as v4
+// delta tables. The configuration fingerprint is the base's, bound by the
+// base CRC. Version 1 segments, which repeated a whole v4 payload
+// (survivors empty), still load.
 //
 // Load reads the base, then applies segments 1, 2, … in order: each
 // replaces the scalar state (phase, ledger, budget, rung, decision hash,
@@ -268,16 +271,36 @@ type Encoder struct{ buf []byte }
 // must already be in canonical order (see SortPairs), so a writer that
 // keeps them so skips that pass. The returned bytes alias the encoder's
 // buffer and are valid until its next call.
-func (e *Encoder) Encode(s *State) []byte {
+func (e *Encoder) Encode(s *State) []byte { return e.encode(s, nil) }
+
+// A PairWalk streams one pair-memo table to the encoder: it calls yield
+// once per answered pair, a ≤ b, in increasing (a, b) order, with bWon set
+// when b won.
+type PairWalk func(yield func(a, b int, bWon bool))
+
+// Live is what a base reads from a running session in place of its
+// State's pair tables and counters: each pair table is streamed from its
+// walk, and Counters fills the ledger and budget counters after both walks.
+// A run charges an answer before it stores it, so counters read after the
+// walks count every answer the walks saw.
+type Live struct {
+	Naive, Expert PairWalk
+	Counters      func(*State)
+}
+
+// encode renders s, with its pair tables and counters read from live when
+// it is non-nil.
+func (e *Encoder) encode(s *State, live *Live) []byte {
 	p := payload{b: append(e.buf[:0], make([]byte, headerSize)...)}
-	p.body(s, s.Survivors)
+	p.body(s, s.Survivors, live)
 	e.buf = p.b
 	sealHeader(magic, version, p.b)
 	return p.b
 }
 
-// body appends the v4 payload of s, with survivors as its survivor list.
-func (p *payload) body(s *State, survivors []int64) {
+// body appends the v4 payload of s, with survivors as its survivor list
+// and, when live is non-nil, its pair tables and counters read from live.
+func (p *payload) body(s *State, survivors []int64, live *Live) {
 	p.u64(s.Seed)
 	p.i64(int64(s.Un))
 	p.i64(int64(s.Phase2))
@@ -291,6 +314,30 @@ func (p *payload) body(s *State, survivors []int64) {
 	}
 	p.str(s.Rung)
 	p.u64(s.DecisionHash)
+	at := len(p.b)
+	p.counters(s)
+	if live == nil {
+		p.pairs(s.NaiveMemo, nil)
+		p.pairs(s.ExpertMemo, nil)
+	} else {
+		p.pairs(nil, live.Naive)
+		p.pairs(nil, live.Expert)
+		// The counters are fixed-width: rewrite them in place.
+		live.Counters(s)
+		(&payload{b: p.b[at:at]}).counters(s)
+	}
+	kind := s.Kind
+	if kind == "" {
+		kind = KindMaxFind
+	}
+	p.str(kind)
+	p.i64(int64(len(s.Workload)))
+	p.b = append(p.b, s.Workload...)
+	p.values(s.ValueMemo)
+}
+
+// counters appends the ledger and budget counters of s.
+func (p *payload) counters(s *State) {
 	for i := 0; i < cost.MaxClasses; i++ {
 		p.i64(s.Comparisons[i])
 	}
@@ -302,69 +349,117 @@ func (p *payload) body(s *State, survivors []int64) {
 		p.i64(s.BudgetSpent[i])
 	}
 	p.u64(math.Float64bits(s.BudgetCost))
-	p.pairs(s.NaiveMemo)
-	p.pairs(s.ExpertMemo)
-	kind := s.Kind
-	if kind == "" {
-		kind = KindMaxFind
-	}
-	p.str(kind)
-	p.i64(int64(len(s.Workload)))
-	p.b = append(p.b, s.Workload...)
-	p.i64(int64(len(s.ValueMemo)))
-	for _, e := range s.ValueMemo {
+}
+
+// values appends a value-memo table: its count, then its entries.
+func (p *payload) values(t []ValueAnswer) {
+	p.i64(int64(len(t)))
+	for _, e := range t {
 		p.i64(e.ID)
 		p.i64(e.Rep)
 		p.u64(math.Float64bits(e.Value))
 	}
 }
 
-// pairs appends one pair-memo table in the v4 delta layout. It panics on
-// a table out of canonical order, and on a pair whose winner is neither A
-// nor B or whose IDs exceed maxPairID: no run produces one, and writing it
-// would either lose it or be unreadable.
-//
-// This loop is most of a snapshot's encode time, so it writes by index
-// into room reserved up front — about three bytes a pair, the typical
-// size, doubled whenever fewer than two worst-case entries fit — and it
-// does not branch on which item won (a coin flip per pair). EXPERIMENTS.md
-// compares it with a plain binary.AppendUvarint loop, in
-// BenchmarkEncoderEncode and end to end.
-func (p *payload) pairs(t []PairAnswer) {
-	p.i64(int64(len(t)))
-	b := slices.Grow(p.b, len(t)*3+2*binary.MaxVarintLen64)
-	n := len(b)
-	b = b[:cap(b)]
-	var prev PairAnswer
-	for i, e := range t {
-		if len(b)-n < 2*binary.MaxVarintLen64 {
-			b = slices.Grow(b[:n], len(b))
-			b = b[:cap(b)]
-		}
-		// wa is 0 when A won, wb when B won.
-		wa, wb := uint64(e.Winner^e.A), uint64(e.Winner^e.B)
-		if min(wa, wb) != 0 || e.A <= -maxPairID || e.B >= maxPairID {
+// pairs appends one v4 pair-memo table, t or the one walk yields when walk
+// is non-nil: its count, then its pairs (see pairStream). It panics on a
+// pair of t whose winner is neither A nor B: no run produces one, and
+// writing it would lose it.
+func (p *payload) pairs(t []PairAnswer, walk PairWalk) {
+	ps := p.stream(len(t))
+	if walk != nil {
+		ps = ps.walk(walk)
+	}
+	for _, e := range t {
+		// Neither test branches on which item won (a coin flip per pair).
+		if min(uint64(e.Winner^e.A), uint64(e.Winner^e.B)) != 0 {
 			panic(fmt.Sprintf("checkpoint: pair (%d, %d) with winner %d cannot be encoded", e.A, e.B, e.Winner))
 		}
-		d := uint64(e.B - e.A)
-		switch {
-		case e.A > e.B:
-			panic(fmt.Sprintf("checkpoint: pair (%d, %d) is not in canonical order", e.A, e.B))
-		case i == 0:
-			n += binary.PutVarint(b[n:], e.A)
-		case e.A == prev.A && e.B > prev.B:
-			b[n] = 0
-			n++
-			d = uint64(e.B - prev.B)
-		case e.A > prev.A:
-			n = putUvarint(b, n, uint64(e.A-prev.A))
-		default:
-			panic(fmt.Sprintf("checkpoint: pair (%d, %d) does not follow (%d, %d)", e.A, e.B, prev.A, prev.B))
-		}
-		n = putUvarint(b, n, d<<1|min(wa, 1))
-		prev = e
+		ps.add(int(e.A), int(e.B), e.Winner == e.B)
 	}
-	p.b = b[:n]
+	p.b = ps.b[:ps.n]
+	binary.LittleEndian.PutUint64(p.b[ps.at:], uint64(ps.count))
+}
+
+// pairStream encodes one pair table in the v4 delta layout, a pair per
+// add: per pair, the step in A (the first pair's A is absolute), then B
+// relative to the new A — or to the previous B when A repeats — shifted
+// left one bit, with the low bit set when the winner is B. It panics on
+// pairs out of canonical order or whose IDs exceed maxPairID: no run
+// produces one, and writing it would be unreadable.
+//
+// This is most of a snapshot's encode time, so it writes by index into b,
+// resliced to its capacity, at n — room reserved up front at about three
+// bytes a pair, the typical size, and doubled whenever fewer than two
+// worst-case entries fit — and does not branch on which item won (a coin
+// flip per pair). EXPERIMENTS.md compares it with a plain
+// binary.AppendUvarint loop, in BenchmarkEncoderEncode and end to end.
+type pairStream struct {
+	b      []byte
+	n      int
+	at     int // the offset of the table's count
+	count  int
+	pa, pb int64 // the previous pair
+}
+
+// stream starts a pair table of about hint pairs at the end of p.
+func (p *payload) stream(hint int) pairStream {
+	at := len(p.b)
+	b := slices.Grow(p.b, 8+hint*3+2*binary.MaxVarintLen64)
+	return pairStream{b: b[:cap(b)], n: at + 8, at: at}
+}
+
+// walk appends the pairs walk yields. It works on a copy, which the walk's
+// yield makes escape, so that a table's stream stays on the stack.
+func (ps pairStream) walk(walk PairWalk) pairStream {
+	walk(ps.add)
+	return ps
+}
+
+// add appends the pair (a, b); its signature is a PairWalk's yield.
+func (ps *pairStream) add(a, b int, bWon bool) {
+	if len(ps.b)-ps.n < 2*binary.MaxVarintLen64 {
+		ps.grow()
+	}
+	buf, n := ps.b, ps.n
+	x, y := int64(a), int64(b)
+	d := uint64(y - x)
+	switch {
+	case x == ps.pa && y > ps.pb && ps.count > 0 && y < maxPairID:
+		buf[n] = 0
+		n++
+		d = uint64(y - ps.pb)
+	case x > y || x <= -maxPairID || y >= maxPairID:
+		ps.bad(x, y)
+	case ps.count == 0:
+		n += binary.PutVarint(buf[n:], x)
+	case x > ps.pa:
+		n = putUvarint(buf, n, uint64(x-ps.pa))
+	default:
+		ps.bad(x, y)
+	}
+	var w uint64
+	if bWon {
+		w = 1
+	}
+	ps.n = putUvarint(buf, n, d<<1|w)
+	ps.pa, ps.pb = x, y
+	ps.count++
+}
+
+// grow doubles the stream's room. It is kept out of add, whose frame it
+// would otherwise enlarge.
+//
+//go:noinline
+func (ps *pairStream) grow() {
+	ps.b = slices.Grow(ps.b[:ps.n], ps.n)
+	ps.b = ps.b[:cap(ps.b)]
+}
+
+// bad panics on the pair (x, y): out of order, not after the stream's
+// last, or out of range.
+func (ps *pairStream) bad(x, y int64) {
+	panic(fmt.Sprintf("checkpoint: pair (%d, %d) cannot follow (%d, %d) in a table", x, y, ps.pa, ps.pb))
 }
 
 // putUvarint writes x as a uvarint at b[n:] and returns the new offset,
@@ -448,16 +543,30 @@ func (r *reader) body(v uint32) *State {
 		// one the same way Encode would have.
 		s.Kind = KindMaxFind
 	}
-	if n := r.count(1); n > 0 {
-		s.Workload = append([]byte(nil), r.take(int(n))...)
-	}
-	if n := r.count(24); n > 0 {
-		s.ValueMemo = make([]ValueAnswer, n)
-		for i := range s.ValueMemo {
-			s.ValueMemo[i] = ValueAnswer{ID: r.i64(), Rep: r.i64(), Value: math.Float64frombits(r.u64())}
-		}
-	}
+	s.Workload = r.blob()
+	s.ValueMemo = r.values()
 	return s
+}
+
+// blob reads a length-prefixed byte string, nil when empty.
+func (r *reader) blob() []byte {
+	if n := r.count(1); n > 0 {
+		return append([]byte(nil), r.take(int(n))...)
+	}
+	return nil
+}
+
+// values reads a counted value-memo table.
+func (r *reader) values() []ValueAnswer {
+	n := r.count(24)
+	if n <= 0 {
+		return nil
+	}
+	t := make([]ValueAnswer, n)
+	for i := range t {
+		t[i] = ValueAnswer{ID: r.i64(), Rep: r.i64(), Value: math.Float64frombits(r.u64())}
+	}
+	return t
 }
 
 // done returns the latched error, or one for unread trailing bytes.
@@ -486,7 +595,7 @@ func (r *reader) fixedPairs() []PairAnswer {
 	return t
 }
 
-// deltaPairs reads one v4 pair-memo table (see the package comment for the
+// deltaPairs reads one v4 pair-memo table (see pairStream for the
 // layout), failing on any entry that does not strictly follow its
 // predecessor in (A, B) order.
 func (r *reader) deltaPairs() []PairAnswer {
@@ -584,8 +693,8 @@ func LoadFS(fsys faults.FS, path string) (*State, error) {
 		if err != nil {
 			break
 		}
-		seg, err := decodeSegment(data, seq, base, prev)
-		if err != nil || !seg.sameRun(s) {
+		seg, err := decodeSegment(data, seq, base, prev, s)
+		if err != nil {
 			break
 		}
 		s.apply(seg)

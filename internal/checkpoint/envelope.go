@@ -17,7 +17,7 @@ import (
 // discipline, and one atomic-write path instead of reinventing them.
 //
 // An envelope is: a 4-byte magic, a u32 version, a u32 CRC-32C of the
-// payload, a u64 payload length, then the payload. OpenEnvelope fails closed
+// payload, a u64 payload length, then the payload. OpenEnvelopeAny fails closed
 // (ErrCorrupt, wrapped) on any mismatch, exactly like the session snapshot
 // codec it was extracted from.
 
@@ -42,32 +42,6 @@ func sealHeader(magic string, version uint32, b []byte) {
 	binary.LittleEndian.PutUint32(b[4:], version)
 	binary.LittleEndian.PutUint32(b[8:], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint64(b[12:], uint64(len(payload)))
-}
-
-// OpenEnvelope validates data against the expected magic and version and
-// returns the payload. Every failure mode — short file, wrong magic, version
-// skew, length mismatch, checksum mismatch — wraps ErrCorrupt.
-func OpenEnvelope(magic string, version uint32, data []byte) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorrupt, len(data))
-	}
-	if string(data[:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, data[:4], magic)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != version {
-		return nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrCorrupt, v, version)
-	}
-	wantSum := binary.LittleEndian.Uint32(data[8:])
-	n := binary.LittleEndian.Uint64(data[12:])
-	if n != uint64(len(data)-headerSize) {
-		return nil, fmt.Errorf("%w: payload length %d does not match %d trailing bytes",
-			ErrCorrupt, n, len(data)-headerSize)
-	}
-	body := data[headerSize:]
-	if got := crc32.Checksum(body, castagnoli); got != wantSum {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrCorrupt, wantSum, got)
-	}
-	return body, nil
 }
 
 // OpenEnvelopeAny validates data against the expected magic — but not a

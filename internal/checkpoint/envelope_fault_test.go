@@ -41,7 +41,7 @@ func TestWriteFileAtomicSurvivesFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenEnvelope("TEST", 1, data); err != nil {
+		if _, v, err := OpenEnvelopeAny("TEST", data); err != nil || v != 1 {
 			t.Fatalf("previous file damaged by failed write: %v", err)
 		}
 	})
@@ -70,7 +70,7 @@ func TestWriteFileAtomicSurvivesFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenEnvelope("TEST", 1, data); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := OpenEnvelopeAny("TEST", data); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("torn file must open as ErrCorrupt, got %v", err)
 		}
 	})

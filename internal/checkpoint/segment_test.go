@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"maps"
@@ -145,12 +146,25 @@ func replay(base *State, segs ...*State) *State {
 	return &s
 }
 
+// encodeSegmentV1 renders s as segment seq of the chain whose base has
+// checksum base, following the file with checksum prev, in the version-1
+// layout older builds wrote: the chain link, then a whole v4 payload
+// without survivors.
+func encodeSegmentV1(s *State, seq int, base, prev uint32) []byte {
+	var p payload
+	p.u64(uint64(seq))
+	p.b = binary.LittleEndian.AppendUint32(p.b, base)
+	p.b = binary.LittleEndian.AppendUint32(p.b, prev)
+	p.body(s, nil, nil)
+	return SealEnvelope(segMagic, segVersionFull, p.b)
+}
+
 // writeChain writes base and n segments through a Writer at path.
 func writeChain(t testing.TB, fsys faults.FS, path string, n int) (*Writer, *State, []*State) {
 	t.Helper()
 	w := NewWriter(fsys, path)
 	base := chainBase()
-	if err := w.Base(base); err != nil {
+	if err := w.Base(base, nil); err != nil {
 		t.Fatal(err)
 	}
 	var segs []*State
@@ -206,7 +220,7 @@ func TestSegmentChainReplays(t *testing.T) {
 
 	final := replay(base, segs...)
 	final.Phase = "done"
-	if err := w.Base(final); err != nil {
+	if err := w.Base(final, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fsys.names(), []string{"run.ck"}; !reflect.DeepEqual(got, want) {
@@ -227,7 +241,7 @@ func TestWriterCompacts(t *testing.T) {
 		t.Fatal("a writer with no base is not due one")
 	}
 	base := memoState(500, 2000)
-	if err := w.Base(base); err != nil {
+	if err := w.Base(base, nil); err != nil {
 		t.Fatal(err)
 	}
 	baseBytes := len(fsys.files["run.ck"])
@@ -261,7 +275,7 @@ func TestStaleSegmentsIgnored(t *testing.T) {
 	next := replay(base)
 	next.Phase = "rank"
 	next.Survivors = []int64{9}
-	if err := w.Base(next); err != nil {
+	if err := w.Base(next, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(mem.names()); got != 4 {
@@ -272,7 +286,7 @@ func TestStaleSegmentsIgnored(t *testing.T) {
 	// The resumed run's writer extends the new base: its segment 1
 	// replaces the stale one, and the stale 2 and 3 still do not apply.
 	w2 := NewWriter(mem, path)
-	if err := w2.Base(next); err != nil {
+	if err := w2.Base(next, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := mem.names(), []string{"run.ck"}; !reflect.DeepEqual(got, want) {
@@ -286,7 +300,7 @@ func TestStaleSegmentsIgnored(t *testing.T) {
 	}
 	last := replay(next)
 	last.Steps += 100
-	if err := w2.Base(last); err != nil {
+	if err := w2.Base(last, nil); err != nil {
 		t.Fatal(err)
 	}
 	seg := chainSegment(last, 4)
@@ -309,7 +323,7 @@ func TestEqualBaseOtherChainIgnored(t *testing.T) {
 	const path = "run.ck"
 	_, base, _ := writeChain(t, mem, path, 3)
 	w := NewWriter(faults.NewInjector(mem, mustFaultPlan(t, "removefail")), path)
-	if err := w.Base(base); err != nil {
+	if err := w.Base(base, nil); err != nil {
 		t.Fatal(err)
 	}
 	seg := chainSegment(base, 7)
@@ -346,11 +360,12 @@ func TestSegmentReplayStops(t *testing.T) {
 		"base in its place": {func(m *mapFS) {
 			m.files[SegmentPath(path, 1)] = m.files[path]
 		}, 0},
+		// A v2 segment is bound to its run by the base's checksum alone; a
+		// v1 segment also carries the run's fingerprint, which must match.
 		"other run": {func(m *mapFS) {
-			var e Encoder
 			other := chainSegment(chainBase(), 2)
 			other.Seed++
-			m.files[SegmentPath(path, 2)] = slices.Clone(e.segment(other, 2, sealedCRC(m.files[path]), sealedCRC(m.files[SegmentPath(path, 1)])))
+			m.files[SegmentPath(path, 2)] = encodeSegmentV1(other, 2, sealedCRC(m.files[path]), sealedCRC(m.files[SegmentPath(path, 1)]))
 		}, 1},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -396,7 +411,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		in := faults.NewInjector(faults.OS(), mustFaultPlan(f, frac))
 		w := NewWriter(in, filepath.Join(dir, path))
 		w.fsys = faults.OS()
-		if err := w.Base(base); err != nil {
+		if err := w.Base(base, nil); err != nil {
 			f.Fatal(err)
 		}
 		w.fsys = in
@@ -431,7 +446,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		// fuzzed one in its place when it decodes for that place.
 		var seq []*State
 		seq = append(seq, segs[:pos-1]...)
-		if fz, err := decodeSegment(data, pos, sealedCRC(m.files[path]), prev); err == nil && fz.sameRun(base) {
+		if fz, err := decodeSegment(data, pos, sealedCRC(m.files[path]), prev, replay(base, segs[:pos-1]...)); err == nil {
 			seq = append(seq, fz)
 			if pos < 3 {
 				seq = append(seq, segs[pos:]...)

@@ -163,12 +163,20 @@ func (o *Oracle) comparePlatform(bc BatchComparator, items []item.Item, pairs []
 	for _, i := range s.subIdx {
 		s.sub = append(s.sub, [2]item.Item{items[pairs[i][0]], items[pairs[i][1]]})
 	}
+	if o.journal != nil {
+		if err := o.journal.Err(); err != nil {
+			return err
+		}
+	}
 	if o.budget != nil {
 		if err := o.budget.Spend(o.class, int64(len(s.sub))); err != nil {
 			return err
 		}
 	}
 	res := bc.CompareBatch(s.sub)
+	if o.journal != nil {
+		o.journal.Pairs(s.sub)
+	}
 	if o.ledger != nil {
 		o.ledger.ChargeN(o.class, int64(len(s.subIdx)))
 	}
@@ -177,6 +185,9 @@ func (o *Oracle) comparePlatform(bc BatchComparator, items []item.Item, pairs []
 			o.memo.store(s.sub[j][0].ID, s.sub[j][1].ID, res[j].ID)
 		}
 		winners[i] = pick(items, pairs[i], res[j].ID)
+	}
+	if o.journal != nil {
+		o.journal.Stored()
 	}
 	o.serveDups(items, pairs, winners, s)
 	o.observeBatch(int64(len(s.subIdx)), hits+int64(len(s.dups)))

@@ -2,6 +2,7 @@ package tournament
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -105,8 +106,8 @@ func (m *Memo) word(d uint64, i int) *atomic.Uint64 {
 
 // Lookup returns the frozen winner ID for the unordered pair (a, b), or
 // false when no answer is stored yet. Checkpoint writers use it to pick up
-// just the pairs paid since their last snapshot instead of rescanning the
-// whole table. Safe for concurrent use.
+// the answers to the pairs paid since their last snapshot. Safe for
+// concurrent use.
 func (m *Memo) Lookup(a, b int) (winner int, ok bool) {
 	_, d, w, shift := m.cell(a, b)
 	if d == 0 {
@@ -188,33 +189,30 @@ func (m *Memo) newSlab(i int, need int64) *memoSlab {
 // Len returns the number of cached pairs.
 func (m *Memo) Len() int { return int(m.count.Load()) }
 
-// Entries returns every cached (a, b, winner) triple with a ≤ b in (a, b)
-// order — the deterministic serialization order the checkpoint codec
-// requires — by walking the rows in order. Safe for concurrent use (cells
-// are read from atomic words).
-func (m *Memo) Entries() [][3]int {
-	out := make([][3]int, 0, m.Len())
+// Walk calls yield once per cached pair, lo ≤ hi, in (lo, hi) order — the
+// deterministic serialization order of the checkpoint codec — with hiWon
+// set when the higher ID won. It walks the rows in order and jumps over
+// runs of empty cells by their trailing zero bits. Safe for concurrent use
+// (cells are read from atomic words): a pair stored during the walk may or
+// may not be yielded.
+func (m *Memo) Walk(yield func(lo, hi int, hiWon bool)) {
 	for lo := range m.rows {
 		d := m.rows[lo].Load()
 		if d == 0 {
 			continue
 		}
-		for w := range m.rowWords(lo) {
-			v := m.word(d, w).Load()
+		d--
+		off := int(d & memoOffMask)
+		row := m.slabs[d>>memoOffBits].Load().words[off : off+m.rowWords(lo)]
+		for w := range row {
+			v := row[w].Load()
 			for c := w << 5; v != 0; c, v = c+1, v>>2 {
-				if v&memoAnswered == 0 {
-					continue
-				}
-				hi := lo + c
-				winner := lo
-				if v&memoHiWon != 0 {
-					winner = hi
-				}
-				out = append(out, [3]int{lo, hi, winner})
+				skip := bits.TrailingZeros64(v) >> 1
+				c, v = c+skip, v>>(2*skip)
+				yield(lo, lo+c, v&memoHiWon != 0)
 			}
 		}
 	}
-	return out
 }
 
 // Prime pre-loads the answer for one pair — how a resumed session replays a

@@ -17,9 +17,11 @@
 // consults its hard Budget (when attached) before performing a comparison,
 // checks its context for cancellation, and — when a dispatch.Backend is
 // attached — submits the comparison as a cancellable, fallible request
-// instead of calling the in-process comparator directly. The default oracle
-// (no backend, no budget) keeps the historical hot path: a direct comparator
-// call behind nil checks.
+// instead of calling the in-process comparator directly. An attached
+// Journal (a checkpoint writer) is told of every paid answer, whichever
+// path produced it. The default oracle (no backend, budget or journal)
+// keeps the historical hot path: a direct comparator call behind nil
+// checks.
 //
 // # Concurrency
 //
@@ -78,6 +80,26 @@ type Oracle struct {
 	vmemo        *ValueMemo
 	batchWorkers int
 	obs          *obs.Scope
+	journal      *Journal
+}
+
+// A Journal is told of every answer its oracle pays for (see WithJournal).
+// A checkpoint writer is one: it notes the paid keys and snapshots the run
+// every so many of them. Every func is required.
+type Journal struct {
+	// Err is consulted before every paid comparison or vote: a non-nil
+	// error fails it before anything is spent or sent.
+	Err func() error
+	// Pair notes the paid answer to the pair (a, b) of item IDs, and Value
+	// the paid vote rep on item id. Both are called once the answer has
+	// returned, before it is charged to the ledger and stored in the memo.
+	Pair  func(a, b int)
+	Value func(id, rep int)
+	// Pairs notes a platform batch's paid answers like Pair, all at once
+	// and without snapshotting; Stored follows once they are charged and
+	// stored, so a snapshot the batch completes holds them.
+	Pairs  func(pairs [][2]item.Item)
+	Stored func()
 }
 
 // NewOracle binds a comparator of the given class to a ledger. memo may be
@@ -160,6 +182,13 @@ func (o *Oracle) WithObs(s *obs.Scope) *Oracle {
 	return o
 }
 
+// WithJournal attaches a journal told of every paid answer; nil (the
+// default) detaches it. Returns the oracle for chaining.
+func (o *Oracle) WithJournal(j *Journal) *Oracle {
+	o.journal = j
+	return o
+}
+
 // Obs returns the oracle's observability scope, nil when detached.
 func (o *Oracle) Obs() *obs.Scope { return o.obs }
 
@@ -198,7 +227,7 @@ func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error)
 		}
 	}
 	var winner item.Item
-	if o.backend == nil && o.budget == nil {
+	if o.backend == nil && o.budget == nil && o.journal == nil {
 		// Hot path (default configuration): direct comparator call behind
 		// the cancellation check alone, no extra call frame.
 		if ctx != nil {
@@ -229,14 +258,19 @@ func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error)
 	return winner, nil
 }
 
-// ask performs one paid (non-memoized) comparison: ctx check, budget
-// pre-charge, dispatch, ledger charge. The nil-backend, nil-budget path —
-// the default configuration and the hot path of every benchmark — costs two
-// nil checks and one ctx.Err() call on top of the historical direct
-// comparator call.
+// ask performs one paid (non-memoized) comparison: ctx check, journal
+// check, budget pre-charge, dispatch, journal note, ledger charge. The
+// nil-backend, nil-budget, nil-journal path — the default configuration and
+// the hot path of every benchmark — costs four nil checks and one ctx.Err()
+// call on top of the historical direct comparator call.
 func (o *Oracle) ask(ctx context.Context, a, b item.Item) (item.Item, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
+			return item.Item{}, err
+		}
+	}
+	if o.journal != nil {
+		if err := o.journal.Err(); err != nil {
 			return item.Item{}, err
 		}
 	}
@@ -258,6 +292,9 @@ func (o *Oracle) ask(ctx context.Context, a, b item.Item) (item.Item, error) {
 	} else {
 		winner = o.cmp.Compare(a, b)
 	}
+	if o.journal != nil {
+		o.journal.Pair(a.ID, b.ID)
+	}
 	if o.ledger != nil {
 		o.ledger.Charge(o.class)
 	}
@@ -266,10 +303,11 @@ func (o *Oracle) ask(ctx context.Context, a, b item.Item) (item.Item, error) {
 
 // AskValue obtains one cardinal value estimate for it (vote index rep),
 // billing it to the oracle's class unless served from the value memo. The
-// paid path follows the exact discipline of Compare's: ctx check, budget
-// pre-charge (all-or-nothing, refunded on dispatch failure), dispatch
-// through the backend when one is attached (as a dispatch.KindValue
-// request) or the in-process valuer otherwise, then the ledger charge.
+// paid path follows the exact discipline of Compare's: ctx check, journal
+// check, budget pre-charge (all-or-nothing, refunded on dispatch failure),
+// dispatch through the backend when one is attached (as a
+// dispatch.KindValue request) or the in-process valuer otherwise, then the
+// journal note and the ledger charge.
 // An oracle with neither backend nor valuer fails the query permanently.
 func (o *Oracle) AskValue(ctx context.Context, it item.Item, rep int) (float64, error) {
 	if o.vmemo != nil {
@@ -285,6 +323,11 @@ func (o *Oracle) AskValue(ctx context.Context, it item.Item, rep int) (float64, 
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+	}
+	if o.journal != nil {
+		if err := o.journal.Err(); err != nil {
 			return 0, err
 		}
 	}
@@ -311,6 +354,9 @@ func (o *Oracle) AskValue(ctx context.Context, it item.Item, rep int) (float64, 
 			o.budget.Refund(o.class, 1)
 		}
 		return 0, fmt.Errorf("tournament: oracle has no valuer or backend for value queries: %w", dispatch.ErrPermanent)
+	}
+	if o.journal != nil {
+		o.journal.Value(it.ID, rep)
 	}
 	if o.ledger != nil {
 		o.ledger.Charge(o.class)

@@ -191,64 +191,61 @@ func itemsFingerprint(items []Item) uint64 {
 	return h.Sum64()
 }
 
-// checkpointState returns the snapshot builder bound to one run's live
-// state: it fills a snapshot (reused across calls) with the fingerprint,
-// the ledger and budget read at snapshot time (atomic / mutex-guarded) and
-// the workload hooks. The memo tables are the writer's own; see ckWriter.
-func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, hooks *snapHooks) func(st *checkpoint.State, phase string, survivors []int64) {
-	fp := itemsFingerprint(items)
-	n := len(items)
-	return func(st *checkpoint.State, phase string, survivors []int64) {
-		*st = checkpoint.State{
-			Kind:      kind,
-			Seed:      seed,
-			Un:        s.cfg.Un,
-			NItems:    n,
-			ItemsHash: fp,
-			Phase:     phase,
-			Survivors: survivors,
+// ckSource reads one run's live state into its snapshots: scalars fills
+// a snapshot (reused across calls) with the fingerprint, phase, survivors
+// and workload hooks; counters with the ledger and budget, read at call
+// time (atomic / mutex-guarded). A snapshot reads its counters after its
+// tables (see checkpoint.Live).
+type ckSource struct {
+	kind   string
+	seed   uint64
+	un, n  int
+	fp     uint64
+	led    *Ledger
+	budget *Budget
+	hooks  *snapHooks
+}
+
+// checkpointSource returns the snapshot source bound to one run.
+func (s *Session) checkpointSource(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, hooks *snapHooks) *ckSource {
+	return &ckSource{kind: kind, seed: seed, un: s.cfg.Un, n: len(items), fp: itemsFingerprint(items), led: led, budget: budget, hooks: hooks}
+}
+
+func (c *ckSource) scalars(st *checkpoint.State, phase string, survivors []int64) {
+	*st = checkpoint.State{
+		Kind:      c.kind,
+		Seed:      c.seed,
+		Un:        c.un,
+		NItems:    c.n,
+		ItemsHash: c.fp,
+		Phase:     phase,
+		Survivors: survivors,
+	}
+	if c.hooks != nil {
+		ctl, blob := c.hooks.snapshot()
+		if ctl != nil {
+			// The achieved rung and decision-log hash ride in the snapshot
+			// so a resumed run can be audited against the walk that
+			// produced it.
+			st.Rung, st.DecisionHash = ctl.Snapshot()
 		}
-		snap := led.Snapshot()
-		st.Comparisons, st.MemoHits, st.Steps = snap.Comparisons, snap.MemoHits, snap.Steps
-		if budget != nil {
-			for i := 0; i < cost.MaxClasses; i++ {
-				st.BudgetSpent[i] = budget.Spent(Class(i))
-			}
-			st.BudgetCost = budget.SpentCost()
-		}
-		if hooks != nil {
-			ctl, blob := hooks.snapshot()
-			if ctl != nil {
-				// The achieved rung and decision-log hash ride in the snapshot
-				// so a resumed run can be audited against the walk that
-				// produced it.
-				st.Rung, st.DecisionHash = ctl.Snapshot()
-			}
-			st.Workload = blob
-		}
+		st.Workload = blob
 	}
 }
 
-// pairTable is one worker class's memo table in snapshot form, kept by
-// the writer instead of rescanned from the memo. Its answers are sorted
-// and merged as packed integer keys, like the memo's own entries: A<<33 |
-// B<<1, plus 1 when B won (A ≤ B, both memo IDs below 2^31), which order
-// as (A, B) does.
-type pairTable struct {
-	memo *Memo
-	// rows holds every answer the writer knows: the resumed snapshot's,
-	// then each snapshot's fresh ones. rows[:sortedTo] is in order (the
-	// last base).
-	rows     []checkpoint.PairAnswer
-	sortedTo int
-	// pending holds the pairs paid since the last snapshot, packed with no
-	// winner. A pair whose answer is not in the memo yet — the oracle
-	// stores it just after the backend returns — stays pending for the
-	// next snapshot. keys is scratch for sorting.
-	pending, keys []uint64
+func (c *ckSource) counters(st *checkpoint.State) {
+	snap := c.led.Snapshot()
+	st.Comparisons, st.MemoHits, st.Steps = snap.Comparisons, snap.MemoHits, snap.Steps
+	if c.budget != nil {
+		for i := 0; i < cost.MaxClasses; i++ {
+			st.BudgetSpent[i] = c.budget.Spent(Class(i))
+		}
+		st.BudgetCost = c.budget.SpentCost()
+	}
 }
 
-// pairBMask extracts B from a packed key shifted right one bit.
+// Paid pairs are kept as packed integer keys, which sort as (A, B) does:
+// A<<33 | B<<1 (A ≤ B, both memo IDs below 2^31), plus 1 when B won.
 const pairBMask = 1<<32 - 1
 
 // pairKey packs the unordered pair (a, b) with no winner.
@@ -256,16 +253,7 @@ func pairKey(a, b int) uint64 {
 	return uint64(min(a, b))<<33 | uint64(max(a, b))<<1
 }
 
-// packPair packs a canonical pair answer.
-func packPair(e checkpoint.PairAnswer) uint64 {
-	k := pairKey(int(e.A), int(e.B))
-	if e.Winner != e.A {
-		k |= 1
-	}
-	return k
-}
-
-// unpackPair is packPair's inverse.
+// unpackPair is pairKey's inverse, winner bit included.
 func unpackPair(k uint64) checkpoint.PairAnswer {
 	e := checkpoint.PairAnswer{A: int64(k >> 33), B: int64(k >> 1 & pairBMask)}
 	e.Winner = e.A
@@ -275,205 +263,125 @@ func unpackPair(k uint64) checkpoint.PairAnswer {
 	return e
 }
 
-// samePair reports whether two packed keys name one pair.
-func samePair(a, b uint64) bool { return a>>1 == b>>1 }
-
-// sortKeys sorts t.keys, each pair once.
-func (t *pairTable) sortKeys() {
-	slices.Sort(t.keys)
-	t.keys = slices.CompactFunc(t.keys, samePair)
-}
-
-// seed starts the table from a loaded snapshot's canonical table.
-func (t *pairTable) seed(rows []checkpoint.PairAnswer) {
-	t.rows = slices.Clone(rows)
-	t.sortedTo = len(rows)
-}
-
-// refresh moves the stored answers among the pending pairs onto rows and
-// returns them sorted, each pair once: the table a segment writes. The
-// returned slice aliases rows and is valid until the next refresh or
-// sorted.
-func (t *pairTable) refresh() []checkpoint.PairAnswer {
-	t.keys = t.keys[:0]
-	keep := t.pending[:0]
-	for _, k := range t.pending {
-		b := int(k >> 1 & pairBMask)
-		if w, ok := t.memo.Lookup(int(k>>33), b); ok {
-			if w == b {
-				k |= 1
-			}
-			t.keys = append(t.keys, k)
-		} else {
-			keep = append(keep, k)
-		}
-	}
-	t.pending = keep
-	t.sortKeys()
-	n := len(t.rows)
-	for _, k := range t.keys {
-		t.rows = append(t.rows, unpackPair(k))
-	}
-	return t.rows[n:]
-}
-
-// sorted puts rows in order, each pair once, and returns them: the table
-// a base writes. The answers added since the last base are sorted as keys,
-// then merged into the sorted prefix from the back.
-func (t *pairTable) sorted() []checkpoint.PairAnswer {
-	t.keys = t.keys[:0]
-	for _, e := range t.rows[t.sortedTo:] {
-		t.keys = append(t.keys, packPair(e))
-	}
-	t.sortKeys()
-	i, k := t.sortedTo-1, t.sortedTo+len(t.keys)-1
-	t.rows = t.rows[:k+1]
-	for j := len(t.keys) - 1; j >= 0; {
-		var p uint64
-		if i >= 0 {
-			p = packPair(t.rows[i])
-		}
-		switch {
-		case i >= 0 && samePair(p, t.keys[j]):
-			// Paid again, concurrently, after the base that holds it.
-			j--
-			continue
-		case i >= 0 && p > t.keys[j]:
-			t.rows[k], i = t.rows[i], i-1
-		default:
-			t.rows[k], j = unpackPair(t.keys[j]), j-1
-		}
-		k--
-	}
-	if k > i {
-		// Close the gap the skipped repeats left.
-		t.rows = append(t.rows[:i+1], t.rows[k+1:]...)
-	}
-	t.sortedTo = len(t.rows)
-	return t.rows
-}
-
-// valueTable is pairTable's counterpart for the value memo (crowd
-// scoring), kept as plain answers: it holds a few votes per item, so a
-// base simply re-sorts it.
-type valueTable struct {
-	memo          *tournament.ValueMemo
-	rows, pending []checkpoint.ValueAnswer
-}
-
-// refresh moves the stored answers among the pending votes onto rows and
-// returns them sorted, each vote once: the table a segment writes.
-func (t *valueTable) refresh() []checkpoint.ValueAnswer {
-	n := len(t.rows)
-	keep := t.pending[:0]
-	for _, e := range t.pending {
-		v, ok := t.memo.Lookup(int(e.ID), int(e.Rep))
-		if ok {
-			e.Value = v
-			t.rows = append(t.rows, e)
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	t.pending = keep
-	fresh := t.rows[n:]
-	slices.SortFunc(fresh, checkpoint.CompareValues)
-	fresh = slices.CompactFunc(fresh, sameVote)
-	t.rows = t.rows[:n+len(fresh)]
-	return fresh
-}
-
-// sorted puts rows in order, each vote once, and returns them: the table
-// a base writes.
-func (t *valueTable) sorted() []checkpoint.ValueAnswer {
-	slices.SortFunc(t.rows, checkpoint.CompareValues)
-	t.rows = slices.CompactFunc(t.rows, sameVote)
-	return t.rows
-}
-
-func sameVote(a, b checkpoint.ValueAnswer) bool { return a.ID == b.ID && a.Rep == b.Rep }
-
-// ckWriter drives a run's checkpointing: a backend decorator counts paid
-// answers and snapshots every N of them, and the core algorithm's OnPhase
-// hook snapshots at phase boundaries. A failed snapshot write fails the
-// run fast — the next dispatched comparison returns the write error —
-// because continuing to spend money a crash would strand defeats the point.
+// ckWriter drives a run's checkpointing. It is the oracles' journal (see
+// journal and tournament.Journal): each paid answer notes its key, and
+// every N of them snapshot the run (a platform batch's, once the batch is
+// stored); the core algorithm's OnPhase hook snapshots at phase
+// boundaries. A failed snapshot write fails the run fast — the next paid
+// comparison returns the write error — because continuing to spend money a
+// crash would strand defeats the point.
 //
-// Boundary snapshots write a full base; interval snapshots write a segment
-// holding only the answers paid since the previous snapshot, unless the
-// segments have outgrown the base (see checkpoint.Writer). The writer
-// keeps each memo table itself (see pairTable), seeded from the resumed
-// snapshot, and reuses one snapshot and one encode buffer, so an interval
-// snapshot costs O(answers since the last one) in time and bytes.
+// Boundary snapshots write a full base, streamed from the memos' row
+// walks; interval snapshots write a segment holding only the answers paid
+// since the previous snapshot, unless the segments have outgrown the base
+// (see checkpoint.Writer). The writer keeps only the keys paid since the
+// last snapshot: a key is noted before its answer is stored, and a segment
+// writes it once the memo holds it. It reuses one snapshot and one encode
+// buffer, so an interval snapshot costs O(answers since the last one) in
+// time and bytes.
 type ckWriter struct {
 	mu        sync.Mutex
 	every     int64
 	since     int64
 	survivors []int64
-	build     func(st *checkpoint.State, phase string, survivors []int64)
+	src       *ckSource
 	out       *checkpoint.Writer
+	live      checkpoint.Live
 	onSnap    func()
 	err       error
 	// failed is set with err, so the per-answer check takes no lock.
 	failed atomic.Bool
 
-	pairs  [2]pairTable // indexed by class: Naive, Expert
-	values valueTable
-	st     checkpoint.State
+	memos  [2]*Memo // indexed by class: Naive, Expert
+	values *tournament.ValueMemo
+	// pending holds per class the pairs paid since the last snapshot,
+	// packed with no winner, and votes the votes. An answer not in the
+	// memo yet — the oracle stores it just after noting it — stays pending
+	// for the next snapshot. keys and fresh are scratch.
+	pending [2][]uint64
+	votes   []checkpoint.ValueAnswer
+	keys    []uint64
+	fresh   [2][]checkpoint.PairAnswer
+	// freshV and scan are the vote tables of the last segment and
+	// base.
+	freshV, scan []checkpoint.ValueAnswer
+	st           checkpoint.State
+}
+
+// journal returns the oracle hook of class c's oracle.
+func (w *ckWriter) journal(c Class) *tournament.Journal {
+	return &tournament.Journal{
+		Err: w.failure,
+		Pair: func(a, b int) {
+			w.mu.Lock()
+			w.pending[c] = append(w.pending[c], pairKey(a, b))
+			w.paidLocked()
+			w.mu.Unlock()
+		},
+		Value: func(id, rep int) {
+			w.mu.Lock()
+			w.votes = append(w.votes, checkpoint.ValueAnswer{ID: int64(id), Rep: int64(rep)})
+			w.paidLocked()
+			w.mu.Unlock()
+		},
+		Pairs: func(pairs [][2]Item) {
+			w.mu.Lock()
+			for _, p := range pairs {
+				w.pending[c] = append(w.pending[c], pairKey(p[0].ID, p[1].ID))
+			}
+			w.since += int64(len(pairs))
+			w.mu.Unlock()
+		},
+		Stored: func() {
+			w.mu.Lock()
+			w.intervalLocked()
+			w.mu.Unlock()
+		},
+	}
+}
+
+// failure fails a paid comparison once a snapshot write has failed.
+func (w *ckWriter) failure() error {
+	if !w.failed.Load() {
+		return nil
+	}
+	return w.Err()
+}
+
+// paidLocked advances the interval counter by one paid answer and
+// snapshots when the interval is complete.
+func (w *ckWriter) paidLocked() {
+	w.since++
+	w.intervalLocked()
+}
+
+// intervalLocked snapshots once when at least an interval's answers were
+// paid since the last snapshot, however many intervals a platform batch
+// spanned.
+func (w *ckWriter) intervalLocked() {
+	if w.since >= w.every {
+		w.since = 0
+		w.snapshotLocked("interval", false)
+	}
 }
 
 // ckTestHook, when set by a test, is called at the start (before = true)
 // and end (before = false) of every snapshot, under the writer's lock.
 var ckTestHook func(w *ckWriter, before bool)
 
-// newCkWriter returns the writer for one run over its memos, seeded with
-// the tables of the snapshot it resumes (nil for a fresh run), which are
-// exactly what the memos were primed with.
-func newCkWriter(cfg CheckpointConfig, naive, expert *Memo, values *tournament.ValueMemo, resume *checkpoint.State, build func(*checkpoint.State, string, []int64)) *ckWriter {
+// newCkWriter returns the writer for one run over its memos, which hold
+// everything paid so far (a resumed run's memos are primed from its
+// snapshot).
+func newCkWriter(cfg CheckpointConfig, naive, expert *Memo, values *tournament.ValueMemo, src *ckSource) *ckWriter {
 	every := int64(cfg.Every)
 	if every <= 0 {
 		every = 500
 	}
-	w := &ckWriter{every: every, build: build, out: checkpoint.NewWriter(cfg.FS, cfg.Path), onSnap: cfg.OnSnapshot}
-	w.pairs[Naive].memo, w.pairs[Expert].memo, w.values.memo = naive, expert, values
-	if resume != nil {
-		w.pairs[Naive].seed(resume.NaiveMemo)
-		w.pairs[Expert].seed(resume.ExpertMemo)
-		w.values.rows = slices.Clone(resume.ValueMemo)
-	}
+	w := &ckWriter{every: every, src: src, out: checkpoint.NewWriter(cfg.FS, cfg.Path), onSnap: cfg.OnSnapshot}
+	w.memos = [2]*Memo{naive, expert}
+	w.values = values
+	w.live = checkpoint.Live{Naive: naive.Walk, Expert: expert.Walk, Counters: src.counters}
 	return w
-}
-
-// wrap decorates the backend of one class's oracle so successful answers
-// advance the interval counter and note the paid key in that class's pair
-// table (or the value table); the decorator sits outermost, so
-// chaos-injected failures and memo hits (which never reach a backend) do
-// not count.
-func (w *ckWriter) wrap(b Backend, class Class) Backend {
-	t := &w.pairs[class]
-	return dispatch.Func(func(ctx context.Context, req BackendRequest) (BackendAnswer, error) {
-		if w.failed.Load() {
-			return BackendAnswer{}, w.Err()
-		}
-		ans, err := b.Answer(ctx, req)
-		if err != nil {
-			return ans, err
-		}
-		w.mu.Lock()
-		switch req.Kind {
-		case dispatch.KindCompare:
-			t.pending = append(t.pending, pairKey(req.A.ID, req.B.ID))
-		case dispatch.KindValue:
-			w.values.pending = append(w.values.pending, checkpoint.ValueAnswer{ID: int64(req.A.ID), Rep: int64(req.Rep)})
-		}
-		w.since++
-		if w.since >= w.every {
-			w.since = 0
-			w.snapshotLocked("interval", false)
-		}
-		w.mu.Unlock()
-		return ans, nil
-	})
 }
 
 // boundary records a phase boundary and writes a base immediately.
@@ -490,22 +398,83 @@ func (w *ckWriter) boundary(phase string, survivors []Item) {
 	w.mu.Unlock()
 }
 
+// freshPairs moves the stored answers among class c's pending pairs out
+// of pending and returns them sorted, each pair once: the table a segment
+// writes. The returned slice is valid until the next call for c.
+func (w *ckWriter) freshPairs(c Class) []checkpoint.PairAnswer {
+	keys, keep := w.keys[:0], w.pending[c][:0]
+	for _, k := range w.pending[c] {
+		b := int(k >> 1 & pairBMask)
+		if win, ok := w.memos[c].Lookup(int(k>>33), b); ok {
+			if win == b {
+				k |= 1
+			}
+			keys = append(keys, k)
+		} else {
+			keep = append(keep, k)
+		}
+	}
+	w.pending[c] = keep
+	slices.Sort(keys)
+	t := w.fresh[c][:0]
+	for i, k := range keys {
+		// A pair paid twice, concurrently, is written once.
+		if i == 0 || k>>1 != keys[i-1]>>1 {
+			t = append(t, unpackPair(k))
+		}
+	}
+	w.keys, w.fresh[c] = keys, t
+	return t
+}
+
+// freshVotes is freshPairs for the pending votes.
+func (w *ckWriter) freshVotes() []checkpoint.ValueAnswer {
+	t, keep := w.freshV[:0], w.votes[:0]
+	for _, e := range w.votes {
+		if v, ok := w.values.Lookup(int(e.ID), int(e.Rep)); ok {
+			e.Value = v
+			t = append(t, e)
+		} else {
+			keep = append(keep, e)
+		}
+	}
+	w.votes = keep
+	slices.SortFunc(t, checkpoint.CompareValues)
+	t = slices.CompactFunc(t, func(a, b checkpoint.ValueAnswer) bool { return a.ID == b.ID && a.Rep == b.Rep })
+	w.freshV = t
+	return t
+}
+
+// allVotes returns the value memo's answers sorted, the table a base
+// writes. The returned slice is valid until the next call.
+func (w *ckWriter) allVotes() []checkpoint.ValueAnswer {
+	t := w.scan[:0]
+	for _, e := range w.values.Entries() {
+		t = append(t, checkpoint.ValueAnswer(e))
+	}
+	w.scan = t
+	return t
+}
+
 // snapshotLocked builds and atomically writes one snapshot: a base when
 // base is set or the chain is due one, a segment otherwise. Callers hold
 // w.mu, which also serializes concurrent interval snapshots from parallel
-// batches.
+// batches. The pending answers already stored leave pending first: a base
+// walks the memos after that, so it holds them, and an answer stored in
+// between is written twice rather than lost.
 func (w *ckWriter) snapshotLocked(label string, base bool) {
 	if ckTestHook != nil {
 		ckTestHook(w, true)
 	}
-	w.build(&w.st, label, w.survivors)
-	naive, expert, values := w.pairs[Naive].refresh(), w.pairs[Expert].refresh(), w.values.refresh()
+	w.src.scalars(&w.st, label, w.survivors)
+	naive, expert, votes := w.freshPairs(Naive), w.freshPairs(Expert), w.freshVotes()
 	var err error
 	if base || w.out.Due() {
-		w.st.NaiveMemo, w.st.ExpertMemo, w.st.ValueMemo = w.pairs[Naive].sorted(), w.pairs[Expert].sorted(), w.values.sorted()
-		err = w.out.Base(&w.st)
+		w.st.ValueMemo = w.allVotes()
+		err = w.out.Base(&w.st, &w.live)
 	} else {
-		w.st.NaiveMemo, w.st.ExpertMemo, w.st.ValueMemo = naive, expert, values
+		w.st.NaiveMemo, w.st.ExpertMemo, w.st.ValueMemo = naive, expert, votes
+		w.src.counters(&w.st)
 		err = w.out.Segment(&w.st)
 	}
 	if ckTestHook != nil {

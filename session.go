@@ -199,12 +199,13 @@ func (s *Session) Run(ctx context.Context, w Workload, items []Item) (Result, er
 }
 
 // run is the workload-generic engine behind FindMax, Run and ResumeWorkload:
-// it wires the configured backends (decorating them with chaos, health, and
-// checkpoint layers as requested), optionally replays a checkpoint, hands
-// the plumbed environment to the workload, and leaves cost merging and
-// result labelling to it. With no Checkpoint/Chaos/Health configured and no
-// backends set, the wiring collapses to the historical direct-comparator hot
-// path.
+// it wires the configured backends (decorating them with chaos and health
+// layers as requested), attaches the checkpoint writer to the oracles as
+// their journal, optionally replays a checkpoint, hands the plumbed
+// environment to the workload, and leaves cost merging and result
+// labelling to it. With no Chaos/Health configured and no backends set,
+// the wiring collapses to the direct-comparator path (a platform
+// BatchComparator keeps its batches), checkpointing or not.
 func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *checkpoint.State) (Result, error) {
 	if w == nil {
 		return Result{}, errors.New("crowdmax: nil workload")
@@ -268,10 +269,12 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 	ckOn := s.cfg.Checkpoint.Path != ""
 	chaosOn := s.cfg.Chaos != nil && s.cfg.Chaos.Enabled()
 	healthOn := !s.cfg.Health.IsZero()
-	if ckOn || chaosOn || healthOn {
+	if chaosOn || healthOn {
 		// These layers are backend decorators; manufacture simulated
 		// backends around the configured comparators (and valuer, so value
 		// queries keep flowing through the decorators) when none are set.
+		// Checkpointing is not one: the oracles journal paid answers to
+		// the writer themselves, so it keeps the direct comparator path.
 		if nb == nil {
 			if s.cfg.Valuer != nil {
 				nb = dispatch.NewSimulatedValuer(s.cfg.Naive, s.cfg.Valuer)
@@ -303,8 +306,8 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 		}
 	}
 	// The degrade controller's expert rungs read the expert pool's live
-	// active-worker count; grab the pool before hedge and checkpoint
-	// decorators hide it behind dispatch.Func wrappers.
+	// active-worker count; grab the pool before the hedge decorator hides
+	// it.
 	expertPool, _ := eb.(*WorkerPool)
 	if d := s.cfg.Health.HedgeAfter; healthOn && d > 0 {
 		nb = dispatch.NewHedge(nb, d)
@@ -316,13 +319,16 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 		if s.cfg.DisableMemoization {
 			return Result{}, errors.New("crowdmax: Config.Checkpoint requires memoization (resume replays the memo tables)")
 		}
-		ck = newCkWriter(s.cfg.Checkpoint, naiveMemo, expertMemo, valueMemo, resume,
-			s.checkpointState(w.Kind(), items, r.Seed(), runLedger, budget, hooks))
-		nb, eb = ck.wrap(nb, Naive), ck.wrap(eb, Expert)
+		ck = newCkWriter(s.cfg.Checkpoint, naiveMemo, expertMemo, valueMemo,
+			s.checkpointSource(w.Kind(), items, r.Seed(), runLedger, budget, hooks))
 	}
 
 	no := NewOracle(s.cfg.Naive, Naive, runLedger, naiveMemo).WithBackend(nb)
 	eo := NewOracle(s.cfg.Expert, Expert, runLedger, expertMemo).WithBackend(eb)
+	if ck != nil {
+		no.WithJournal(ck.journal(Naive))
+		eo.WithJournal(ck.journal(Expert))
+	}
 	if s.cfg.Valuer != nil {
 		no.WithValuer(s.cfg.Valuer)
 	}

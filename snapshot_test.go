@@ -3,6 +3,7 @@ package crowdmax
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -18,6 +19,7 @@ import (
 	"crowdmax/internal/dataset"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/faults"
+	"crowdmax/internal/platform"
 	"crowdmax/internal/tournament"
 )
 
@@ -142,10 +144,9 @@ func warmWriter(t *testing.T, size int, fsys *sizeFS) (*ckWriter, *Memo) {
 			b = a + 1
 		}
 	}
-	resume := &checkpoint.State{NaiveMemo: memoPairs(naive)}
-	build := s.checkpointState(MaxFindKind, items, 1, NewLedger(), nil, &snapHooks{})
+	src := s.checkpointSource(MaxFindKind, items, 1, NewLedger(), nil, &snapHooks{})
 	fsys.base = "run.ck"
-	w := newCkWriter(CheckpointConfig{Path: fsys.base, Every: 64, FS: fsys}, naive, expert, nil, resume, build)
+	w := newCkWriter(CheckpointConfig{Path: fsys.base, Every: 64, FS: fsys}, naive, expert, tournament.NewValueMemo(), src)
 	w.boundary("start", nil)
 	return w, naive
 }
@@ -167,13 +168,11 @@ func intervalSnapshotCost(t *testing.T, size int) (allocs float64, bytes int) {
 		naive.Prime(x, x+1, x)
 		fresh[i] = [2]int{x, x + 1}
 	}
-	// Warm the writer's table to its final size.
-	w.pairs[Naive].rows = slices.Grow(w.pairs[Naive].rows, len(fresh))
 	var sizes []int
 	snap := func() {
 		w.mu.Lock()
 		for _, p := range fresh[:every] {
-			w.pairs[Naive].pending = append(w.pairs[Naive].pending, pairKey(p[0], p[1]))
+			w.pending[Naive] = append(w.pending[Naive], pairKey(p[0], p[1]))
 		}
 		fresh = fresh[every:]
 		w.snapshotLocked("interval", false)
@@ -190,15 +189,18 @@ func intervalSnapshotCost(t *testing.T, size int) (allocs float64, bytes int) {
 	if fsys.bases != bases || fsys.writes != runs+2 {
 		t.Fatalf("%d files written, %d of them bases, after the start base; want %d segments", fsys.writes-1, fsys.bases-bases, runs+1)
 	}
-	if got, want := len(w.pairs[Naive].rows), size+(runs+1)*every; got != want {
-		t.Fatalf("table holds %d pairs after the snapshots, want %d", got, want)
+	if len(w.pending[Naive]) != 0 || len(w.fresh[Naive]) != every {
+		t.Fatalf("%d pairs still pending and %d written by the last segment, want 0 and %d", len(w.pending[Naive]), len(w.fresh[Naive]), every)
 	}
-	for _, n := range sizes[1:] {
-		if n != sizes[0] {
-			t.Fatalf("segment sizes %v differ", sizes)
+	// The first segment also records the phase change from the base's
+	// "start" to "interval"; the others differ from their predecessor in
+	// their answers alone.
+	for _, n := range sizes[2:] {
+		if n != sizes[1] {
+			t.Fatalf("segment sizes %v differ after the first", sizes)
 		}
 	}
-	return allocs, sizes[0]
+	return allocs, sizes[1]
 }
 
 // TestIntervalSnapshotAllocsConstant is the checkpoint layer's cost gate:
@@ -221,9 +223,13 @@ func TestIntervalSnapshotAllocsConstant(t *testing.T) {
 // memoPairs copies a memo table into the checkpoint's sorted form.
 func memoPairs(m *Memo) []checkpoint.PairAnswer {
 	var out []checkpoint.PairAnswer
-	for _, e := range m.Entries() {
-		out = append(out, checkpoint.PairAnswer{A: int64(e[0]), B: int64(e[1]), Winner: int64(e[2])})
-	}
+	m.Walk(func(lo, hi int, hiWon bool) {
+		e := checkpoint.PairAnswer{A: int64(lo), B: int64(hi), Winner: int64(lo)}
+		if hiWon {
+			e.Winner = e.B
+		}
+		out = append(out, e)
+	})
 	return out
 }
 
@@ -245,15 +251,19 @@ func valueAnswers(vm *tournament.ValueMemo) []checkpoint.ValueAnswer {
 // snapshot. Every answer stored before the snapshot must be loaded, and
 // every loaded answer must be stored; with no concurrent stores the two
 // scans agree and the loaded tables must equal them exactly. The loaded
-// scalars must be the snapshot's.
+// scalars must be the snapshot's. A base written with no concurrent
+// stores must be, byte for byte, checkpoint.Encode of the snapshot's
+// state with the scanned tables.
 type snapshotChecker struct {
 	t         *testing.T
 	path      string
 	before    [3]memoScan
+	baseFile  []byte // the base file before the snapshot
 	snapshots int
 	exact     int
-	// chained counts snapshots after which the chain held a segment.
-	chained int
+	// chained counts snapshots after which the chain held a segment, and
+	// bases the bases compared with an encoded scan.
+	chained, bases int
 }
 
 // memoScan is one full scan of a run's three memo tables, as a
@@ -261,7 +271,7 @@ type snapshotChecker struct {
 type memoScan = checkpoint.State
 
 func scanMemos(w *ckWriter) checkpoint.State {
-	return checkpoint.State{NaiveMemo: memoPairs(w.pairs[Naive].memo), ExpertMemo: memoPairs(w.pairs[Expert].memo), ValueMemo: valueAnswers(w.values.memo)}
+	return checkpoint.State{NaiveMemo: memoPairs(w.memos[Naive]), ExpertMemo: memoPairs(w.memos[Expert]), ValueMemo: valueAnswers(w.values)}
 }
 
 // checkSnapshots installs the checker for runs checkpointing to path.
@@ -275,6 +285,7 @@ func checkSnapshots(t *testing.T, path string) *snapshotChecker {
 func (c *snapshotChecker) hook(w *ckWriter, before bool) {
 	if before {
 		c.before[0] = scanMemos(w)
+		c.baseFile, _ = os.ReadFile(c.path)
 		return
 	}
 	c.snapshots++
@@ -305,6 +316,14 @@ func (c *snapshotChecker) hook(w *ckWriter, before bool) {
 			c.exact++
 		}
 	}
+	if base, err := os.ReadFile(c.path); err == nil && !bytes.Equal(base, c.baseFile) && reflect.DeepEqual(lo, hi) {
+		want := w.st
+		want.NaiveMemo, want.ExpertMemo, want.ValueMemo = after.NaiveMemo, after.ExpertMemo, after.ValueMemo
+		if !bytes.Equal(base, checkpoint.Encode(&want)) {
+			c.t.Errorf("snapshot %d (%s): the base written is not the encoding of a full memo scan", c.snapshots, w.st.Phase)
+		}
+		c.bases++
+	}
 }
 
 // tableSubset reports whether every entry of the sorted table a (pair or
@@ -330,13 +349,13 @@ func subsetOf[E comparable](a, b []E, cmp func(E, E) int) bool {
 }
 
 // requireExact fails unless the checker saw at least min snapshots, all
-// of them exact (a sequential run has no concurrent stores), and at least
-// one of them loaded through a segment.
+// of them exact (a sequential run has no concurrent stores), at least one
+// of them loaded through a segment and at least one a base it compared.
 func (c *snapshotChecker) requireExact(min int) {
 	c.t.Helper()
-	if c.snapshots < min || c.exact != 3*c.snapshots || c.chained == 0 {
-		c.t.Fatalf("checked %d snapshots (%d exact table comparisons, %d with segments), want ≥ %d, all exact, some with segments",
-			c.snapshots, c.exact, c.chained, min)
+	if c.snapshots < min || c.exact != 3*c.snapshots || c.chained == 0 || c.bases == 0 {
+		c.t.Fatalf("checked %d snapshots (%d exact table comparisons, %d with segments, %d bases), want ≥ %d, all exact, some with segments, some bases",
+			c.snapshots, c.exact, c.chained, c.bases, min)
 	}
 }
 
@@ -463,10 +482,11 @@ func TestIncrementalTablesUnderConcurrency(t *testing.T) {
 		}
 		memo := NewMemo(len(items))
 		ledger := NewLedger()
-		build := s.checkpointState(MaxFindKind, items, 6, ledger, nil, &snapHooks{})
-		w := newCkWriter(CheckpointConfig{Path: path, Every: 8}, memo, NewMemo(len(items)), nil, nil, build)
+		src := s.checkpointSource(MaxFindKind, items, 6, ledger, nil, &snapHooks{})
+		w := newCkWriter(CheckpointConfig{Path: path, Every: 8}, memo, NewMemo(len(items)), tournament.NewValueMemo(), src)
 		o := NewOracle(naive, Naive, ledger, memo).
-			WithBackend(w.wrap(dispatch.NewHedge(pool, time.Microsecond), Naive)).
+			WithBackend(dispatch.NewHedge(pool, time.Microsecond)).
+			WithJournal(w.journal(Naive)).
 			ParallelBatch(4)
 		w.boundary("start", nil)
 		if _, err := core.Filter(context.Background(), items, o, core.FilterOptions{Un: cal.Un}); err != nil {
@@ -737,5 +757,163 @@ func TestStaleSegmentsNeverApply(t *testing.T) {
 	resultsEqual(t, got, want)
 	if _, err := os.Stat(checkpoint.SegmentPath(path, 1)); err != nil {
 		t.Fatalf("no stale segment was left beside the final base: %v", err)
+	}
+}
+
+// TestCheckpointKeepsPlatformBatches: checkpointing does not change how a
+// session dispatches. With a platform BatchComparator as the naïve
+// comparator, a run with a checkpoint sends the platform the same batches
+// as the run without one, and returns the same result.
+func TestCheckpointKeepsPlatformBatches(t *testing.T) {
+	cal, err := dataset.UniformCalibrated(200, 6, 2, NewRand(45))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := cal.Set.Items()
+	run := func(ck CheckpointConfig) (Result, int64) {
+		plat, err := platform.New(platform.Config{R: NewRand(9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			plat.AddWorker(&ThresholdWorker{Delta: cal.DeltaN, Tie: HashTie{Seed: uint64(i)}})
+		}
+		s := statelessSession(t, cal, 9, func(c *Config) {
+			c.Naive = plat.BatchComparator(3)
+			c.Checkpoint = ck
+		})
+		res, err := s.FindMax(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, plat.LogicalSteps()
+	}
+	want, wantSteps := run(CheckpointConfig{})
+	// A platform batch is noted as a whole and snapshotted once stored, so
+	// no interval snapshot comes out empty.
+	var intervals, empty int
+	ckTestHook = func(w *ckWriter, before bool) {
+		if !before && w.st.Phase == "interval" {
+			intervals++
+			if len(w.fresh[Naive]) == 0 {
+				empty++
+			}
+		}
+	}
+	t.Cleanup(func() { ckTestHook = nil })
+	got, gotSteps := run(CheckpointConfig{Path: filepath.Join(t.TempDir(), "run.ck"), Every: 64})
+	resultsEqual(t, got, want)
+	if intervals == 0 || empty > 0 {
+		t.Fatalf("%d of %d interval snapshots carried no new answer", empty, intervals)
+	}
+	if gotSteps != wantSteps {
+		t.Fatalf("the checkpointed run took %d platform batches, the run without a checkpoint %d", gotSteps, wantSteps)
+	}
+	if wantSteps*10 > want.NaiveComparisons {
+		t.Fatalf("%d platform batches for %d naive comparisons: the platform was not sent batches", wantSteps, want.NaiveComparisons)
+	}
+}
+
+// encodeSegmentV1 renders st as segment seq of the chain whose base has
+// checksum base, following the file with checksum prev, in the version-1
+// layout older builds wrote: the chain link, then a whole v4 payload
+// without survivors.
+func encodeSegmentV1(st checkpoint.State, seq int, base, prev uint32) []byte {
+	st.Survivors = nil
+	const header = 20 // the v4 file header ahead of its payload
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(seq))
+	payload = binary.LittleEndian.AppendUint32(payload, base)
+	payload = binary.LittleEndian.AppendUint32(payload, prev)
+	payload = append(payload, checkpoint.Encode(&st)[header:]...)
+	return checkpoint.SealEnvelope("CMSG", 1, payload)
+}
+
+// sealedCRC returns the payload checksum in a sealed file's header.
+func sealedCRC(data []byte) uint32 { return binary.LittleEndian.Uint32(data[8:]) }
+
+// loadPrefix loads the base at path with its first k segments alone.
+func loadPrefix(t *testing.T, path string, k int) *checkpoint.State {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "prefix.ck")
+	for i := 0; i <= k; i++ {
+		from, to := path, dir
+		if i > 0 {
+			from, to = checkpoint.SegmentPath(path, i), checkpoint.SegmentPath(dir, i)
+		}
+		data, err := os.ReadFile(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// without returns the entries of the sorted table a missing from the
+// sorted table b.
+func without[E any](a, b []E, cmp func(E, E) int) []E {
+	var out []E
+	for _, e := range a {
+		if _, ok := slices.BinarySearchFunc(b, e, cmp); !ok {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestV1SegmentsStillResume: a crashed run's chain rewritten as older
+// builds wrote it — the same v4 base, then version-1 segments that each
+// repeat a whole v4 payload — loads to the same state as the chain
+// written now, and resumes to the uninterrupted run's result and to the
+// same final snapshot, byte for byte.
+func TestV1SegmentsStillResume(t *testing.T) {
+	for _, w := range []Workload{MaxFind(), TopKWorkload(3), ScoreWorkload(ScoreConfig{Votes: 3})} {
+		t.Run(w.Kind(), func(t *testing.T) {
+			r := crashWithSegments(t, w)
+			base, err := os.ReadFile(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := filepath.Join(t.TempDir(), "v1.ck")
+			if err := os.WriteFile(old, base, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prev, before := sealedCRC(base), loadPrefix(t, r.path, 0)
+			for k := 1; ; k++ {
+				if _, err := os.Stat(checkpoint.SegmentPath(r.path, k)); err != nil {
+					break
+				}
+				st := loadPrefix(t, r.path, k)
+				seg := *st
+				seg.NaiveMemo = without(st.NaiveMemo, before.NaiveMemo, checkpoint.ComparePairs)
+				seg.ExpertMemo = without(st.ExpertMemo, before.ExpertMemo, checkpoint.ComparePairs)
+				seg.ValueMemo = without(st.ValueMemo, before.ValueMemo, checkpoint.CompareValues)
+				data := encodeSegmentV1(seg, k, sealedCRC(base), prev)
+				if err := os.WriteFile(checkpoint.SegmentPath(old, k), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				prev, before = sealedCRC(data), st
+			}
+			got, err := checkpoint.Load(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := checkpoint.Load(r.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("the v1 chain loads to another state than the chain it was rewritten from")
+			}
+			if !bytes.Equal(r.resume(t, old), r.resume(t, r.path)) {
+				t.Fatal("resuming the v1 chain wrote another final snapshot than resuming the current chain")
+			}
+		})
 	}
 }
