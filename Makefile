@@ -32,13 +32,15 @@ race:
 ci: vet lint build test race cover bench-smoke bench-test golden chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke
 
 # The parallel engine once, one Session.Run job of each kind lib-mixed runs
-# (max, top-5, pool at n=2000, un=8) with its bytes and allocations, and the
-# dense memo's hit, miss and fill at n=2000.
+# (max, top-5, pool at n=2000, un=8) with its bytes and allocations, the
+# dense memo's hit, miss and fill at n=2000, and the filter with its memo on
+# and off.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig3Parallel -benchtime=1x ./internal/experiment
 	$(GO) test -run='^$$' -bench=BenchmarkSessionRun -benchtime=1x .
 	$(GO) test -run='^$$' -bench=BenchmarkSessionCheckpoint -benchtime=1x .
 	$(GO) test -run='^$$' -bench='^BenchmarkMemo$$' -benchtime=1x ./internal/tournament
+	$(GO) test -run='^$$' -bench=BenchmarkFilter -benchtime=1x ./internal/core
 
 # crowdbench's own tests: every workload once, end to end, with its pinned
 # digests. bench/ is a module of its own, so `go test ./...` at the root

@@ -144,6 +144,8 @@ type State struct {
 	// resumed and uninterrupted runs comparable at all.
 	Seed uint64
 	// Un, Phase2 and TrackLosses fingerprint the algorithm configuration.
+	// Loss tracking is gone from the algorithms; the flag is still encoded
+	// so that a snapshot taken with it set is refused by name on resume.
 	Un          int
 	Phase2      int
 	TrackLosses bool

@@ -13,8 +13,8 @@ import (
 )
 
 // Ablation benchmarks for the design choices called out in DESIGN.md:
-// memoization (Appendix A opt. 1), cross-iteration loss counters (opt. 2),
-// phase-2 algorithm choice, and tie-break policy. Each reports
+// memoization (Appendix A opt. 1), phase-2 algorithm choice, and tie-break
+// policy. Each reports
 // comparisons/op — the metric the paper's cost model prices — alongside
 // wall-clock time.
 
@@ -31,14 +31,11 @@ func benchInstance(b *testing.B, n, un, ue int, seed uint64) (dataset.Calibrated
 func BenchmarkFilter(b *testing.B) {
 	for _, n := range []int{1000, 5000} {
 		for _, variant := range []struct {
-			name        string
-			memo        bool
-			trackLosses bool
+			name string
+			memo bool
 		}{
-			{"plain", false, false},
-			{"memo", true, false},
-			{"losses", false, true},
-			{"memo+losses", true, true},
+			{"plain", false},
+			{"memo", true},
 		} {
 			b.Run(fmt.Sprintf("n%d/%s", n, variant.name), func(b *testing.B) {
 				cal, r := benchInstance(b, n, 10, 5, 2015)
@@ -52,7 +49,7 @@ func BenchmarkFilter(b *testing.B) {
 						memo = tournament.NewMemo(n)
 					}
 					o := tournament.NewOracle(w, worker.Naive, ledger, memo)
-					if _, err := Filter(context.Background(), items, o, FilterOptions{Un: 10, TrackLosses: variant.trackLosses}); err != nil {
+					if _, err := Filter(context.Background(), items, o, FilterOptions{Un: 10}); err != nil {
 						b.Fatal(err)
 					}
 					totalComparisons += ledger.Naive()

@@ -31,9 +31,6 @@ type CascadeOptions struct {
 	Levels []Level
 	// Phase2 selects the final extraction algorithm (default 2-MaxFind).
 	Phase2 Phase2Algorithm
-	// TrackLosses enables the Appendix A loss counters in every filter
-	// stage.
-	TrackLosses bool
 	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
 	Randomized RandomizedOptions
 }
@@ -93,7 +90,7 @@ func CascadeFindMax(ctx context.Context, items []item.Item, opt CascadeOptions) 
 	current := items
 	for l := 0; l < len(opt.Levels)-1; l++ {
 		lv := opt.Levels[l]
-		filtered, err := Filter(ctx, current, lv.Oracle, FilterOptions{Un: lv.U, TrackLosses: opt.TrackLosses})
+		filtered, err := Filter(ctx, current, lv.Oracle, FilterOptions{Un: lv.U})
 		if err != nil {
 			return res, fmt.Errorf("cascade level %d: %w", l, err)
 		}

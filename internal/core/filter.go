@@ -26,21 +26,16 @@ type FilterOptions struct {
 	// from the maximum, un(n) ≥ 1. Overestimating costs money but not
 	// accuracy; underestimating may discard the maximum (Section 5.2).
 	Un int
-	// TrackLosses enables the second Appendix A optimization: elements
-	// accumulating un distinct-opponent losses across iterations are
-	// discarded at the end of each iteration, shrinking later rounds.
-	TrackLosses bool
 }
 
 // filterState carries one filter run's per-iteration working set. The
 // survivor buffers are arena-style: allocated once from the input size and
 // swapped between iterations, and the group tournaments share one retained
 // scratch, so once the first group has sized the buffers the iteration loop
-// allocates nothing (Appendix A loss recording aside).
+// allocates nothing.
 type filterState struct {
-	un, g   int
-	tracker *tournament.LossTracker
-	sc      *obs.Scope
+	un, g int
+	sc    *obs.Scope
 
 	li   []item.Item // current survivors (this iteration's input)
 	next []item.Item // survivors being accumulated (the swap buffer)
@@ -55,18 +50,12 @@ type filterState struct {
 }
 
 // applyGroup folds one group's tournament result into the iteration state:
-// threshold survivors, the group top, loss recording, and the per-group
-// trace event.
+// threshold survivors, the group top, and the per-group trace event.
 func (st *filterState) applyGroup(group []item.Item, res tournament.Result) {
 	st.tops = append(st.tops, res.TopByWins())
 	need := len(group) - st.un
 	kept := 0
 	for i, it := range group {
-		if st.tracker != nil {
-			for _, w := range res.Losers[i] {
-				st.tracker.Record(it.ID, w)
-			}
-		}
 		if res.Wins[i] >= need {
 			st.next = append(st.next, it)
 			kept++
@@ -81,7 +70,7 @@ func (st *filterState) applyGroup(group []item.Item, res tournament.Result) {
 }
 
 // finishIteration closes one iteration: the empty-survivor fallback, the
-// Appendix A early discards, the buffer swap, and the progress check.
+// buffer swap, and the progress check.
 func (st *filterState) finishIteration() error {
 	prev := len(st.li)
 	if len(st.next) == 0 {
@@ -94,19 +83,6 @@ func (st *filterState) finishIteration() error {
 		// staying total — matching the measured behaviour the paper
 		// reports for small estimation factors.
 		st.next = append(st.next, st.tops...)
-	}
-	if st.tracker != nil {
-		// Appendix A: an element that has lost to at least un distinct
-		// opponents overall would lose more than un − 1 games in a
-		// global all-play-all tournament, so by Lemma 1 it cannot be
-		// the maximum.
-		kept := st.next[:0]
-		for _, it := range st.next {
-			if st.tracker.Losses(it.ID) < st.un {
-				kept = append(kept, it)
-			}
-		}
-		st.next = kept
 	}
 	st.li, st.next = st.next, st.li[:0]
 	st.tops = st.tops[:0]
@@ -163,9 +139,6 @@ func Filter(ctx context.Context, items []item.Item, naive *tournament.Oracle, op
 		tops: make([]item.Item, 0, (len(items)+4*opt.Un-1)/(4*opt.Un)),
 	}
 	copy(st.li, items)
-	if opt.TrackLosses {
-		st.tracker = tournament.NewLossTracker()
-	}
 
 	var startLedger cost.Snapshot
 	if st.sc != nil {
@@ -190,7 +163,6 @@ func Filter(ctx context.Context, items []item.Item, naive *tournament.Oracle, op
 // filterGroups runs the iterations: groups play their tournaments one batch
 // at a time, in partition order.
 func filterGroups(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
-	opts := tournament.RoundRobinOpts{RecordLosers: st.tracker != nil}
 	for len(st.li) >= 2*st.un {
 		for start := 0; start < len(st.li); start += st.g {
 			end := min(start+st.g, len(st.li))
@@ -201,7 +173,7 @@ func filterGroups(ctx context.Context, naive *tournament.Oracle, st *filterState
 				st.next = append(st.next, group...)
 				continue
 			}
-			res, err := st.round.RoundRobin(ctx, group, naive, opts)
+			res, err := st.round.RoundRobin(ctx, group, naive)
 			if err != nil {
 				// Partial result: the survivors of the last completed
 				// iteration (the current iteration's partial progress is

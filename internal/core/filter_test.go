@@ -144,43 +144,6 @@ func TestFilterOverestimateStillCorrect(t *testing.T) {
 	}
 }
 
-func TestFilterLossTrackingSameGuarantees(t *testing.T) {
-	root := rng.New(6)
-	for trial := 0; trial < 15; trial++ {
-		r := root.ChildN("trial", trial)
-		cal, err := dataset.UniformCalibrated(400, 6, 2, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lPlain, lTracked := cost.NewLedger(), cost.NewLedger()
-		oPlain := naiveOracle(cal.DeltaN, worker.RandomTie{R: r.Child("a")}, lPlain, r.Child("a"))
-		oTracked := naiveOracle(cal.DeltaN, worker.RandomTie{R: r.Child("b")}, lTracked, r.Child("b"))
-
-		outPlain, err := Filter(context.Background(), cal.Set.Items(), oPlain, FilterOptions{Un: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outTracked, err := Filter(context.Background(), cal.Set.Items(), oTracked, FilterOptions{Un: 6, TrackLosses: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, out := range [][]item.Item{outPlain, outTracked} {
-			found := false
-			for _, it := range out {
-				if it.ID == cal.Set.Max().ID {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("trial %d: maximum dropped", trial)
-			}
-		}
-		if len(outTracked) > CandidateSetBound(6) {
-			t.Fatalf("trial %d: tracked |S| = %d", trial, len(outTracked))
-		}
-	}
-}
-
 func TestFilterWithMemoizedOracle(t *testing.T) {
 	// Appendix A optimization 1: a shared memo across iterations must not
 	// affect correctness and must reduce paid comparisons on repeated

@@ -55,9 +55,6 @@ type FindMaxOptions struct {
 	// Phase2 selects the second-phase algorithm; the zero value is
 	// 2-MaxFind, matching the paper's simulations.
 	Phase2 Phase2Algorithm
-	// TrackLosses enables the Appendix A cross-iteration loss counters
-	// in phase 1.
-	TrackLosses bool
 	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
 	Randomized RandomizedOptions
 	// OnPhase, when set, is called at phase boundaries with the boundary
@@ -102,7 +99,7 @@ func FindMax(ctx context.Context, items []item.Item, naive, expert *tournament.O
 	if sc != nil {
 		n0 = naive.LedgerSnapshot()
 	}
-	candidates, err := Filter(ctx, items, naive, FilterOptions{Un: opt.Un, TrackLosses: opt.TrackLosses})
+	candidates, err := Filter(ctx, items, naive, FilterOptions{Un: opt.Un})
 	if err != nil {
 		return FindMaxResult{Candidates: candidates}, fmt.Errorf("phase 1: %w", err)
 	}

@@ -164,22 +164,6 @@ func TestFindMaxStringNames(t *testing.T) {
 	}
 }
 
-func TestFindMaxTrackLosses(t *testing.T) {
-	r := rng.New(7)
-	cal, err := dataset.UniformCalibrated(800, 8, 2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	no, eo := oracles(cal, r, nil, nil)
-	res, err := FindMax(context.Background(), cal.Set.Items(), no, eo, FindMaxOptions{Un: 8, TrackLosses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := item.Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
-		t.Fatalf("loss tracking broke the guarantee: d = %g", d)
-	}
-}
-
 func TestRunPhase2EmptyCandidates(t *testing.T) {
 	eo := tournament.NewOracle(worker.Truth, worker.Expert, nil, nil)
 	if _, err := RunPhase2(context.Background(), nil, eo, Phase2AllPlayAll, RandomizedOptions{}); err == nil {

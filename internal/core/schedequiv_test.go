@@ -178,14 +178,6 @@ type schedCase struct {
 	run       func(t *testing.T, seed uint64) schedPin
 }
 
-func filterCase(track bool) schedCase {
-	return schedCase{"Filter", fmt.Sprintf("trackLosses=%v", track), 8, func(t *testing.T, seed uint64) schedPin {
-		rig := newSchedRig(seed, 150+int(seed)*31, 4, nil)
-		out, err := Filter(context.Background(), rig.items, rig.naive, FilterOptions{Un: 4, TrackLosses: track})
-		return rig.pin(fpErr(fpItems(out), err))
-	}}
-}
-
 func findMaxCase(p2 Phase2Algorithm) schedCase {
 	return schedCase{"FindMaxAllPhase2s", p2.String(), 6, func(t *testing.T, seed uint64) schedPin {
 		rig := newSchedRig(seed, 140+int(seed)*29, 4, nil)
@@ -199,8 +191,13 @@ func findMaxCase(p2 Phase2Algorithm) schedCase {
 }
 
 var schedCases = []schedCase{
-	filterCase(false),
-	filterCase(true),
+	// The subtest name predates the removal of loss tracking; it keys the
+	// pins below.
+	{"Filter", "trackLosses=false", 8, func(t *testing.T, seed uint64) schedPin {
+		rig := newSchedRig(seed, 150+int(seed)*31, 4, nil)
+		out, err := Filter(context.Background(), rig.items, rig.naive, FilterOptions{Un: 4})
+		return rig.pin(fpErr(fpItems(out), err))
+	}},
 	{"TwoMaxFind", "", 8, func(t *testing.T, seed uint64) schedPin {
 		rig := newSchedRig(seed, 60+int(seed)*17, 4, nil)
 		best, err := TwoMaxFind(context.Background(), rig.items, rig.expert)
@@ -218,7 +215,7 @@ var schedCases = []schedCase{
 	{"TopK", "", 4, func(t *testing.T, seed uint64) schedPin {
 		rig := newSchedRig(seed, 90+int(seed)*13, 3, nil)
 		top, err := TopK(context.Background(), rig.items, rig.naive, rig.expert, TopKOptions{
-			K: 3, U: 3, TrackLosses: true,
+			K: 3, U: 3,
 		})
 		return rig.pin(fpErr(fpItems(top), err))
 	}},
@@ -305,14 +302,6 @@ var schedPins = map[string]schedPin{
 	"TestSchedEquivFilter/trackLosses=false/seed=6":       {0x983c1a5bac4f60f5, 0x1b04d9d18e2b2e3, 3125, 0, 158, 3125, 29},
 	"TestSchedEquivFilter/trackLosses=false/seed=7":       {0x26bd3ca78eb7aacd, 0x80951f43706d1d1a, 3385, 0, 174, 3385, 31},
 	"TestSchedEquivFilter/trackLosses=false/seed=8":       {0x453ec4d5d338917d, 0x4fd2d35fb3f62f04, 3694, 0, 183, 3694, 33},
-	"TestSchedEquivFilter/trackLosses=true/seed=1":        {0x8936262908554c8e, 0xacb3a950045bddb8, 1661, 0, 84, 1661, 16},
-	"TestSchedEquivFilter/trackLosses=true/seed=2":        {0xbe36bd95a1d9bc04, 0xaabdd5bee19acbb6, 1963, 0, 105, 1963, 18},
-	"TestSchedEquivFilter/trackLosses=true/seed=3":        {0x3c2647344999c187, 0x19656a34835b8408, 2271, 0, 114, 2271, 20},
-	"TestSchedEquivFilter/trackLosses=true/seed=4":        {0x7333906f4706ef7b, 0xb55d0f36db7f29f2, 2547, 0, 146, 2547, 25},
-	"TestSchedEquivFilter/trackLosses=true/seed=5":        {0xac001b942552f36b, 0x8d3a29ce81f077a9, 2840, 0, 144, 2840, 27},
-	"TestSchedEquivFilter/trackLosses=true/seed=6":        {0x983c1a5bac4f60f5, 0x1b04d9d18e2b2e3, 3125, 0, 158, 3125, 29},
-	"TestSchedEquivFilter/trackLosses=true/seed=7":        {0x26bd3ca78eb7aacd, 0x80951f43706d1d1a, 3385, 0, 174, 3385, 31},
-	"TestSchedEquivFilter/trackLosses=true/seed=8":        {0x453ec4d5d338917d, 0x4fd2d35fb3f62f04, 3694, 0, 183, 3694, 33},
 	"TestSchedEquivTwoMaxFind/seed=1":                     {0xde6f09c179f2b721, 0x1daffacd9a12a9c2, 0, 104, 0, 2600, 2},
 	"TestSchedEquivTwoMaxFind/seed=2":                     {0xb207640c29deec34, 0x84c51f5ccdc772a6, 0, 157, 8, 3925, 3},
 	"TestSchedEquivTwoMaxFind/seed=3":                     {0xcddeafb641627780, 0x84b4225ccdb9048c, 0, 155, 1, 3875, 2},
@@ -346,7 +335,7 @@ var schedPins = map[string]schedPin{
 	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=5": {0x84f816dbfef0999e, 0x74035ffb6d7ebf6e, 2617, 21, 129, 3142, 25},
 	"TestSchedEquivFindMaxAllPhase2s/all-play-all/seed=6": {0x8429ef7f1a6336c2, 0xdf1488bb11d5a7b, 2914, 21, 131, 3439, 27},
 	"TestSchedEquivTopK/seed=1":                           {0xb9286025fe2c5fea, 0x78099cb9d240455a, 820, 5, 1317, 945, 30},
-	"TestSchedEquivTopK/seed=2":                           {0xac3f47fd720faffe, 0x7a13e51d4b8cd32, 886, 4, 1450, 986, 30},
+	"TestSchedEquivTopK/seed=2":                           {0x3f4b031c914e9626, 0x7a13e51d4b8cd32, 890, 6, 1455, 1040, 31},
 	"TestSchedEquivTopK/seed=3":                           {0x9a201b85f3a4ac89, 0x42a87a61731e4438, 1006, 5, 1673, 1131, 35},
 	"TestSchedEquivTopK/seed=4":                           {0xec34a326a273199a, 0xd30aa7a804e2f57f, 1135, 4, 1832, 1235, 39},
 	"TestSchedEquivBudgetExhaustion/seed=1":               {0x5e9bba9baec80f4b, 0x616f34f38f12df94, 1037, 0, 0, 1037, 9},

@@ -21,12 +21,6 @@ type TopKOptions struct {
 	// have neighbourhoods of similar size; otherwise overestimate — as
 	// with Algorithm 1, overestimation costs money, never accuracy.
 	U int
-	// Phase2 selects the expert extraction algorithm per round.
-	Phase2 Phase2Algorithm
-	// TrackLosses enables the Appendix A loss counters per round.
-	TrackLosses bool
-	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
-	Randomized RandomizedOptions
 	// OnRound, when set, is called after every completed round with the
 	// 0-based round index and its winner — the hook checkpointing callers
 	// use to snapshot at rank boundaries.
@@ -61,7 +55,8 @@ func (e *RoundError) Unwrap() error { return e.Err }
 // the paper's introduction motivates ("ranking of search results,
 // evaluation of web-page relevance").
 //
-// Guarantee under T(δ, 0) workers with a 2-MaxFind phase 2 and a valid U:
+// Each round's phase 2 is 2-MaxFind. Guarantee under T(δ, 0) workers with
+// a valid U:
 // the i-th returned element is within 2·δe of the true maximum of the set
 // with the previous i−1 returns removed. Cost: at most k·4·n·U naïve and
 // k·2·(2U−1)^{3/2} expert comparisons. Memoized oracles make later rounds
@@ -95,12 +90,7 @@ func TopK(ctx context.Context, items []item.Item, naive, expert *tournament.Orac
 			remaining = remaining[:0]
 			continue
 		}
-		res, err := FindMax(ctx, remaining, naive, expert, FindMaxOptions{
-			Un:          opt.U,
-			Phase2:      opt.Phase2,
-			TrackLosses: opt.TrackLosses,
-			Randomized:  opt.Randomized,
-		})
+		res, err := FindMax(ctx, remaining, naive, expert, FindMaxOptions{Un: opt.U})
 		if err != nil {
 			if sc := topkScope(naive, expert); sc != nil {
 				sc.Event("topk.truncated",

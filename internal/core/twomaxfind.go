@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"crowdmax/internal/cost"
 	"crowdmax/internal/item"
@@ -40,10 +41,7 @@ func TwoMaxFind(ctx context.Context, items []item.Item, o *tournament.Oracle) (i
 	if s == 1 {
 		return items[0], nil
 	}
-	k := int(math.Ceil(math.Sqrt(float64(s))))
-	if k < 2 {
-		k = 2
-	}
+	k := int(math.Ceil(math.Sqrt(float64(s)))) // ≥ 2, since s ≥ 2
 	sc := o.Obs().WithPhase(obs.PhaseTwoMaxFind)
 	var startLedger cost.Snapshot
 	if sc != nil {
@@ -53,36 +51,30 @@ func TwoMaxFind(ctx context.Context, items []item.Item, o *tournament.Oracle) (i
 	candidates := make([]item.Item, s)
 	copy(candidates, items)
 	leader := candidates[0]
-	beaten := make(map[int]bool, k) // the pivot's sample victims, reused across rounds
+	var rr tournament.RoundScratch // every round's sample tournament and the final one
 	round := 0
 	for len(candidates) > k {
 		before := len(candidates)
 		sample := candidates[:k]
-		res, err := tournament.RoundRobinWith(ctx, sample, o, tournament.RoundRobinOpts{RecordLosers: true})
+		res, err := rr.RoundRobin(ctx, sample, o)
 		if err != nil {
 			return leader, err
 		}
 		// The top-by-wins element becomes the round's pivot and leader. Its
-		// tournament victims are removed from the candidate set directly:
-		// those comparisons were already performed and must not be re-asked
-		// (their answers could flip below the threshold).
+		// tournament victims, all in the sample, are removed from the
+		// candidate set directly: those comparisons were already performed
+		// and must not be re-asked (their answers could flip below the
+		// threshold).
 		x := res.TopByWins()
 		leader = x
-		clear(beaten)
-		for i := range sample {
-			for _, w := range res.Losers[i] {
-				if w == x.ID {
-					beaten[sample[i].ID] = true
-				}
-			}
-		}
+		xi := slices.Index(sample, x)
 		remaining := candidates[:0]
-		for _, c := range candidates {
-			if !beaten[c.ID] {
+		for i, c := range candidates {
+			if i >= k || i == xi || !res.Beat(xi, i) {
 				remaining = append(remaining, c)
 			}
 		}
-		candidates, _, err = tournament.PivotPass(ctx, x, remaining, o)
+		candidates, err = tournament.PivotPass(ctx, x, remaining, o)
 		if err != nil {
 			return leader, err
 		}
@@ -94,7 +86,7 @@ func TwoMaxFind(ctx context.Context, items []item.Item, o *tournament.Oracle) (i
 		}
 		round++
 	}
-	final, err := tournament.RoundRobin(ctx, candidates, o)
+	final, err := rr.RoundRobin(ctx, candidates, o)
 	if err != nil {
 		return leader, err
 	}

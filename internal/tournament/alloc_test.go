@@ -135,11 +135,11 @@ func TestRoundRobinPrimedZeroAllocs(t *testing.T) {
 	o := NewOracle(worker.Truth, worker.Naive, cost.NewLedger(), NewMemo(3*len(its)))
 	var s RoundScratch
 	ctx := context.Background()
-	if _, err := s.RoundRobin(ctx, its, o, RoundRobinOpts{}); err != nil {
+	if _, err := s.RoundRobin(ctx, its, o); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := s.RoundRobin(ctx, its, o, RoundRobinOpts{}); err != nil {
+		if _, err := s.RoundRobin(ctx, its, o); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

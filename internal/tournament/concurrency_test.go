@@ -132,23 +132,3 @@ func TestParallelBatchConcurrentOracles(t *testing.T) {
 			ledger.Expert(), len(pairs))
 	}
 }
-
-func TestLossTrackerConcurrent(t *testing.T) {
-	lt := NewLossTracker()
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				lt.Record(i%10, (i+g)%17)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for id := 0; id < 10; id++ {
-		if lt.Losses(id) == 0 {
-			t.Fatalf("loser %d has no recorded losses", id)
-		}
-	}
-}

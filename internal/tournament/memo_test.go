@@ -232,42 +232,6 @@ func TestMemoConcurrentStoresOneWord(t *testing.T) {
 	}
 }
 
-// TestLossTrackerShardedConcurrent drives the sharded loss tracker from many
-// goroutines recording overlapping (loser, winner) pairs and checks the
-// distinct-opponent counts, including cross-shard losers.
-func TestLossTrackerShardedConcurrent(t *testing.T) {
-	lt := NewLossTracker()
-	const (
-		workers = 8
-		losers  = 500
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for l := 0; l < losers; l++ {
-				// Every worker records the same three winners per loser:
-				// duplicates across goroutines must still count once each.
-				lt.Record(l, 10_000+l)
-				lt.Record(l, 20_000+l)
-				lt.Record(l, 30_000+w%3) // partial overlap across workers
-			}
-		}(w)
-	}
-	wg.Wait()
-	for l := 0; l < losers; l++ {
-		got := lt.Losses(l)
-		want := 2 + min(workers, 3) // two unique winners + overlapping set {30000..30002}
-		if got != want {
-			t.Fatalf("Losses(%d) = %d, want %d", l, got, want)
-		}
-	}
-	if lt.Losses(999_999) != 0 {
-		t.Fatal("unknown loser has losses")
-	}
-}
-
 // memoEntries lists every cached (a, b, winner) triple in the order Walk
 // yields them.
 func memoEntries(m *Memo) [][3]int {

@@ -1,7 +1,7 @@
 // Package tournament provides the comparison-tournament machinery shared by
 // the paper's algorithms: billed (and optionally memoized) comparison
-// oracles, all-play-all (round-robin) tournaments, pivot elimination passes,
-// and the cross-iteration loss counters of Appendix A.
+// oracles, all-play-all (round-robin) tournaments and pivot elimination
+// passes.
 //
 // Memoization implements the first Appendix A optimization — "avoid
 // repeating the comparison of two elements multiple times by the same type
@@ -9,7 +9,8 @@
 // (i, j) the result of the first comparison between element ei and ej."
 // Besides saving money, memoization is what makes 2-MaxFind terminate
 // against adversarial tie-breaking: the pivot's tournament wins must carry
-// over to its elimination pass.
+// over to its elimination pass. Appendix A's second optimization, the
+// cross-iteration loss counter, is not implemented: no caller turned it on.
 //
 // # Dispatch
 //
@@ -25,14 +26,13 @@
 //
 // # Concurrency
 //
-// Memo, LossTracker, Budget, and Oracle's billing are safe for concurrent
-// use: the memo is a triangle of 2-bit cells with lock-free lookups and
-// compare-and-swap stores, the loss tracker is
-// sharded across independently locked stripes, the budget is mutex-guarded
-// with all-or-nothing spending, and the ledger (cost.Ledger) is atomic. An
-// Oracle may therefore be shared by the goroutines of a parallel batch
-// evaluation provided its underlying worker.Comparator (or dispatch.Backend)
-// is itself safe for concurrent use — see Oracle.ParallelBatch.
+// Memo, Budget, and Oracle's billing are safe for concurrent use: the memo
+// is a triangle of 2-bit cells with lock-free lookups and compare-and-swap
+// stores, the budget is mutex-guarded with all-or-nothing spending, and the
+// ledger (cost.Ledger) is atomic. An Oracle may therefore be shared by the
+// goroutines of a parallel batch evaluation provided its underlying
+// worker.Comparator (or dispatch.Backend) is itself safe for concurrent use
+// — see Oracle.ParallelBatch.
 package tournament
 
 import (
@@ -457,9 +457,16 @@ type Result struct {
 	Items []item.Item
 	// Wins[i] is the number of comparisons Items[i] won.
 	Wins []int
-	// Losers[i] lists, for Items[i], the IDs of the opponents it lost to.
-	// Populated only with RoundRobinOpts.RecordLosers set; nil otherwise.
-	Losers [][]int
+	// winners[p] is the index of the winner of the p-th canonical pair
+	// (i, j), i < j, in row-major order.
+	winners []int32
+}
+
+// Beat reports whether Items[i] won its game against Items[j] (i ≠ j).
+func (r Result) Beat(i, j int) bool {
+	lo, hi := min(i, j), max(i, j)
+	n := len(r.Items)
+	return r.winners[lo*(2*n-lo-1)/2+hi-lo-1] == int32(i)
 }
 
 // TopByWins returns the participant with the most wins, ties broken by
@@ -487,22 +494,13 @@ func (r Result) MinByWins() item.Item {
 	return r.Items[best]
 }
 
-// RoundRobinOpts configures RoundRobinWith.
-type RoundRobinOpts struct {
-	// RecordLosers fills Result.Losers with each participant's defeaters.
-	// Recording costs one slice and up to n−1 appends per participant, so
-	// it is off by default; only callers that consume the loss lists (the
-	// Appendix A loss tracking, 2-MaxFind's victim carry-over) opt in.
-	RecordLosers bool
-}
-
 // RoundScratch is the working storage of round-robin tournaments — pair
 // list, winners, batch buffers and Result.Wins — retained across calls to
 // its RoundRobin method, so a caller playing tournament after tournament
-// (the filter's groups) allocates nothing once the buffers have grown. The
-// pairs and winners are pointer-free indices into the group's items. The
-// zero value is ready to use. A RoundScratch must not be shared by
-// concurrent calls.
+// (the filter's groups, 2-MaxFind's rounds) allocates nothing once the
+// buffers have grown. The pairs and winners are pointer-free indices into
+// the group's items. The zero value is ready to use. A RoundScratch must not
+// be shared by concurrent calls.
 type RoundScratch struct {
 	pairs   [][2]int32
 	winners []int32
@@ -513,22 +511,16 @@ type RoundScratch struct {
 // RoundRobin plays an all-play-all tournament among items using the oracle:
 // every unordered pair is compared exactly once. The whole tournament is
 // submitted as one batch of independent comparisons — a single logical step
-// in the Section 3 execution model. Result.Losers is not recorded; use
-// RoundRobinWith to opt in. On cancellation or budget exhaustion the error
-// is returned and the Result is unusable.
+// in the Section 3 execution model. On cancellation or budget exhaustion the
+// error is returned and the Result is unusable.
 func RoundRobin(ctx context.Context, items []item.Item, o *Oracle) (Result, error) {
-	return RoundRobinWith(ctx, items, o, RoundRobinOpts{})
+	return new(RoundScratch).RoundRobin(ctx, items, o)
 }
 
-// RoundRobinWith is RoundRobin with options.
-func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
-	return new(RoundScratch).RoundRobin(ctx, items, o, opts)
-}
-
-// RoundRobin is RoundRobinWith playing in the scratch's retained buffers.
-// The returned Result.Wins aliases the scratch: it is valid only until the
-// next call on s.
-func (s *RoundScratch) RoundRobin(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
+// RoundRobin is the package-level RoundRobin playing in the scratch's
+// retained buffers. The returned Result's Wins and Beat alias the scratch:
+// they are valid only until the next call on s.
+func (s *RoundScratch) RoundRobin(ctx context.Context, items []item.Item, o *Oracle) (Result, error) {
 	n := len(items)
 	if m := obs.Active(); m != nil {
 		m.ObserveGroup(n)
@@ -546,29 +538,13 @@ func (s *RoundScratch) RoundRobin(ctx context.Context, items []item.Item, o *Ora
 		return Result{}, err
 	}
 	r := Result{
-		Items: items,
-		Wins:  resize(&s.wins, n),
+		Items:   items,
+		Wins:    resize(&s.wins, n),
+		winners: winners,
 	}
 	clear(r.Wins)
-	if opts.RecordLosers {
-		r.Losers = make([][]int, n)
-	}
-	p := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if winners[p] == int32(i) {
-				r.Wins[i]++
-				if opts.RecordLosers {
-					r.Losers[j] = append(r.Losers[j], items[i].ID)
-				}
-			} else {
-				r.Wins[j]++
-				if opts.RecordLosers {
-					r.Losers[i] = append(r.Losers[i], items[j].ID)
-				}
-			}
-			p++
-		}
+	for _, w := range winners {
+		r.Wins[w]++
 	}
 	return r, nil
 }
@@ -585,14 +561,14 @@ func resize[T any](buf *[]T, n int) []T {
 
 // PivotPass compares pivot x against every element of candidates (skipping x
 // itself) in one logical step and returns the survivors — the elements that
-// did NOT lose to x — and the IDs of the eliminated elements. This is
-// step 4 of 2-MaxFind: "Compare x against all candidate elements and
-// eliminate all elements that lose to x." The pivot itself always survives.
+// did NOT lose to x. This is step 4 of 2-MaxFind: "Compare x against all
+// candidate elements and eliminate all elements that lose to x." The pivot
+// itself always survives.
 // On cancellation or budget exhaustion the error is returned with nil
 // survivors.
-func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Oracle) (survivors []item.Item, eliminated []int, err error) {
+func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Oracle) ([]item.Item, error) {
 	if len(candidates) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	// The pairs index into candidates; x is found there (2-MaxFind draws it
 	// from the candidates) or appended to a copy.
@@ -610,84 +586,19 @@ func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Orac
 	}
 	winners := make([]int32, len(pairs))
 	if err := o.CompareBatchInto(ctx, items, pairs, winners, new(BatchScratch)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	survivors = make([]item.Item, 0, len(candidates))
+	survivors := make([]item.Item, 0, len(candidates))
 	p := 0
 	for _, c := range candidates {
 		if c.ID == x.ID {
 			survivors = append(survivors, c)
 			continue
 		}
-		if winners[p] == int32(xi) {
-			eliminated = append(eliminated, c.ID)
-		} else {
+		if winners[p] != int32(xi) {
 			survivors = append(survivors, c)
 		}
 		p++
 	}
-	return survivors, eliminated, nil
-}
-
-// lossShards is the number of independently locked stripes of a
-// LossTracker, fixed at a power of two so the stripe index is a mask.
-const lossShards = 64
-
-// lossShard is one stripe: a mutex and the loser → distinct-winner sets it
-// owns.
-type lossShard struct {
-	mu     sync.Mutex
-	losses map[int]map[int]struct{}
-}
-
-// LossTracker implements the second Appendix A optimization: it counts, for
-// every element, losses against *distinct* opponents across all filter
-// iterations. By Lemma 1, an element with more than un(n) distinct-opponent
-// losses cannot be the maximum and can be discarded early.
-//
-// Safe for concurrent use, and — unlike the previous single-mutex design —
-// not a serialization point under the batch scheduler: entries are striped
-// across 64 independently locked shards by loser ID, so goroutines
-// recording losses for different elements almost never share a lock. The
-// counts are set cardinalities, so recording order is irrelevant to the
-// final state.
-type LossTracker struct {
-	shards [lossShards]lossShard
-}
-
-// NewLossTracker returns an empty tracker.
-func NewLossTracker() *LossTracker {
-	t := &LossTracker{}
-	for i := range t.shards {
-		t.shards[i].losses = make(map[int]map[int]struct{})
-	}
-	return t
-}
-
-// lossShard returns the stripe owning the loser ID.
-func (t *LossTracker) shard(loser int) *lossShard {
-	h := uint64(loser) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return &t.shards[h&(lossShards-1)]
-}
-
-// Record notes that loser lost a comparison to winner.
-func (t *LossTracker) Record(loser, winner int) {
-	s := t.shard(loser)
-	s.mu.Lock()
-	set, ok := s.losses[loser]
-	if !ok {
-		set = make(map[int]struct{})
-		s.losses[loser] = set
-	}
-	set[winner] = struct{}{}
-	s.mu.Unlock()
-}
-
-// Losses returns the number of distinct opponents the element has lost to.
-func (t *LossTracker) Losses(id int) int {
-	s := t.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.losses[id])
+	return survivors, nil
 }

@@ -66,7 +66,7 @@ func TestRoundRobinTruthRanking(t *testing.T) {
 
 // TestRoundScratchReuseMatchesFresh plays groups of shrinking and growing
 // size in one retained scratch: every Result must equal a fresh
-// RoundRobinWith's, so no win count or winner carries over between groups.
+// RoundRobin's, so no win count or winner carries over between groups.
 func TestRoundScratchReuseMatchesFresh(t *testing.T) {
 	r := rng.New(5)
 	var s RoundScratch
@@ -76,17 +76,19 @@ func TestRoundScratchReuseMatchesFresh(t *testing.T) {
 			vals[i] = r.Float64()
 		}
 		its := items(vals...)
-		got, err := s.RoundRobin(context.Background(), its, truthOracle(nil, NewMemo(n)), RoundRobinOpts{RecordLosers: true})
+		got, err := s.RoundRobin(context.Background(), its, truthOracle(nil, NewMemo(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mustRRWith(t, its, truthOracle(nil, nil), RoundRobinOpts{RecordLosers: true})
+		want := mustRR(t, its, truthOracle(nil, nil))
 		if !slices.Equal(got.Wins, want.Wins) {
 			t.Fatalf("n=%d: reused scratch wins %v, fresh %v", n, got.Wins, want.Wins)
 		}
-		for i := range got.Losers {
-			if !slices.Equal(got.Losers[i], want.Losers[i]) {
-				t.Fatalf("n=%d: reused scratch losers[%d] %v, fresh %v", n, i, got.Losers[i], want.Losers[i])
+		for i := range n {
+			for j := range n {
+				if i != j && got.Beat(i, j) != want.Beat(i, j) {
+					t.Fatalf("n=%d: reused scratch Beat(%d, %d) = %v, fresh %v", n, i, j, got.Beat(i, j), want.Beat(i, j))
+				}
 			}
 		}
 	}
@@ -94,27 +96,13 @@ func TestRoundScratchReuseMatchesFresh(t *testing.T) {
 
 func TestRoundRobinLosersRecorded(t *testing.T) {
 	its := items(1, 2, 3)
-	res := mustRRWith(t, its, truthOracle(cost.NewLedger(), nil), RoundRobinOpts{RecordLosers: true})
-	if len(res.Losers[0]) != 2 { // value 1 loses to both
-		t.Fatalf("Losers[0] = %v", res.Losers[0])
-	}
-	if len(res.Losers[2]) != 0 { // value 3 loses to none
-		t.Fatalf("Losers[2] = %v", res.Losers[2])
-	}
-}
-
-func TestRoundRobinLosersOptIn(t *testing.T) {
-	// Loser recording is opt-in: the plain entry point must not allocate
-	// the per-element loss lists it used to fill unconditionally.
-	res := mustRR(t, items(1, 2, 3, 4), truthOracle(cost.NewLedger(), nil))
-	if res.Losers != nil {
-		t.Fatalf("RoundRobin recorded losers without opt-in: %v", res.Losers)
-	}
-	// Wins are unaffected by the option.
-	with := mustRRWith(t, items(1, 2, 3, 4), truthOracle(cost.NewLedger(), nil), RoundRobinOpts{RecordLosers: true})
-	for i := range res.Wins {
-		if res.Wins[i] != with.Wins[i] {
-			t.Fatalf("Wins diverge at %d: %d vs %d", i, res.Wins[i], with.Wins[i])
+	res := mustRR(t, its, truthOracle(cost.NewLedger(), nil))
+	// The higher value wins every game: Beat(i, j) iff i > j.
+	for i := range its {
+		for j := range its {
+			if i != j && res.Beat(i, j) != (i > j) {
+				t.Fatalf("Beat(%d, %d) = %v, want %v", i, j, res.Beat(i, j), i > j)
+			}
 		}
 	}
 }
@@ -203,12 +191,9 @@ func TestPivotPass(t *testing.T) {
 	its := items(5, 1, 9, 3, 7)
 	x := its[2] // value 9 beats everyone
 	l := cost.NewLedger()
-	surv, elim := mustPivot(t, x, its, truthOracle(l, nil))
+	surv := mustPivot(t, x, its, truthOracle(l, nil))
 	if len(surv) != 1 || surv[0].ID != 2 {
 		t.Fatalf("survivors = %v", surv)
-	}
-	if len(elim) != 4 {
-		t.Fatalf("eliminated = %v", elim)
 	}
 	if l.Naive() != 4 { // pivot not compared against itself
 		t.Fatalf("comparisons = %d, want 4", l.Naive())
@@ -221,12 +206,9 @@ func TestPivotPass(t *testing.T) {
 func TestPivotPassKeepsWinners(t *testing.T) {
 	its := items(5, 1, 9, 3, 7)
 	x := its[0] // value 5: beats 1 and 3, loses to 9 and 7
-	surv, elim := mustPivot(t, x, its, truthOracle(cost.NewLedger(), nil))
+	surv := mustPivot(t, x, its, truthOracle(cost.NewLedger(), nil))
 	if len(surv) != 3 {
 		t.Fatalf("survivors = %v", surv)
-	}
-	if len(elim) != 2 {
-		t.Fatalf("eliminated = %v", elim)
 	}
 	for _, s := range surv {
 		if s.Value < 5 {
@@ -241,12 +223,9 @@ func TestPivotPassPivotOutsideCandidates(t *testing.T) {
 	its := items(5, 1, 9, 3, 7)
 	x := item.Item{ID: 5, Value: 6}
 	l := cost.NewLedger()
-	surv, elim := mustPivot(t, x, its, truthOracle(l, NewMemo(6)))
+	surv := mustPivot(t, x, its, truthOracle(l, NewMemo(6)))
 	if len(surv) != 2 || surv[0].ID != 2 || surv[1].ID != 4 {
 		t.Fatalf("survivors = %v, want items 2 and 4", surv)
-	}
-	if !slices.Equal(elim, []int{0, 1, 3}) {
-		t.Fatalf("eliminated = %v, want [0 1 3]", elim)
 	}
 	if l.Naive() != 5 {
 		t.Fatalf("comparisons = %d, want 5", l.Naive())
@@ -254,22 +233,9 @@ func TestPivotPassPivotOutsideCandidates(t *testing.T) {
 }
 
 func TestPivotPassEmpty(t *testing.T) {
-	surv, elim := mustPivot(t, item.Item{ID: 0}, nil, truthOracle(cost.NewLedger(), nil))
-	if surv != nil || elim != nil {
+	surv := mustPivot(t, item.Item{ID: 0}, nil, truthOracle(cost.NewLedger(), nil))
+	if surv != nil {
 		t.Fatal("empty pass should be a no-op")
-	}
-}
-
-func TestLossTrackerDistinctOpponents(t *testing.T) {
-	tr := NewLossTracker()
-	tr.Record(1, 2)
-	tr.Record(1, 2) // same opponent: no double count
-	tr.Record(1, 3)
-	if got := tr.Losses(1); got != 2 {
-		t.Fatalf("Losses(1) = %d, want 2", got)
-	}
-	if got := tr.Losses(2); got != 0 {
-		t.Fatalf("Losses(2) = %d, want 0", got)
 	}
 }
 
@@ -302,7 +268,8 @@ func TestLemma2Property(t *testing.T) {
 }
 
 func TestWinsPlusLossesProperty(t *testing.T) {
-	// Every participant's wins + losses must equal n − 1.
+	// Every game has exactly one winner: exactly one of Beat(i, j) and
+	// Beat(j, i) holds, and Wins[i] counts the games i won.
 	r := rng.New(7)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw)%15 + 1
@@ -311,10 +278,21 @@ func TestWinsPlusLossesProperty(t *testing.T) {
 			vals[i] = r.Float64()
 		}
 		w := worker.NewThreshold(0.5, 0.3, r)
-		res := mustRRWith(t, items(vals...), NewOracle(w, worker.Naive, nil, nil),
-			RoundRobinOpts{RecordLosers: true})
-		for i := range res.Items {
-			if res.Wins[i]+len(res.Losers[i]) != n-1 {
+		res := mustRR(t, items(vals...), NewOracle(w, worker.Naive, nil, nil))
+		for i := range n {
+			won := 0
+			for j := range n {
+				if i == j {
+					continue
+				}
+				if res.Beat(i, j) == res.Beat(j, i) {
+					return false
+				}
+				if res.Beat(i, j) {
+					won++
+				}
+			}
+			if won != res.Wins[i] {
 				return false
 			}
 		}
@@ -342,7 +320,7 @@ func TestOracleStepBillsLedger(t *testing.T) {
 	}
 }
 
-// mustRR, mustRRWith and mustPivot run the tournament primitives under a
+// mustRR and mustPivot run the tournament primitives under a
 // background context and fail the test on error, keeping the happy-path
 // assertions uncluttered.
 func mustRR(t *testing.T, its []item.Item, o *Oracle) Result {
@@ -354,22 +332,13 @@ func mustRR(t *testing.T, its []item.Item, o *Oracle) Result {
 	return res
 }
 
-func mustRRWith(t *testing.T, its []item.Item, o *Oracle, opts RoundRobinOpts) Result {
+func mustPivot(t *testing.T, x item.Item, its []item.Item, o *Oracle) []item.Item {
 	t.Helper()
-	res, err := RoundRobinWith(context.Background(), its, o, opts)
+	surv, err := PivotPass(context.Background(), x, its, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
-}
-
-func mustPivot(t *testing.T, x item.Item, its []item.Item, o *Oracle) ([]item.Item, []int) {
-	t.Helper()
-	surv, elim, err := PivotPass(context.Background(), x, its, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return surv, elim
+	return surv
 }
 
 // mustCompare asks the oracle under a background context, failing the test
