@@ -135,18 +135,6 @@ type Ledger = cost.Ledger
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return cost.NewLedger() }
 
-// Phase2Algorithm selects the expert phase: TwoMaxFind (default, the
-// paper's practical choice), Randomized (the asymptotically optimal
-// Algorithm 5), or AllPlayAll (the quadratic baseline).
-type Phase2Algorithm = core.Phase2Algorithm
-
-// Phase-2 algorithm choices.
-const (
-	TwoMaxFindPhase2 = core.Phase2TwoMaxFind
-	RandomizedPhase2 = core.Phase2Randomized
-	AllPlayAllPhase2 = core.Phase2AllPlayAll
-)
-
 // FindMaxResult reports the outcome of a two-phase run.
 type FindMaxResult = core.FindMaxResult
 

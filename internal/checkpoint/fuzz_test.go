@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"maps"
@@ -151,6 +152,19 @@ func FuzzSealedSegment(f *testing.F) {
 	})
 }
 
+// stepPatchedBody is the v4 payload of a state whose one memo pair is
+// (a, a+1), with that pair's B step replaced by the raw uvarint step (the
+// B offset shifted left one bit, the low bit the winner): a table no
+// encoder writes, for seeds that reach the decoder's semantic rejects.
+func stepPatchedBody(f *testing.F, a int64, step uint64) []byte {
+	body := Encode(&State{NaiveMemo: []PairAnswer{{A: a, B: a + 1, Winner: a}}})[headerSize:]
+	old := binary.AppendUvarint(binary.AppendVarint(nil, a), 1<<1)
+	if bytes.Count(body, old) != 1 {
+		f.Fatalf("pair (%d, %d) is not encoded exactly once", a, a+1)
+	}
+	return bytes.Replace(body, old, binary.AppendUvarint(binary.AppendVarint(nil, a), step), 1)
+}
+
 // FuzzSealedBase frames the fuzzed bytes as a v4 base's payload, with a
 // valid header and CRC, and follows it with three valid v2 segments
 // linked to it. Loading either fails closed (ErrCorrupt), exactly when
@@ -161,6 +175,10 @@ func FuzzSealedBase(f *testing.F) {
 	f.Add(Encode(memoState(60, 300))[headerSize:])
 	f.Add(Encode(&State{})[headerSize:])
 	f.Add([]byte{})
+	// A B step past the int64 range ("B step overflows"), and one that
+	// lands B beyond maxPairID (checkPair's ID bound).
+	f.Add(stepPatchedBody(f, 1<<40, 1<<64-2))
+	f.Add(stepPatchedBody(f, 1<<40, maxPairID<<1))
 
 	const path = "run.ck"
 	f.Fuzz(func(t *testing.T, body []byte) {

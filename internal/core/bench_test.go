@@ -7,6 +7,7 @@ import (
 
 	"crowdmax/internal/cost"
 	"crowdmax/internal/dataset"
+	"crowdmax/internal/item"
 	"crowdmax/internal/rng"
 	"crowdmax/internal/tournament"
 	"crowdmax/internal/worker"
@@ -66,11 +67,21 @@ func BenchmarkPhase2(b *testing.B) {
 	for _, s := range []int{19, 99, 499} {
 		for _, variant := range []struct {
 			name string
-			algo Phase2Algorithm
+			run  func(ctx context.Context, items []item.Item, o *tournament.Oracle, r *rng.Source) (item.Item, error)
 		}{
-			{"allplayall", Phase2AllPlayAll},
-			{"twomaxfind", Phase2TwoMaxFind},
-			{"randomized", Phase2Randomized},
+			{"allplayall", func(ctx context.Context, items []item.Item, o *tournament.Oracle, _ *rng.Source) (item.Item, error) {
+				res, err := tournament.RoundRobin(ctx, items, o)
+				if err != nil {
+					return item.Item{}, err
+				}
+				return res.TopByWins(), nil
+			}},
+			{"twomaxfind", func(ctx context.Context, items []item.Item, o *tournament.Oracle, _ *rng.Source) (item.Item, error) {
+				return TwoMaxFind(ctx, items, o)
+			}},
+			{"randomized", func(ctx context.Context, items []item.Item, o *tournament.Oracle, r *rng.Source) (item.Item, error) {
+				return RandomizedMaxFind(ctx, items, o, RandomizedOptions{R: r})
+			}},
 		} {
 			b.Run(fmt.Sprintf("s%d/%s", s, variant.name), func(b *testing.B) {
 				r := rng.New(7)
@@ -81,7 +92,7 @@ func BenchmarkPhase2(b *testing.B) {
 					ledger := cost.NewLedger()
 					w := &worker.Threshold{Delta: 0.01, Tie: worker.RandomTie{R: r}, R: r}
 					o := tournament.NewOracle(w, worker.Expert, ledger, nil)
-					if _, err := RunPhase2(context.Background(), items, o, variant.algo, RandomizedOptions{R: r.ChildN("p2", i)}); err != nil {
+					if _, err := variant.run(context.Background(), items, o, r.ChildN("p2", i)); err != nil {
 						b.Fatal(err)
 					}
 					totalComparisons += ledger.Expert()

@@ -25,14 +25,10 @@ type Level struct {
 // CascadeOptions configures CascadeFindMax.
 type CascadeOptions struct {
 	// Levels holds the expertise hierarchy, cheapest first. The last
-	// level plays the role of the experts: it runs the phase-2 algorithm
-	// on the final candidate set. At least two levels are required (with
-	// exactly two, the cascade IS Algorithm 1).
+	// level plays the role of the experts: it runs 2-MaxFind on the final
+	// candidate set. At least two levels are required (with exactly two,
+	// the cascade IS Algorithm 1).
 	Levels []Level
-	// Phase2 selects the final extraction algorithm (default 2-MaxFind).
-	Phase2 Phase2Algorithm
-	// Randomized configures Algorithm 5 when Phase2 is Phase2Randomized.
-	Randomized RandomizedOptions
 }
 
 // CascadeResult reports a cascade run.
@@ -47,14 +43,13 @@ type CascadeResult struct {
 // CascadeFindMax generalizes Algorithm 1 to L worker classes: each level
 // but the last runs the Algorithm 2 filter with its own workers and u
 // value, shrinking the candidate set from n to ≤ 2·u1−1 to ≤ 2·u2−1 … and
-// the final (most expert) level extracts the maximum with the phase-2
-// algorithm.
+// the final (most expert) level extracts the maximum with 2-MaxFind.
 //
 // Correctness for ε = 0 follows by induction on Lemma 3: level l's filter
 // is guaranteed to keep the maximum whenever Ul is at least the true u(δl)
 // of its *input* set — which holds when Ul upper-bounds u(δl) of the
 // original set, since candidate sets only shrink. The returned element is
-// within 2·δL of the maximum (3·δL w.h.p. for the randomized phase 2).
+// within 2·δL of the maximum.
 //
 // The cost motivation mirrors the two-class case: each level's filter costs
 // at most 4·|input|·Ul comparisons at that level's price, so cheap classes
@@ -102,7 +97,7 @@ func CascadeFindMax(ctx context.Context, items []item.Item, opt CascadeOptions) 
 	}
 
 	last := opt.Levels[len(opt.Levels)-1]
-	best, err := RunPhase2(ctx, current, last.Oracle, opt.Phase2, opt.Randomized)
+	best, err := TwoMaxFind(ctx, current, last.Oracle)
 	res.Best = best
 	if err != nil {
 		return res, fmt.Errorf("cascade final level: %w", err)

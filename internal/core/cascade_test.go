@@ -204,25 +204,3 @@ func TestCascadeNaiveBound(t *testing.T) {
 		t.Fatalf("final level bound = %g", got)
 	}
 }
-
-func TestCascadeRandomizedPhase2(t *testing.T) {
-	r := rng.New(6)
-	us := [3]int{20, 8, 3}
-	set, deltas := threeLevelInstance(t, 700, us, r.Child("data"))
-	levels := []Level{
-		{Oracle: levelOracle(deltas[0], worker.Naive, nil, r.Child("l0")), U: us[0]},
-		{Oracle: levelOracle(deltas[1], worker.Class(1), nil, r.Child("l1")), U: us[1]},
-		{Oracle: levelOracle(deltas[2], worker.Class(2), nil, r.Child("l2")), U: us[2]},
-	}
-	res, err := CascadeFindMax(context.Background(), set.Items(), CascadeOptions{
-		Levels:     levels,
-		Phase2:     Phase2Randomized,
-		Randomized: RandomizedOptions{R: r.Child("p2")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := item.Distance(set.Max(), res.Best); d > 3*deltas[2] {
-		t.Fatalf("d = %g > 3δ3", d)
-	}
-}

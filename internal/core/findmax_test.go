@@ -59,64 +59,6 @@ func TestFindMaxEndToEndGuarantee(t *testing.T) {
 	}
 }
 
-func TestFindMaxRandomizedPhase2(t *testing.T) {
-	root := rng.New(2)
-	for trial := 0; trial < 8; trial++ {
-		r := root.ChildN("t", trial)
-		cal, err := dataset.UniformCalibrated(600, 8, 3, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		no, eo := oracles(cal, r, nil, nil)
-		res, err := FindMax(context.Background(), cal.Set.Items(), no, eo, FindMaxOptions{
-			Un:         8,
-			Phase2:     Phase2Randomized,
-			Randomized: RandomizedOptions{R: r.Child("rand"), C: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Lemma 4: d(M, e) ≤ 3δe w.h.p.
-		if d := item.Distance(cal.Set.Max(), res.Best); d > 3*cal.DeltaE {
-			t.Fatalf("trial %d: d = %g > 3δe = %g", trial, d, 3*cal.DeltaE)
-		}
-	}
-}
-
-func TestFindMaxAllPlayAllPhase2(t *testing.T) {
-	r := rng.New(3)
-	cal, err := dataset.UniformCalibrated(400, 6, 2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	le := cost.NewLedger()
-	no, eo := oracles(cal, r, nil, le)
-	res, err := FindMax(context.Background(), cal.Set.Items(), no, eo, FindMaxOptions{Un: 6, Phase2: Phase2AllPlayAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := item.Distance(cal.Set.Max(), res.Best); d > 2*cal.DeltaE {
-		t.Fatalf("d = %g > 2δe", d)
-	}
-	s := len(res.Candidates)
-	if want := int64(s * (s - 1) / 2); le.Expert() != want {
-		t.Fatalf("all-play-all expert comparisons = %d, want %d", le.Expert(), want)
-	}
-}
-
-func TestFindMaxUnknownPhase2(t *testing.T) {
-	r := rng.New(4)
-	cal, err := dataset.UniformCalibrated(100, 3, 1, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	no, eo := oracles(cal, r, nil, nil)
-	_, err = FindMax(context.Background(), cal.Set.Items(), no, eo, FindMaxOptions{Un: 3, Phase2: Phase2Algorithm(99)})
-	if err == nil || !strings.Contains(err.Error(), "unknown phase-2") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestFindMaxPropagatesPhase1Error(t *testing.T) {
 	r := rng.New(5)
 	cal, err := dataset.UniformCalibrated(100, 3, 1, r)
@@ -150,24 +92,6 @@ func TestFindMaxExactWhenExpertsPerfect(t *testing.T) {
 			t.Fatalf("trial %d: perfect experts returned rank %d",
 				trial, cal.Set.Rank(res.Best.ID))
 		}
-	}
-}
-
-func TestFindMaxStringNames(t *testing.T) {
-	if Phase2TwoMaxFind.String() != "2-MaxFind" ||
-		Phase2Randomized.String() != "randomized" ||
-		Phase2AllPlayAll.String() != "all-play-all" {
-		t.Fatal("phase-2 names wrong")
-	}
-	if !strings.Contains(Phase2Algorithm(9).String(), "9") {
-		t.Fatal("unknown phase-2 name")
-	}
-}
-
-func TestRunPhase2EmptyCandidates(t *testing.T) {
-	eo := tournament.NewOracle(worker.Truth, worker.Expert, nil, nil)
-	if _, err := RunPhase2(context.Background(), nil, eo, Phase2AllPlayAll, RandomizedOptions{}); err == nil {
-		t.Fatal("empty candidates accepted")
 	}
 }
 

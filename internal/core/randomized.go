@@ -15,11 +15,12 @@ import (
 
 var errNilRNG = errors.New("core: randomized algorithm requires a random source")
 
+// randomizedC is the confidence constant c of Algorithm 5: the failure
+// probability is s^{−c} and groups hold 80·(c+2) = 240 elements.
+const randomizedC = 1
+
 // RandomizedOptions configures Algorithm 5.
 type RandomizedOptions struct {
-	// C is the confidence constant c of Algorithm 5: group sizes are
-	// 80·(C+2) and the failure probability is s^{−c}. Defaults to 1.
-	C int
 	// R drives the random sampling and partitioning. Required.
 	R *rng.Source
 }
@@ -28,13 +29,13 @@ type RandomizedOptions struct {
 // randomized max-finding algorithm that, under the threshold model T(δ, 0),
 // returns an element within 3δ of the maximum with probability at least
 // 1 − s^{−c}, using Θ(s) comparisons — but with constants so large
-// (all-play-all tournaments in groups of 80·(c+2) elements, each round
-// removing one element per group) that 2-MaxFind is cheaper at the input
-// sizes the paper considers. The experiments of Section 5.1 reproduce this
+// (all-play-all tournaments in groups of 80·(c+2) = 240 elements, each
+// round removing one element per group) that 2-MaxFind is cheaper at the
+// input sizes the paper considers. The experiments of Section 5.1 reproduce this
 // crossover.
 //
 // Each round samples s^{0.3} random elements into a reserve W, partitions
-// the survivors into groups of 80·(C+2), plays an all-play-all tournament in
+// the survivors into groups of 240, plays an all-play-all tournament in
 // each group, and removes each group's minimal element (fewest wins). When
 // fewer than s^{0.3} survivors remain they join W, and a final all-play-all
 // tournament over W picks the winner.
@@ -52,11 +53,7 @@ func RandomizedMaxFind(ctx context.Context, items []item.Item, o *tournament.Ora
 	if opt.R == nil {
 		return item.Item{}, errNilRNG
 	}
-	c := opt.C
-	if c < 1 {
-		c = 1
-	}
-	groupSize := 80 * (c + 2)
+	groupSize := 80 * (randomizedC + 2)
 	cutoff := math.Pow(float64(s), 0.3)
 	sampleSize := int(math.Ceil(cutoff))
 

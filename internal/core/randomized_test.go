@@ -57,7 +57,7 @@ func TestRandomizedGuaranteeUnderThresholdModel(t *testing.T) {
 		s := dataset.Uniform(n, 0, 1, r)
 		w := &worker.Threshold{Delta: delta, Tie: worker.RandomTie{R: r}, R: r}
 		o := tournament.NewOracle(w, worker.Expert, nil, nil)
-		got, err := RandomizedMaxFind(context.Background(), s.Items(), o, RandomizedOptions{R: r, C: 1})
+		got, err := RandomizedMaxFind(context.Background(), s.Items(), o, RandomizedOptions{R: r})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRandomizedLinearButHugeConstants(t *testing.T) {
 	lRand := cost.NewLedger()
 	w1 := &worker.Threshold{Delta: 0.02, Tie: worker.RandomTie{R: r.Child("a")}, R: r.Child("a")}
 	oRand := tournament.NewOracle(w1, worker.Expert, lRand, nil)
-	if _, err := RandomizedMaxFind(context.Background(), s.Items(), oRand, RandomizedOptions{R: r.Child("ra"), C: 1}); err != nil {
+	if _, err := RandomizedMaxFind(context.Background(), s.Items(), oRand, RandomizedOptions{R: r.Child("ra")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,21 +92,6 @@ func TestRandomizedLinearButHugeConstants(t *testing.T) {
 	if lRand.Expert() <= lTwo.Expert() {
 		t.Fatalf("expected Algorithm 5 (%d) to cost more than 2-MaxFind (%d) at n=%d",
 			lRand.Expert(), lTwo.Expert(), n)
-	}
-}
-
-func TestRandomizedDefaultC(t *testing.T) {
-	r := rng.New(5)
-	s := dataset.Uniform(50, 0, 1, r)
-	o := tournament.NewOracle(worker.Truth, worker.Expert, nil, nil)
-	// C = 0 falls back to 1; must work and find the max with a truthful
-	// oracle.
-	got, err := RandomizedMaxFind(context.Background(), s.Items(), o, RandomizedOptions{R: r, C: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != s.Max().ID {
-		t.Fatalf("rank %d returned", s.Rank(got.ID))
 	}
 }
 

@@ -178,14 +178,28 @@ type schedCase struct {
 	run       func(t *testing.T, seed uint64) schedPin
 }
 
-func findMaxCase(p2 Phase2Algorithm) schedCase {
-	return schedCase{"FindMaxAllPhase2s", p2.String(), 6, func(t *testing.T, seed uint64) schedPin {
-		rig := newSchedRig(seed, 140+int(seed)*29, 4, nil)
-		res, err := FindMax(context.Background(), rig.items, rig.naive, rig.expert, FindMaxOptions{
-			Un:         4,
-			Phase2:     p2,
-			Randomized: RandomizedOptions{R: rig.r.Child("p2")},
-		})
+// findMaxCase runs Algorithm 1 with the named phase-2 algorithm: Filter,
+// then phase2 on its candidates, wrapping errors as FindMax does. The names
+// 2-MaxFind, randomized and all-play-all key the pins below.
+func findMaxCase(sub string, phase2 func(ctx context.Context, rig *schedRig, candidates []item.Item) (item.Item, error)) schedCase {
+	return schedCase{"FindMaxAllPhase2s", sub, 6, func(t *testing.T, seed uint64) schedPin {
+		const un = 4
+		ctx := context.Background()
+		rig := newSchedRig(seed, 140+int(seed)*29, un, nil)
+		var res FindMaxResult
+		candidates, err := Filter(ctx, rig.items, rig.naive, FilterOptions{Un: un})
+		switch {
+		case err != nil:
+			res.Candidates = candidates
+			err = fmt.Errorf("phase 1: %w", err)
+		case len(candidates) == 0:
+			err = fmt.Errorf("phase 1: empty candidate set (un=%d underestimated?)", un)
+		default:
+			res.Candidates = candidates
+			if res.Best, err = phase2(ctx, rig, candidates); err != nil {
+				err = fmt.Errorf("phase 2: %w", err)
+			}
+		}
 		return rig.pin(fpFindMax(res, err))
 	}}
 }
@@ -209,9 +223,19 @@ var schedCases = []schedCase{
 			RandomizedOptions{R: rig.r.Child("p2")})
 		return rig.pin(fpErr(fmt.Sprintf("best=%d", best.ID), err))
 	}},
-	findMaxCase(Phase2TwoMaxFind),
-	findMaxCase(Phase2Randomized),
-	findMaxCase(Phase2AllPlayAll),
+	findMaxCase("2-MaxFind", func(ctx context.Context, rig *schedRig, candidates []item.Item) (item.Item, error) {
+		return TwoMaxFind(ctx, candidates, rig.expert)
+	}),
+	findMaxCase("randomized", func(ctx context.Context, rig *schedRig, candidates []item.Item) (item.Item, error) {
+		return RandomizedMaxFind(ctx, candidates, rig.expert, RandomizedOptions{R: rig.r.Child("p2")})
+	}),
+	findMaxCase("all-play-all", func(ctx context.Context, rig *schedRig, candidates []item.Item) (item.Item, error) {
+		res, err := tournament.RoundRobin(ctx, candidates, rig.expert)
+		if err != nil {
+			return candidates[0], err
+		}
+		return res.TopByWins(), nil
+	}),
 	{"TopK", "", 4, func(t *testing.T, seed uint64) schedPin {
 		rig := newSchedRig(seed, 90+int(seed)*13, 3, nil)
 		top, err := TopK(context.Background(), rig.items, rig.naive, rig.expert, TopKOptions{

@@ -150,7 +150,7 @@ func Score(ctx context.Context, items []item.Item, naive, expert *tournament.Ora
 	if sc != nil {
 		d := expert.LedgerSnapshot().Sub(e0)
 		sc.Event("score.phase2",
-			obs.Fs("algo", Phase2TwoMaxFind.String()), obs.Fi("shortlist", int64(shortlist)),
+			obs.Fs("algo", "2-MaxFind"), obs.Fi("shortlist", int64(shortlist)),
 			obs.Fi("comparisons", d.TotalComparisons()), obs.Fi("steps", d.Steps))
 	}
 	if opt.OnPhase != nil {

@@ -21,10 +21,6 @@ type TopKOptions struct {
 	// have neighbourhoods of similar size; otherwise overestimate — as
 	// with Algorithm 1, overestimation costs money, never accuracy.
 	U int
-	// OnRound, when set, is called after every completed round with the
-	// 0-based round index and its winner — the hook checkpointing callers
-	// use to snapshot at rank boundaries.
-	OnRound func(round int, winner item.Item)
 }
 
 // RoundError reports a TopK run truncated mid-round: the first Completed
@@ -84,9 +80,6 @@ func TopK(ctx context.Context, items []item.Item, naive, expert *tournament.Orac
 	for round := 0; round < opt.K; round++ {
 		if len(remaining) == 1 {
 			out = append(out, remaining[0])
-			if opt.OnRound != nil {
-				opt.OnRound(round, out[len(out)-1])
-			}
 			remaining = remaining[:0]
 			continue
 		}
@@ -100,9 +93,6 @@ func TopK(ctx context.Context, items []item.Item, naive, expert *tournament.Orac
 			return out, &RoundError{Round: round + 1, Completed: len(out), Best: res.Best, Err: err}
 		}
 		out = append(out, res.Best)
-		if opt.OnRound != nil {
-			opt.OnRound(round, res.Best)
-		}
 		kept := remaining[:0]
 		for _, it := range remaining {
 			if it.ID != res.Best.ID {

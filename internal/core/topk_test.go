@@ -172,41 +172,6 @@ func TestTopKWholeSet(t *testing.T) {
 	}
 }
 
-func TestTopKOnRoundHook(t *testing.T) {
-	// OnRound fires once per completed round, in order, with the round's
-	// winner — including the final round served by the single-remaining
-	// shortcut when k = n.
-	r := rng.New(7)
-	s := dataset.Uniform(10, 0, 1, r)
-	no := tournament.NewOracle(worker.Truth, worker.Naive, nil, nil)
-	eo := tournament.NewOracle(worker.Truth, worker.Expert, nil, nil)
-	type roundWin struct {
-		round  int
-		winner int
-	}
-	var calls []roundWin
-	got, err := TopK(context.Background(), s.Items(), no, eo, TopKOptions{
-		K: 10, U: 2,
-		OnRound: func(round int, winner item.Item) {
-			calls = append(calls, roundWin{round, winner.ID})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != len(got) {
-		t.Fatalf("OnRound fired %d times for %d ranks", len(calls), len(got))
-	}
-	for i, c := range calls {
-		if c.round != i {
-			t.Fatalf("call %d reported round %d", i, c.round)
-		}
-		if c.winner != got[i].ID {
-			t.Fatalf("round %d winner %d but rank %d is %d", i, c.winner, i, got[i].ID)
-		}
-	}
-}
-
 func TestTopKRoundErrorPartialProgress(t *testing.T) {
 	// A budget that covers round 1 but starves round 2 must surface the
 	// completed prefix alongside a *RoundError naming the truncated round,

@@ -8,9 +8,12 @@ import (
 	"testing"
 
 	"crowdmax/internal/chaos"
+	"crowdmax/internal/core"
 	"crowdmax/internal/cost"
+	"crowdmax/internal/dataset"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/item"
+	"crowdmax/internal/rng"
 	"crowdmax/internal/tournament"
 	"crowdmax/internal/worker"
 )
@@ -144,6 +147,69 @@ func TestRunBudgetExhaustionDegrades(t *testing.T) {
 	}
 	if !containsItem(out.Candidates, out.Best) {
 		t.Fatalf("starved run returned %+v, not a member of the candidate set %v", out.Best, out.Candidates)
+	}
+}
+
+// failWhile fails every request with err while on reports true and forwards
+// to inner otherwise.
+type failWhile struct {
+	inner dispatch.Backend
+	on    func() bool
+	err   error
+}
+
+func (f *failWhile) Answer(ctx context.Context, req dispatch.Request) (dispatch.Answer, error) {
+	if f.on() {
+		return dispatch.Answer{}, f.err
+	}
+	return f.inner.Answer(ctx, req)
+}
+
+// TestRunRandomizedRungKeepsLemma4 drives the expert-randomized rung end to
+// end on calibrated instances: the expert backend fails transiently while
+// the controller sits on expert-2maxfind, so both of that rung's attempts
+// fail and the ladder drops to Algorithm 5. Its answer must be within 3δe of
+// the maximum (Lemma 4), the bound its 3δe-whp label claims.
+func TestRunRandomizedRungKeepsLemma4(t *testing.T) {
+	root := rng.New(2)
+	for trial := 0; trial < 8; trial++ {
+		r := root.ChildN("t", trial)
+		cal, err := dataset.UniformCalibrated(600, 8, 3, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := cal.Set.Len()
+		rung := ""
+		nw := &worker.Threshold{Delta: cal.DeltaN, Tie: worker.RandomTie{R: r.Child("n")}, R: r.Child("n")}
+		ew := &worker.Threshold{Delta: cal.DeltaE, Tie: worker.RandomTie{R: r.Child("e")}, R: r.Child("e")}
+		flaky := &failWhile{
+			inner: dispatch.NewSimulated(ew),
+			on:    func() bool { return rung == RungExpert2MaxFind.String() },
+			err:   dispatch.ErrBackendUnavailable,
+		}
+		naive := tournament.NewOracle(nw, worker.Naive, nil, tournament.NewMemo(n))
+		expert := tournament.NewBackendOracle(flaky, worker.Expert, nil, tournament.NewMemo(n))
+		out, err := Run(context.Background(), cal.Set.Items(), naive, expert, NewController(0), Options{
+			Un:         8,
+			Randomized: core.RandomizedOptions{R: r.Child("rand")},
+			OnDecision: func(d Decision) { rung = d.To },
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		tries := 0
+		for _, d := range out.Decisions {
+			if d.To == RungExpert2MaxFind.String() {
+				tries++
+			}
+		}
+		if out.Rung != RungExpertRandomized || out.Rung.Guarantee() != Guarantee3DeltaEWHP || tries != 2 {
+			t.Fatalf("trial %d: landed on %q (%q) after %d expert-2maxfind attempts, want expert-randomized (3δe-whp) after 2",
+				trial, out.Rung, out.Rung.Guarantee(), tries)
+		}
+		if d := item.Distance(cal.Set.Max(), out.Best); d > 3*cal.DeltaE {
+			t.Fatalf("trial %d: d(M, e) = %g > 3δe = %g", trial, d, 3*cal.DeltaE)
+		}
 	}
 }
 

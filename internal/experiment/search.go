@@ -140,7 +140,7 @@ func SearchEval(ctx context.Context, cfg SearchConfig) (SearchResult, error) {
 			}
 			ew := &worker.Threshold{Delta: cfg.DeltaE, Tie: worker.RandomTie{R: r.Child("exp")}, R: r.Child("exp")}
 			eo := tournament.NewOracle(ew, worker.Expert, nil, tournament.NewMemo(set.Len())).WithObs(sc)
-			best, err := core.RunPhase2(ctx, candidates, eo, core.Phase2TwoMaxFind, core.RandomizedOptions{})
+			best, err := core.TwoMaxFind(ctx, candidates, eo)
 			if err != nil {
 				return err
 			}

@@ -75,7 +75,7 @@ func TestRunMaxFindEquivalent(t *testing.T) {
 	for _, seed := range []uint64{3, 77} {
 		for _, variant := range []string{"plain", "budget", "crash"} {
 			// algo=0 is 2-MaxFind, the only phase 2 a session runs undegraded.
-			t.Run(fmt.Sprintf("seed=%d/algo=%d/%s", seed, TwoMaxFindPhase2, variant), func(t *testing.T) {
+			t.Run(fmt.Sprintf("seed=%d/algo=0/%s", seed, variant), func(t *testing.T) {
 				naive := &ThresholdWorker{Delta: cal.DeltaN, Tie: HashTie{Seed: seed}}
 				expert := &ThresholdWorker{Delta: cal.DeltaE, Tie: HashTie{Seed: seed + 1}}
 				ledger := NewLedger()
